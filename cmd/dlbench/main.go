@@ -30,15 +30,13 @@ import (
 
 func main() {
 	var (
-		id       = flag.String("exp", "", "experiment id (fig01, fig10..fig17, table1..table5, abl-*) or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		full     = flag.Bool("full", false, "paper-scale inputs (slower); default is quick mode")
-		seed     = flag.Int64("seed", spec.DefaultSeed, "input generator seed")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation jobs per experiment")
-		quiet    = flag.Bool("q", false, "suppress per-job progress on stderr")
-		shards   = flag.Int("shards", 0, "build every system on the sharded event kernel with N lanes (0/1 = single queue; tables are byte-identical for every value)")
-		parallel = flag.Bool("parallel", false, "run lane-confined kernel phases concurrently on every sharded system (requires -shards > 1; tables are byte-identical)")
-		csv      = flag.String("csv", "", "directory to also write tables as CSV")
+		id    = flag.String("exp", "", "experiment id (fig01, fig10..fig17, table1..table5, abl-*) or 'all'")
+		list  = flag.Bool("list", false, "list available experiments")
+		full  = flag.Bool("full", false, "paper-scale inputs (slower); default is quick mode")
+		seed  = flag.Int64("seed", spec.DefaultSeed, "input generator seed")
+		jobs  = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation jobs per experiment")
+		quiet = flag.Bool("q", false, "suppress per-job progress on stderr")
+		csv   = flag.String("csv", "", "directory to also write tables as CSV")
 
 		faultSpec = flag.String("fault", "", "link-fault plan applied to every DIMM-Link run, e.g. 'ber=1e-7,down=0-1@10us' (see dlsim -fault)")
 		faultSeed = flag.Int64("faultseed", spec.DefaultFaultSeed, "seed for the fault plan's error draws")
@@ -88,12 +86,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
 		os.Exit(1)
-	}
-	opts.Shards = *shards
-	opts.Parallel = *parallel
-	if *parallel && *shards <= 1 {
-		fmt.Fprintln(os.Stderr, "dlbench: -parallel requires -shards > 1")
-		os.Exit(2)
 	}
 	targets, err := sp.Targets()
 	if err != nil {

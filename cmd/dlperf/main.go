@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,14 +43,6 @@ type suiteResult struct {
 	AllocsPerOp  float64 `json:"allocs_per_op"` // heap allocations per event
 	SimNS        uint64  `json:"sim_ns"`        // simulated time covered
 	SimRealRatio float64 `json:"sim_real_ratio"`
-
-	// Sharded-kernel columns (kernel-par suite only).
-	Shards               int     `json:"shards,omitempty"`
-	SpeedupVsSingleShard float64 `json:"speedup_vs_single_shard,omitempty"`
-
-	// Phase-parallel column (model-par suite only): wall-clock ratio of
-	// the merged-mode run to the SetParallel(true) run of the same spec.
-	SpeedupVsMerged float64 `json:"speedup_vs_merged,omitempty"`
 }
 
 // benchFile is the BENCH_<label>.json schema.
@@ -80,8 +71,6 @@ func main() {
 		run  func(quick bool) suiteResult
 	}{
 		{"kernel", benchKernel},
-		{"kernel-par", benchKernelPar},
-		{"model-par", benchModelPar},
 		{"noc-p2p", benchP2P},
 		{"table4-suite", benchTableIV},
 		{"collective", benchCollective},
@@ -178,138 +167,6 @@ func benchKernel(quick bool) suiteResult {
 		}
 	}
 	return best
-}
-
-// benchKernelPar measures the sharded event kernel on the same duty cycle
-// as benchKernel, scaled out: ShardBench partitions the actor population
-// into lane-owned groups with cross-group mail riding the deterministic
-// mailbox. A single-lane run is measured first as the baseline, then the
-// sharded run; the recorded row is the sharded one, with the speedup
-// column. The digests must match — the run aborts otherwise — so the row
-// only ever reports correctly-ordered work. On a single-core host the
-// speedup comes from cache residency: each lane's heap is a fraction of
-// the monolithic heap, and window bursts keep it hot.
-func benchKernelPar(quick bool) suiteResult {
-	cfg := sim.ShardBenchConfig{
-		Groups:     64,
-		PerGroup:   8192,
-		Events:     20_000_000,
-		MaxDelay:   1 << 14,
-		Lookahead:  8192,
-		CrossEvery: 64,
-		Seed:       0x9e3779b9,
-	}
-	reps := 3
-	if quick {
-		cfg.PerGroup = 1024
-		cfg.Events = 2_000_000
-		reps = 1
-	}
-	const lanes = 16
-
-	// Best-of-N on both sides: each side's minimum wall time is the least
-	// noise-contaminated observation, so their ratio is the steady-state
-	// speedup rather than a draw from the scheduler-noise distribution.
-	measure := func(n int) (best time.Duration, res sim.ShardBenchResult, allocs uint64) {
-		for r := 0; r < reps; r++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			res = sim.RunShardBench(n, cfg)
-			wall := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			if r == 0 || wall < best {
-				best = wall
-				allocs = ms1.Mallocs - ms0.Mallocs
-			}
-		}
-		return best, res, allocs
-	}
-	baseWall, base, _ := measure(1)
-	wall, got, allocs := measure(lanes)
-
-	if got.Digest != base.Digest || got.Events != base.Events {
-		fatal(fmt.Errorf("kernel-par: sharded run diverged from single-lane run: %+v vs %+v", got, base))
-	}
-	speedup := 0.0
-	if wall > 0 {
-		speedup = float64(baseWall) / float64(wall)
-	}
-	return suiteResult{
-		Events:               got.Events,
-		WallNS:               wall.Nanoseconds(),
-		AllocsPerOp:          float64(allocs) / float64(got.Events),
-		SimNS:                got.SimSpan / uint64(sim.Nanosecond),
-		Shards:               lanes,
-		SpeedupVsSingleShard: speedup,
-	}
-}
-
-// benchModelPar measures the full-system phase-parallel mode: the same
-// sharded spec runs once in deterministic-merge mode and once with
-// SetParallel(true), their rendered reports must be byte-identical (the
-// run aborts otherwise), and the recorded row is the parallel run with
-// its wall-clock speedup over merged mode. PageRank on a 16-DIMM system
-// alternates local rank compute with barrier-delimited frontier
-// exchanges, so it exercises both parallel spans (concurrent fills and
-// lane execution on a multi-core host; per-lane heap cache residency
-// even on one core) and the serial remote phases between them.
-func benchModelPar(quick bool) suiteResult {
-	// Scale 14 keeps the run in the regime where the parallel spans are a
-	// meaningful fraction of wall time; at larger scales the serial remote
-	// exchange phases grow faster than the local compute phases and wash
-	// the speedup out. Best-of-5 because the deltas are ~10% on a loaded
-	// host.
-	sp := spec.Spec{Kind: spec.KindSim, Workload: "pr", Scale: 14, Iters: 5, DIMMs: 16, Channels: 8}
-	reps := 5
-	if quick {
-		sp.Scale = 11
-		sp.Iters = 2
-		reps = 1
-	}
-	const shards = 4
-
-	measure := func(parallel bool) (best time.Duration, report []byte, events, simNS uint64, allocs uint64) {
-		for r := 0; r < reps; r++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			run, err := sp.RunSim(spec.SimHooks{Shards: shards, Parallel: parallel})
-			wall := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			if err != nil {
-				fatal(err)
-			}
-			var text bytes.Buffer
-			run.Report(&text)
-			if r == 0 || wall < best {
-				best = wall
-				report = text.Bytes()
-				events = run.Sys.Sharded().Processed()
-				simNS = run.Res.Makespan / uint64(sim.Nanosecond)
-				allocs = ms1.Mallocs - ms0.Mallocs
-			}
-		}
-		return best, report, events, simNS, allocs
-	}
-	mergedWall, mergedReport, _, _, _ := measure(false)
-	parWall, parReport, events, simNS, allocs := measure(true)
-
-	if !bytes.Equal(mergedReport, parReport) {
-		fatal(fmt.Errorf("model-par: parallel run diverged from merged run\n--- merged\n%s--- parallel\n%s", mergedReport, parReport))
-	}
-	speedup := 0.0
-	if parWall > 0 {
-		speedup = float64(mergedWall) / float64(parWall)
-	}
-	return suiteResult{
-		Events:          events,
-		WallNS:          parWall.Nanoseconds(),
-		AllocsPerOp:     float64(allocs) / float64(events),
-		SimNS:           simNS,
-		Shards:          shards,
-		SpeedupVsMerged: speedup,
-	}
 }
 
 // benchP2P saturates the chain with back-to-back 4 KiB transfers (the

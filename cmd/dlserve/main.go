@@ -53,8 +53,6 @@ func main() {
 		queue      = flag.Int("queue", 16, "pending-job queue depth (full queue rejects with 429)")
 		cache      = flag.Int("cache", 64, "result cache bound (entries)")
 		expJobs    = flag.Int("jobs", 0, "per-experiment grid pool width (0 = GOMAXPROCS); output is identical for every value")
-		shards     = flag.Int("shards", 0, "sharded event kernel lanes per simulation (0/1 = single queue); output is identical for every value")
-		parallel   = flag.Bool("parallel", false, "run lane-confined kernel phases concurrently on sharded simulations (requires -shards > 1; output is identical)")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-job wall-clock bound (0 = none)")
 		sideDir    = flag.String("sidedir", "", "directory for per-job side files (spec, trace, status)")
 		drainGrace = flag.Duration("drain", 2*time.Minute, "max time to wait for in-flight jobs on shutdown before canceling them")
@@ -69,9 +67,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	if *parallel && *shards <= 1 {
-		logger.Fatalf("dlserve: -parallel requires -shards > 1")
-	}
 	if *sideDir != "" {
 		if err := os.MkdirAll(*sideDir, 0o755); err != nil {
 			logger.Fatalf("dlserve: sidedir: %v", err)
@@ -112,7 +107,7 @@ func main() {
 
 	srv := serve.NewServer(serve.Config{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cache,
-		ExpJobs: *expJobs, Shards: *shards, Parallel: *parallel, JobTimeout: *jobTimeout, SideDir: *sideDir,
+		ExpJobs: *expJobs, JobTimeout: *jobTimeout, SideDir: *sideDir,
 		Store: st, Traces: traces,
 		Logf: logger.Printf,
 	})

@@ -61,9 +61,6 @@ func main() {
 		pageSize = flag.Int("page", spec.DefaultPageBytes, "page size in bytes for the page / first-touch mapping policies")
 		traffic  = flag.String("traffic", "", "write the inter-DIMM traffic-matrix report (CSV) to this file; stdout is unchanged")
 
-		shards   = flag.Int("shards", 0, "run on the sharded event kernel with N lanes (0/1 = single queue; output is byte-identical for every value)")
-		parallel = flag.Bool("parallel", false, "run lane-confined kernel phases concurrently (requires -shards > 1; output is byte-identical to the merged run)")
-
 		withMetrics = flag.Bool("metrics", false, "attach the observability layer and report latency percentiles and per-link utilization")
 		tracePath   = flag.String("trace", "", "write a JSONL event trace to this file (implies -metrics; stdout is unchanged by tracing)")
 		samplePd    = flag.Uint64("sample", 0, "sample link utilization every N ns of simulated time (implies -metrics; 0 disables)")
@@ -125,12 +122,6 @@ func main() {
 	// itself byte-identical with and without -trace.
 	var hooks spec.SimHooks
 	hooks.Profile = *profile
-	hooks.Shards = *shards
-	hooks.Parallel = *parallel
-	if *parallel && *shards <= 1 {
-		fmt.Fprintln(os.Stderr, "dlsim: -parallel requires -shards > 1")
-		os.Exit(2)
-	}
 	var traceFile *os.File
 	report := *withMetrics || *samplePd > 0
 	if report || *tracePath != "" {

@@ -505,14 +505,9 @@ func loadGen(ctx context.Context, serveBin string, workers int, dur time.Duratio
 			if err != nil {
 				return fmt.Errorf("submit: %w", err)
 			}
-			fin, err := c.Wait(ctx, st.ID, 0)
-			if err != nil {
-				return fmt.Errorf("wait: %w", err)
-			}
-			if fin.State != serve.JobDone {
-				return fmt.Errorf("job %s ended %s: %s", st.ID, fin.State, fin.Error)
-			}
-			if _, err := c.Result(ctx, st.ID, false); err != nil {
+			// The long poll returns as soon as the job is terminal, so
+			// the latency is the server's, not a client poll interval.
+			if _, err := c.Result(ctx, st.ID, true); err != nil {
 				return fmt.Errorf("result: %w", err)
 			}
 			return nil

@@ -157,46 +157,18 @@ func GroupsFor(numDIMMs int) int {
 	return 2
 }
 
-// CrossGroupLookahead derives the conservative synchronization window for
-// sharding the event kernel by DL group: no effect can cross a group
-// boundary faster than one flit's serialization on the DL SerDes plus one
-// hop of wire + router pipeline — and the actual cross-group paths (host
-// notice + forwarding, or the CXL fabric) are orders of magnitude slower
-// still. Any sharded schedule that only admits cross-shard events at or
-// beyond this window is therefore safe for DIMM-Link systems.
-func CrossGroupLookahead(cfg Config) sim.Time {
-	groups := cfg.NumGroups
-	if groups <= 0 {
-		groups = 1
-	}
-	flit := sim.TransferTime(uint64(cfg.Link.FlitBytes), cfg.Link.BytesPerSec)
-	return sim.LookaheadWindow(flit, cfg.Link.WireLatency+cfg.Link.RouterLatency, groups)
-}
+// arrivalScratch is the reusable arrival buffer of the fault-path
+// broadcast flood. It grows to the largest group ever flooded and is
+// reused across chunks and calls.
+type arrivalScratch []sim.Time
 
-// arrivalScratch hands out reusable per-shard arrival buffers for the
-// fault-path broadcast flood. PR 5 kept one buffer per group, safe only
-// under the engine's single-thread assumption; under the sharded kernel
-// two lanes may flood (different networks) at the same wall-clock moment,
-// so each executing shard owns its own buffer. Buffers grow to the largest
-// group a shard ever floods and are reused across chunks and calls.
-type arrivalScratch struct {
-	bufs [][]sim.Time
-}
-
-// forShard returns shard's zeroed buffer of length n.
-func (s *arrivalScratch) forShard(shard, n int) []sim.Time {
-	for len(s.bufs) <= shard {
-		s.bufs = append(s.bufs, nil)
+// zeroed returns the buffer resliced to n entries, all zero.
+func (s *arrivalScratch) zeroed(n int) []sim.Time {
+	if cap(*s) < n {
+		*s = make([]sim.Time, n)
 	}
-	b := s.bufs[shard]
-	if cap(b) < n {
-		b = make([]sim.Time, n)
-		s.bufs[shard] = b
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
+	b := (*s)[:n]
+	clear(b)
 	return b
 }
 
@@ -219,8 +191,7 @@ type Link struct {
 	// layer (the fast path through sendPacket/broadcastWithin).
 	flt *fault.Injector
 
-	// bcScratch holds the per-shard broadcast arrival buffers for the
-	// fault path (one per executing DL group, the shard unit).
+	// bcScratch is the fault path's broadcast arrival buffer.
 	bcScratch arrivalScratch
 }
 
@@ -612,7 +583,7 @@ func (l *Link) interBladeAccess(at sim.Time, src, dst int, addr uint64, size uin
 func (l *Link) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.Time {
 	l.ctrs.Inc(idc.CtrBroadcasts)
 	srcGroup := l.groupOf[srcDIMM]
-	last := l.broadcastWithin(at, srcDIMM, size, srcGroup)
+	last := l.broadcastWithin(at, srcDIMM, size)
 	for gi, g := range l.groups {
 		if gi == srcGroup {
 			continue
@@ -627,9 +598,8 @@ func (l *Link) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim
 			delivered = l.host.Forward(noticed, srcDIMM, g.master, wireBytesTotal(size))
 		}
 		entry := l.decode(delivered)
-		// Phase 2: intra-group broadcast from the master, still on the
-		// source's executing shard (the whole Broadcast call runs there).
-		if fin := l.broadcastWithin(entry, g.master, size, srcGroup); fin > last {
+		// Phase 2: intra-group broadcast from the master.
+		if fin := l.broadcastWithin(entry, g.master, size); fin > last {
 			last = fin
 		}
 	}
@@ -637,12 +607,10 @@ func (l *Link) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim
 }
 
 // broadcastWithin floods size bytes from src to every DIMM of its group and
-// returns the time the last DIMM has decoded the final chunk. shard is the
-// DL group of the calling context (the shard executing this event), which
-// owns the fault path's arrival scratch.
-func (l *Link) broadcastWithin(at sim.Time, src int, size uint32, shard int) sim.Time {
+// returns the time the last DIMM has decoded the final chunk.
+func (l *Link) broadcastWithin(at sim.Time, src int, size uint32) sim.Time {
 	if l.flt != nil {
-		return l.broadcastWithinFI(at, src, size, shard)
+		return l.broadcastWithinFI(at, src, size)
 	}
 	g := l.groups[l.groupOf[src]]
 	if g.size == 1 {
@@ -755,7 +723,7 @@ func (l *Link) hierBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 		if t == 0 {
 			continue
 		}
-		fin := l.broadcastWithin(global, l.groups[gi].master, 0, gi)
+		fin := l.broadcastWithin(global, l.groups[gi].master, 0)
 		if fin > release {
 			release = fin
 		}

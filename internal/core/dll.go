@@ -227,7 +227,7 @@ func (l *Link) hostFallback(at sim.Time, srcDIMM, dstDIMM int, wire int) sim.Tim
 // crosses under the DLL, and nodes severed from the source (or stranded
 // by a link dying mid-broadcast) receive their copy over the host
 // fallback instead.
-func (l *Link) broadcastWithinFI(at sim.Time, src int, size uint32, shard int) sim.Time {
+func (l *Link) broadcastWithinFI(at sim.Time, src int, size uint32) sim.Time {
 	g := l.groups[l.groupOf[src]]
 	if g.size == 1 {
 		return at
@@ -239,10 +239,8 @@ func (l *Link) broadcastWithinFI(at sim.Time, src int, size uint32, shard int) s
 		sendAt := l.packetize(t)
 		wire := wireBytesFor(ChunkAt(size, ci))
 		parent, order, unreachable := g.net.BroadcastPlanAt(sendAt, srcNode)
-		// The arrivals scratch is owned by the executing shard, not the
-		// flooded group: two lanes flooding concurrently never share a
-		// buffer, and the slice never escapes this loop body.
-		arrivals := l.bcScratch.forShard(shard, g.size)
+		// The scratch slice never escapes this loop body.
+		arrivals := l.bcScratch.zeroed(g.size)
 		arrivals[srcNode] = sendAt
 		delivered := 0
 		for _, node := range order {

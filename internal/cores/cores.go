@@ -4,10 +4,11 @@
 // Simulation is functional-first and timing-directed (DESIGN.md §3): each
 // workload thread runs the real algorithm in its own goroutine against real
 // Go data structures, and reports every memory access, compute phase and
-// synchronization point through a Ctx. The Group scheduler resumes exactly
-// one thread at a time, in simulated-time order, so the whole simulation
-// stays deterministic while the workload code reads and writes its data
-// naturally.
+// synchronization point through a Ctx. A thread's ops are buffered in
+// chunks that the Group driver pulls one at a time, so at most one
+// goroutine ever runs, and the driver times every op in simulated-time
+// order on one event queue. The whole simulation stays deterministic while
+// the workload code reads and writes its data naturally.
 //
 // The core model is in-order issue with a bounded outstanding-request
 // window (MSHR-style): independent accesses (Load/Store) overlap up to the
@@ -19,8 +20,6 @@ package cores
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -47,28 +46,6 @@ type Memory interface {
 	// returns the common release time; like Barrier, every thread of the
 	// group participates.
 	Collective(op CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time
-}
-
-// LaneLocality is optionally implemented by a Memory whose accesses can be
-// classified by event-lane ownership (internal/nmp's NMP memory). An
-// access is lane-local when its entire simulated effect — caches, DRAM
-// module, counters — stays on the event lane that owns the issuing core's
-// home DIMM: no interconnect, no host, no other DIMM's state. Phase-
-// parallel execution (Group.RunParallel) runs a phase's lanes concurrently
-// only when every queued op of every thread is lane-local; a Memory that
-// does not implement the interface (the host baseline, instrumentation
-// wrappers such as the trace recorder) simply keeps every phase on the
-// merged serial path, which is always correct.
-type LaneLocality interface {
-	// LaneLocalAccess reports whether a Load/Store/LoadDep of addr by the
-	// given global core stays on the core's own DIMM (and therefore lane).
-	LaneLocalAccess(core int, addr uint64) bool
-	// LaneLocalSpan reports whether every line a Scatter over
-	// [addr, addr+span) can touch stays on the core's own DIMM. The whole
-	// span must be checked: scattered line addresses are derived from
-	// offsets within it and can cross a DIMM boundary even when the base
-	// address is local.
-	LaneLocalSpan(core int, addr, span uint64) bool
 }
 
 // CollectiveOp enumerates the gang-wide collective exchanges a workload
@@ -132,7 +109,7 @@ type ThreadStats struct {
 	BytesTouched uint64
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opLoad opKind = iota
@@ -147,54 +124,45 @@ const (
 )
 
 type op struct {
-	kind   opKind
 	addr   uint64
-	size   uint32
-	cycles uint64
 	span   uint64
-	write  bool
+	cycles uint64
 	coll   CollectiveOp
+	size   uint32
+	kind   opKind
+	write  bool
 }
+
+// opChunk is the most ops a thread buffers before handing them to the
+// driver. It bounds the buffer (a chunk also ends at every barrier and
+// collective, and when the body returns) while amortizing the goroutine
+// round-trip over many ops; see DESIGN.md §3 "Op streams".
+const opChunk = 64
 
 type slot struct {
 	done   sim.Time
 	remote bool
 }
 
-// termKind is how a phase segment of a thread's op stream ends: at a
-// rendezvous (barrier, collective) or by the thread finishing.
-type termKind int
-
-const (
-	termNone termKind = iota
-	termBarrier
-	termCollective
-	termFinish
-)
-
 type thread struct {
 	id       int
 	homeDIMM int
 	coreID   int
-	eng      *sim.Engine // the event lane this thread's resumptions run on
 	time     sim.Time
-	ops      chan op
-	ack      chan struct{}
-	started  bool
 	finished bool
 	win      []slot // outstanding ops, issue order
 	stats    ThreadStats
+	resume   func() // the thread's step event, bound once
 
-	// Phased-mode state (RunParallel): the lane index, the segment's
-	// pre-collected op queue with its consume cursor, how the segment
-	// terminates, the terminating collective op (for uniformity checks at
-	// the join), and whether the thread is parked at its terminator.
-	lane   int
-	q      []op
-	qi     int
-	term   termKind
-	termOp op
-	parked bool
+	// The op stream. The goroutine appends to buf while the driver waits
+	// on ready; the driver consumes buf[next:] while the goroutine waits
+	// on fill. done is set when the body has returned, so buf then holds
+	// the stream's tail.
+	buf   []op
+	next  int
+	done  bool
+	fill  chan struct{}
+	ready chan struct{}
 }
 
 // Group is a gang of threads executing one NMP kernel (or the host
@@ -206,14 +174,6 @@ type Group struct {
 	period  sim.Time
 	threads []*thread
 	running int
-
-	// laneOf, when set, assigns each thread's resumption events to the
-	// event lane owning its home DIMM (sharded kernel; see internal/sim
-	// shard.go). nil keeps every thread on the group's engine. In the
-	// deterministic-merge mode the composite engine executes either
-	// assignment in the identical order, so this is purely an ownership
-	// annotation until the model runs parallel windows.
-	laneOf func(homeDIMM int) *sim.Engine
 
 	barrierArr  []sim.Time
 	barrierIn   []bool
@@ -234,23 +194,6 @@ type Group struct {
 	profiling  bool
 	profDIMMs  int
 	profDIMMOf func(addr uint64) int
-
-	// Phased-mode state (RunParallel). During a parallel span, thread
-	// events on different lanes run concurrently; everything they touch is
-	// either thread-owned (t.*, barrierArr/barrierIn/collArr/collIn rows,
-	// Profile rows) or lane-owned (the lane* slices, indexed by the
-	// executing thread's lane). The shared rendezvous counters
-	// (barrierWait/collWait/running) are only folded from the lane-owned
-	// counts at the join, in the serial driver.
-	phased        bool
-	inSpan        bool  // a parallel span is executing (lane goroutines live)
-	phaseLeft     int   // serial-phase countdown of unparked threads
-	laneActive    []int // unparked threads per lane (span loop condition)
-	laneBarrier   []int // barrier arrivals this phase, per lane
-	laneColl      []int // collective arrivals this phase, per lane
-	laneFinished  []int // threads finished this phase, per lane
-	laneParkAt    []sim.Time
-	refillScratch []*thread // reused released-thread list between joins
 }
 
 // NewGroup creates an empty thread group over the memory system.
@@ -260,10 +203,6 @@ func NewGroup(eng *sim.Engine, cfg Config, mem Memory) *Group {
 	}
 	return &Group{eng: eng, cfg: cfg, mem: mem, period: sim.Period(cfg.ClockHz)}
 }
-
-// SetLanes routes each subsequently spawned thread's events to the engine
-// laneOf returns for its home DIMM. Call before Spawn.
-func (g *Group) SetLanes(laneOf func(homeDIMM int) *sim.Engine) { g.laneOf = laneOf }
 
 // EnableProfiling starts recording the per-thread, per-DIMM access counts
 // used by distance-aware task mapping. dimmOf maps an address to its DIMM;
@@ -285,21 +224,21 @@ func (g *Group) Spawn(homeDIMM, coreID int, body func(*Ctx)) *ThreadStats {
 		id:       len(g.threads),
 		homeDIMM: homeDIMM,
 		coreID:   coreID,
-		eng:      g.eng,
-		ops:      make(chan op),
-		ack:      make(chan struct{}),
+		buf:      make([]op, 0, opChunk),
+		fill:     make(chan struct{}),
+		ready:    make(chan struct{}),
 	}
-	if g.laneOf != nil {
-		t.eng = g.laneOf(homeDIMM)
-	}
+	t.resume = func() { g.step(t) }
 	g.threads = append(g.threads, t)
 	g.running++
 	if g.profiling {
 		g.Profile = append(g.Profile, make([]uint64, g.profDIMMs))
 	}
 	go func() {
-		defer close(t.ops)
-		body(&Ctx{g: g, t: t})
+		<-t.fill
+		body(&Ctx{t: t})
+		t.done = true
+		t.ready <- struct{}{}
 	}()
 	return &t.stats
 }
@@ -316,8 +255,7 @@ func (g *Group) Run() sim.Time {
 	g.collArr = make([]sim.Time, len(g.threads))
 	g.collIn = make([]bool, len(g.threads))
 	for _, t := range g.threads {
-		t := t
-		t.eng.At(t.eng.Now(), func() { g.step(t) })
+		g.eng.At(g.eng.Now(), t.resume)
 	}
 	for g.running > 0 {
 		if !g.eng.Step() {
@@ -342,22 +280,39 @@ func (g *Group) Stats() []ThreadStats {
 	return out
 }
 
-// step resumes thread t at its current simulated time, obtains its next
+// next returns thread t's next op, pulling a fresh chunk from its
+// goroutine once the current one is consumed; ok is false when the
+// stream has ended. The pull is the only point where a workload body
+// runs, and the driver blocks until the body hands the chunk over, so
+// bodies never run concurrently with each other or with the model. This
+// is sound because Ctx exposes no time queries and no op returns data:
+// the op stream a body produces cannot depend on when its ops are timed.
+func (g *Group) next(t *thread) (o op, ok bool) {
+	if t.next == len(t.buf) {
+		if t.done {
+			return op{}, false
+		}
+		t.buf, t.next = t.buf[:0], 0
+		t.fill <- struct{}{}
+		<-t.ready
+		if len(t.buf) == 0 {
+			return op{}, false
+		}
+	}
+	o = t.buf[t.next]
+	t.next++
+	return o, true
+}
+
+// step resumes thread t at its current simulated time, takes its next
 // operation, and processes it.
 func (g *Group) step(t *thread) {
-	if g.phased {
-		g.stepPhased(t)
-		return
-	}
-	if t.started {
-		t.ack <- struct{}{} // release the goroutine to produce its next op
-	}
-	t.started = true
-	o, ok := <-t.ops
+	o, ok := g.next(t)
 	if !ok {
 		g.retireAll(t)
 		t.finished = true
 		t.stats.Finish = t.time
+		t.buf = nil
 		g.running--
 		g.checkBarrier()
 		g.checkCollective()
@@ -382,16 +337,6 @@ func (g *Group) step(t *thread) {
 		g.collIn[t.id] = true
 		g.collWait++
 		g.checkCollective()
-	default:
-		g.processOp(t, o)
-	}
-}
-
-// processOp executes one non-rendezvous op for t and schedules the
-// thread's next step. It is shared between the merged step and the phased
-// queue consumer, so the two modes process every op identically.
-func (g *Group) processOp(t *thread, o op) {
-	switch o.kind {
 	case opCompute:
 		t.time += sim.Cycles(o.cycles, g.period)
 		g.schedule(t)
@@ -435,9 +380,7 @@ func (g *Group) processOp(t *thread, o op) {
 	}
 }
 
-func (g *Group) schedule(t *thread) {
-	t.eng.At(t.time, func() { g.step(t) })
-}
+func (g *Group) schedule(t *thread) { g.eng.At(t.time, t.resume) }
 
 // issue puts a non-dependent access into the window, stalling only when the
 // window is full.
@@ -569,297 +512,22 @@ func (g *Group) checkCollective() {
 	g.collWait = 0
 }
 
-// fill pre-collects thread t's next phase segment: it resumes the
-// goroutine and receives ops into t.q until the stream hits a rendezvous
-// op (stored as the segment terminator, with the goroutine left blocked on
-// its ack) or the channel closes (the thread's body returned). It must run
-// in a serial context — the whole point of the fill protocol is that
-// workload goroutines never execute during parallel spans. This is sound
-// because Ctx exposes no time queries and no op returns data, so the op
-// stream a goroutine produces cannot depend on when its ops are timed.
-func (g *Group) fill(t *thread) {
-	t.q = t.q[:0]
-	t.qi = 0
-	t.term = termNone
-	t.termOp = op{}
-	t.parked = false
-	if t.started {
-		t.ack <- struct{}{}
-	}
-	t.started = true
-	for {
-		o, ok := <-t.ops
-		if !ok {
-			t.term = termFinish
-			return
-		}
-		switch o.kind {
-		case opBarrier:
-			t.term = termBarrier
-			t.termOp = o
-			return
-		case opCollective:
-			t.term = termCollective
-			t.termOp = o
-			return
-		}
-		t.q = append(t.q, o)
-		t.ack <- struct{}{}
-	}
-}
-
-// fillAll fills a set of threads, concurrently when the host allows. A
-// fill never touches engine or group state — only the thread's own
-// fields and its op/ack channels — so fills are mutually independent as
-// long as the workload bodies follow the BSP ownership discipline the
-// parallel mode requires (mutations between rendezvous ops touch only
-// thread-owned state; cross-thread reads happen only across a barrier).
-// The resulting queues are identical to sequential fills, so parallel
-// filling is byte-identity-preserving; it matters because for compute-
-// heavy workloads the goroutines' own Go-side work (input generation,
-// gradient math) dominates wall time, not event processing.
-func (g *Group) fillAll(ts []*thread) {
-	if len(ts) <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, t := range ts {
-			g.fill(t)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, t := range ts {
-		wg.Add(1)
-		go func(t *thread) {
-			defer wg.Done()
-			g.fill(t)
-		}(t)
-	}
-	wg.Wait()
-}
-
-// stepPhased consumes one queued op for t, or — when the queue is
-// exhausted — processes the segment terminator and parks the thread. It
-// runs either on t's own lane during a parallel span or on the composite
-// engine during a serial phase; all state it touches is thread- or
-// lane-owned, so concurrent lanes never conflict.
-func (g *Group) stepPhased(t *thread) {
-	if t.qi < len(t.q) {
-		o := t.q[t.qi]
-		t.qi++
-		g.processOp(t, o)
-		return
-	}
-	g.retireAll(t)
-	switch t.term {
-	case termFinish:
-		t.finished = true
-		t.stats.Finish = t.time
-		g.laneFinished[t.lane]++
-	case termBarrier:
-		g.barrierArr[t.id] = t.time
-		g.barrierIn[t.id] = true
-		g.laneBarrier[t.lane]++
-	case termCollective:
-		g.collArr[t.id] = t.time
-		g.collIn[t.id] = true
-		g.laneColl[t.lane]++
-	default:
-		panic("cores: phased thread ran out of ops with no terminator")
-	}
-	t.parked = true
-	// Record the event time (not the post-drain thread clock): the merged
-	// checkBarrier/checkCollective clamp releases to the engine's Now at
-	// the last arrival, and the join must replay exactly that clamp.
-	if at := t.eng.Now(); at > g.laneParkAt[t.lane] {
-		g.laneParkAt[t.lane] = at
-	}
-	g.laneActive[t.lane]--
-	if !g.inSpan {
-		g.phaseLeft--
-	}
-}
-
-// classify reports whether the pending phase may run as a parallel span:
-// every queued op of every active thread must be provably confined to the
-// thread's own lane. Rendezvous terminators are excluded — they are
-// processed at the join. Any op touching another lane's state (a remote
-// access, a broadcast) forces the phase serial, where the composite merged
-// engine reproduces exact single-queue FIFO call order.
-func (g *Group) classify(lanes int) bool {
-	if lanes <= 1 {
-		return false
-	}
-	loc, ok := g.mem.(LaneLocality)
-	if !ok {
-		return false
-	}
-	for _, t := range g.threads {
-		if t.finished || t.parked {
-			continue
-		}
-		for _, o := range t.q {
-			switch o.kind {
-			case opCompute, opDrain:
-				// Never touches memory.
-			case opLoad, opStore, opLoadDep:
-				if !loc.LaneLocalAccess(t.coreID, o.addr) {
-					return false
-				}
-			case opScatter:
-				if !loc.LaneLocalSpan(t.coreID, o.addr, o.span) {
-					return false
-				}
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// RunParallel drives the gang to completion over a sharded engine,
-// executing provably lane-confined phases concurrently (one goroutine per
-// lane) and everything else on the composite merged engine. Output is
-// byte-identical to Run on the same sharded engine in merged mode: within
-// a lane the event order is unchanged, concurrent lanes touch disjoint
-// state, and every cross-lane interaction (remote access, broadcast,
-// rendezvous release) happens in a serial context in the same order the
-// merged engine would produce.
-//
-// Phases are delimited by rendezvous ops (barrier/collective — gang-wide,
-// so globally aligned across lanes) and by threads finishing. The fill
-// protocol (see fill) drains each goroutine's op stream for the phase up
-// front, so no workload goroutine runs while lanes execute concurrently.
-func (g *Group) RunParallel(sh *sim.ShardedEngine) sim.Time {
-	lanes := sh.Lanes()
-	g.barrierArr = make([]sim.Time, len(g.threads))
-	g.barrierIn = make([]bool, len(g.threads))
-	g.collArr = make([]sim.Time, len(g.threads))
-	g.collIn = make([]bool, len(g.threads))
-	g.laneActive = make([]int, lanes)
-	g.laneBarrier = make([]int, lanes)
-	g.laneColl = make([]int, lanes)
-	g.laneFinished = make([]int, lanes)
-	g.laneParkAt = make([]sim.Time, lanes)
-	g.phased = true
-	defer func() { g.phased = false }()
-
-	for _, t := range g.threads {
-		t.lane = t.eng.LaneIndex()
-	}
-	g.fillAll(g.threads)
-	for _, t := range g.threads {
-		t := t
-		t.eng.At(t.eng.Now(), func() { g.step(t) })
-	}
-
-	for g.running > 0 {
-		total := 0
-		for i := range g.laneActive {
-			g.laneActive[i] = 0
-			g.laneParkAt[i] = 0
-		}
-		for _, t := range g.threads {
-			if t.finished || t.parked {
-				continue
-			}
-			g.laneActive[t.lane]++
-			total++
-		}
-		if total == 0 {
-			panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
-		}
-		if g.classify(lanes) {
-			g.inSpan = true
-			sh.Span(func(lane int, e *sim.Engine) {
-				for g.laneActive[lane] > 0 {
-					if !e.StepLocal() {
-						panic("cores: lane ran dry mid-span")
-					}
-				}
-			})
-			g.inSpan = false
-			var maxPark sim.Time
-			for _, at := range g.laneParkAt {
-				if at > maxPark {
-					maxPark = at
-				}
-			}
-			sh.CatchUp(maxPark)
-		} else {
-			g.phaseLeft = total
-			for g.phaseLeft > 0 {
-				if !sh.Step() {
-					panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
-				}
-			}
-		}
-
-		// Join: fold the lane-owned arrival counts into the shared
-		// rendezvous counters, exactly as merged-mode step would have.
-		newColl := 0
-		for i := range g.laneBarrier {
-			g.barrierWait += g.laneBarrier[i]
-			newColl += g.laneColl[i]
-			g.running -= g.laneFinished[i]
-			g.laneBarrier[i] = 0
-			g.laneColl[i] = 0
-			g.laneFinished[i] = 0
-		}
-		if newColl > 0 {
-			first := true
-			for _, t := range g.threads {
-				if t.term != termCollective || !g.collIn[t.id] {
-					continue
-				}
-				o := t.termOp
-				if g.collWait == 0 && first {
-					g.collOp, g.collBytes = o.coll, o.size
-				} else if g.collOp != o.coll || g.collBytes != o.size {
-					panic(fmt.Sprintf("cores: mismatched collectives in one gang: %v/%d vs %v/%d",
-						g.collOp, g.collBytes, o.coll, o.size))
-				}
-				first = false
-			}
-			g.collWait += newColl
-		}
-		g.checkBarrier()
-		g.checkCollective()
-
-		// Refill every thread the rendezvous released: it is parked, no
-		// longer flagged as waiting, and its release event is scheduled.
-		released := g.refillScratch[:0]
-		for _, t := range g.threads {
-			if t.finished || !t.parked {
-				continue
-			}
-			if g.barrierIn[t.id] || g.collIn[t.id] {
-				continue
-			}
-			released = append(released, t)
-		}
-		g.refillScratch = released
-		g.fillAll(released)
-	}
-
-	var makespan sim.Time
-	for _, t := range g.threads {
-		if t.stats.Finish > makespan {
-			makespan = t.stats.Finish
-		}
-	}
-	return makespan
-}
-
 // Ctx is the interface workload code uses to interact with the timing
 // model. All methods must be called from the thread's own goroutine.
 type Ctx struct {
-	g *Group
 	t *thread
 }
 
+// send appends o to the thread's chunk and hands the chunk to the driver
+// when it is full or ends at a rendezvous, then waits for the driver to
+// ask for the next one.
 func (c *Ctx) send(o op) {
-	c.t.ops <- o
-	<-c.t.ack
+	t := c.t
+	t.buf = append(t.buf, o)
+	if len(t.buf) == opChunk || o.kind == opBarrier || o.kind == opCollective {
+		t.ready <- struct{}{}
+		<-t.fill
+	}
 }
 
 // ThreadID returns the thread's index within its group.

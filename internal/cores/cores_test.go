@@ -219,15 +219,18 @@ func TestDrainWaitsForWindow(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
 	g := NewGroup(eng, DefaultConfig(), fm)
-	var drained sim.Time
-	g.Spawn(0, 0, func(c *Ctx) {
+	// The Compute after Drain starts only once the remote load is back,
+	// so it extends the finish past the load's completion; without the
+	// drain it would overlap the load and the finish would be the load's.
+	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.Load(1<<30, 64) // remote, 500 us
 		c.Drain()
-		drained = c.t.time
+		c.Compute(1000) // 400 ns
 	})
 	g.Run()
-	if drained < fm.remoteLat {
-		t.Fatalf("drain returned at %d before remote completion %d", drained, fm.remoteLat)
+	if want := fm.remoteLat + 400*sim.Nanosecond; st.Finish != want {
+		t.Fatalf("finish %d, want drain at remote completion %d plus 400 ns = %d",
+			st.Finish, fm.remoteLat, want)
 	}
 }
 

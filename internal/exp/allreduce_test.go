@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// renderAllReduce runs the allreduce experiment with the given execution
-// policy and returns the rendered tables.
-func renderAllReduce(t *testing.T, jobs, shards int) []byte {
+// renderAllReduce runs the allreduce experiment with the given pool width
+// and returns the rendered tables.
+func renderAllReduce(t *testing.T, jobs int) []byte {
 	t.Helper()
 	e, ok := ByID("allreduce")
 	if !ok {
@@ -15,7 +15,6 @@ func renderAllReduce(t *testing.T, jobs, shards int) []byte {
 	}
 	o := DefaultOptions()
 	o.Jobs = jobs
-	o.Shards = shards
 	var buf bytes.Buffer
 	for _, tb := range e.Run(o) {
 		tb.Render(&buf)
@@ -23,31 +22,19 @@ func renderAllReduce(t *testing.T, jobs, shards int) []byte {
 	return buf.Bytes()
 }
 
-// TestAllReduceJobsByteIdentity is the -jobs half of the collective
+// TestAllReduceJobsByteIdentity is the collective
 // determinism contract: the training grid (mechanisms x payloads x DL
 // topologies, all four collectives hot) must render byte-identically
 // whether it runs serially or fanned across workers.
 func TestAllReduceJobsByteIdentity(t *testing.T) {
-	serial := renderAllReduce(t, 1, 0)
+	serial := renderAllReduce(t, 1)
 	if len(serial) == 0 {
 		t.Fatal("empty rendered tables")
 	}
-	if again := renderAllReduce(t, 1, 0); !bytes.Equal(serial, again) {
+	if again := renderAllReduce(t, 1); !bytes.Equal(serial, again) {
 		t.Fatalf("two serial runs differ:\n%s\n---\n%s", serial, again)
 	}
-	if par := renderAllReduce(t, 4, 0); !bytes.Equal(serial, par) {
+	if par := renderAllReduce(t, 4); !bytes.Equal(serial, par) {
 		t.Fatalf("jobs=1 and jobs=4 differ:\n%s\n---\n%s", serial, par)
-	}
-}
-
-// TestAllReduceShardsByteIdentity is the -shards half: the same grid on
-// the sharded event kernel must match the single-queue run byte for byte.
-func TestAllReduceShardsByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded allreduce grid skipped in -short mode")
-	}
-	want := renderAllReduce(t, 2, 0)
-	if got := renderAllReduce(t, 2, 4); !bytes.Equal(got, want) {
-		t.Fatalf("shards=4 diverges from single-queue run:\n--- shards=0\n%s--- shards=4\n%s", want, got)
 	}
 }

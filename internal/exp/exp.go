@@ -58,18 +58,6 @@ type Options struct {
 	// It only takes effect on runs whose config carries a metrics
 	// collector; bare runs are unaffected.
 	SamplePeriod sim.Time
-
-	// Shards > 1 builds every simulated system on the sharded event
-	// kernel (nmp.Config.Shards). The deterministic-merge mode keeps
-	// every rendered table bit-identical for every value, exactly like
-	// Jobs.
-	Shards int
-
-	// Parallel runs lane-confined kernel phases concurrently on each
-	// sharded system (nmp.System.SetParallel). No effect unless Shards
-	// > 1; every rendered table stays bit-identical, exactly like Jobs
-	// and Shards.
-	Parallel bool
 }
 
 // DefaultOptions returns quick-mode options (seed 42, pool width
@@ -204,7 +192,6 @@ func execute(o Options, w workloads.Workload, mech nmp.Mechanism, cfg sysConfig,
 
 	c := nmp.DefaultConfig(cfg.dimms, cfg.channels, mech)
 	o.tune(&c)
-	c.Shards = o.Shards
 	if o.Fault.Active() {
 		c.DL.Fault = o.Fault
 	}
@@ -214,11 +201,6 @@ func execute(o Options, w workloads.Workload, mech nmp.Mechanism, cfg sysConfig,
 	sys := nmp.MustNewSystem(c)
 	if c.Metrics != nil && o.SamplePeriod > 0 {
 		sys.StartSampler(o.SamplePeriod)
-	}
-	if o.Parallel && o.Shards > 1 && !(c.Metrics != nil && o.SamplePeriod > 0) {
-		if err := sys.SetParallel(true); err != nil {
-			panic(fmt.Sprintf("exp: enabling parallel execution: %v", err))
-		}
 	}
 	if place == nil {
 		// Default: the NMP programming model co-locates each kernel thread

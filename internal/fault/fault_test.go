@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -219,5 +220,77 @@ func TestPlanString(t *testing.T) {
 	var nilPlan *Plan
 	if nilPlan.String() != "none" {
 		t.Errorf("nil plan String() = %q", nilPlan.String())
+	}
+}
+
+// TestInjectorConcurrentQueries probes the one fault structure every
+// group network of a system shares: goroutines query (and ForceDown)
+// concurrently, and because draws are counter-based the answers must be
+// exactly the single-threaded ones regardless of interleaving. Run under -race this checks the injector's
+// internal locking; the value assertions check that locking changed no
+// simulated outcome.
+func TestInjectorConcurrentQueries(t *testing.T) {
+	plan := &Plan{Seed: 99, BER: 1e-4, Events: []Event{
+		{Kind: KindDown, A: 0, B: 1, At: 10 * sim.Microsecond},
+		{Kind: KindStall, A: 2, B: 3, At: 5 * sim.Microsecond, Dur: 20 * sim.Microsecond},
+		{Kind: KindDegrade, A: 1, B: 2, At: 0, Factor: 0.5},
+	}}
+
+	// Single-threaded reference answers.
+	ref := NewInjector(plan)
+	const ordinals = 512
+	wantVerdict := make([]Verdict, ordinals)
+	for i := range wantVerdict {
+		wantVerdict[i] = ref.Verdict(2, 3, uint64(i), 32)
+	}
+	wantClear := ref.StallClear(2, 3, 6*sim.Microsecond)
+	wantFactor := ref.Factor(1, 2, sim.Microsecond)
+
+	in := NewInjector(plan)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ordinals; i++ {
+				if got := in.Verdict(2, 3, uint64(i), 32); got != wantVerdict[i] {
+					t.Errorf("worker %d: Verdict(%d) = %v, want %v", w, i, got, wantVerdict[i])
+					return
+				}
+				at := sim.Time(i) * 100 * sim.Nanosecond
+				in.Down(0, 1, at)
+				in.AnyDown(at)
+				in.EpochAt(at)
+				if got := in.StallClear(2, 3, 6*sim.Microsecond); got != wantClear {
+					t.Errorf("worker %d: StallClear = %d, want %d", w, got, wantClear)
+					return
+				}
+				if got := in.Factor(1, 2, sim.Microsecond); got != wantFactor {
+					t.Errorf("worker %d: Factor = %v, want %v", w, got, wantFactor)
+					return
+				}
+				if i%64 == 0 {
+					// ForceDown on a worker-specific link: mutates the link
+					// map and epoch list while other workers query them.
+					in.ForceDown(10+w, 11+w, at)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// After the dust settles: the planned down event and all four forced
+	// links are dead, and epochs advanced monotonically.
+	if !in.Down(0, 1, 20*sim.Microsecond) {
+		t.Fatal("planned down link not dead")
+	}
+	for w := 0; w < 4; w++ {
+		if !in.Down(10+w, 11+w, sim.Second) {
+			t.Fatalf("forced link %d-%d not dead", 10+w, 11+w)
+		}
+	}
+	if in.EpochAt(0) > in.EpochAt(sim.Second) {
+		t.Fatal("epoch decreased with time")
 	}
 }

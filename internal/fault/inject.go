@@ -47,11 +47,10 @@ type linkState struct {
 // each system builds its own (the shared Plan stays read-only). A nil
 // *Injector means a perfect physical layer and is valid to query.
 //
-// The injector is shared by every DL group network of its system, so
-// under the sharded kernel it is the one fault structure multiple lanes
-// may query concurrently. A mutex guards the lazily mutated state (the
-// flit-probability cache, and the link map / epoch list that ForceDown
-// rewrites). Draws are counter-based (Verdict hashes the packet ordinal),
+// The injector is shared by every DL group network of its system. A mutex
+// guards the lazily mutated state (the flit-probability cache, and the
+// link map / epoch list that ForceDown rewrites), so it is safe to query
+// from any goroutine. Draws are counter-based (Verdict hashes the packet ordinal),
 // so the results are independent of query order — locking changes no
 // simulated outcome, and fault-free runs never construct an injector at
 // all.

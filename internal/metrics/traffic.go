@@ -46,21 +46,6 @@ func (t *Traffic) Total() uint64 {
 	return sum
 }
 
-// Merge accumulates o's cells into t. Dimensions must match; a nil or
-// empty o is a no-op. Used to fold per-lane traffic matrices into the
-// system matrix in deterministic lane-index order at the end of a run.
-func (t *Traffic) Merge(o *Traffic) {
-	if t == nil || o == nil {
-		return
-	}
-	if t.n != o.n {
-		panic(fmt.Sprintf("metrics: merging %dx%d traffic into %dx%d", o.n, o.n, t.n, t.n))
-	}
-	for i, b := range o.bytes {
-		t.bytes[i] += b
-	}
-}
-
 // Equal reports whether two matrices hold identical cells.
 func (t *Traffic) Equal(o *Traffic) bool {
 	if t.n != o.n {

@@ -40,11 +40,11 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	home := m.sys.coreDIMM(coreID)
 	target := m.sys.Cfg.Geo.DIMMOf(addr)
 	if target != home {
-		m.sys.ctrsFor(home).Add("bytes.remote", uint64(size))
-		m.sys.trafficFor(home).Add(home, target, uint64(size))
+		m.sys.Ctrs.Add("bytes.remote", uint64(size))
+		m.sys.Traffic.Add(home, target, uint64(size))
 		return m.sys.IC.Access(at, home, addr, size, write), true
 	}
-	m.sys.ctrsFor(home).Add("bytes.local", uint64(size))
+	m.sys.Ctrs.Add("bytes.local", uint64(size))
 	cfg := m.sys.Cfg
 	cacheable := m.sys.Space.AttrOf(addr).Cacheable() && uint64(size) <= cfg.Geo.LineBytes
 
@@ -84,8 +84,8 @@ func (m *nmpMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, c
 	home := m.sys.coreDIMM(coreID)
 	geo := m.sys.Cfg.Geo
 	if target := geo.DIMMOf(addr); target != home {
-		m.sys.ctrsFor(home).Add("bytes.remote", uint64(count)*geo.LineBytes)
-		m.sys.trafficFor(home).Add(home, target, uint64(count)*geo.LineBytes)
+		m.sys.Ctrs.Add("bytes.remote", uint64(count)*geo.LineBytes)
+		m.sys.Traffic.Add(home, target, uint64(count)*geo.LineBytes)
 		return m.sys.IC.Access(at, home, addr, count*uint32(geo.LineBytes), write), true
 	}
 	if span < geo.LineBytes {
@@ -111,33 +111,9 @@ func (m *nmpMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, c
 func (m *nmpMemory) Broadcast(at sim.Time, coreID int, addr uint64, size uint32) sim.Time {
 	home := m.sys.coreDIMM(coreID)
 	for d := 0; d < m.sys.Cfg.Geo.NumDIMMs; d++ {
-		m.sys.trafficFor(home).Add(home, d, uint64(size))
+		m.sys.Traffic.Add(home, d, uint64(size))
 	}
 	return m.sys.IC.Broadcast(at, home, addr, size)
-}
-
-// LaneLocalAccess implements cores.LaneLocality: only a same-DIMM access
-// is provably confined to the issuing core's event lane (per-core L1,
-// per-DIMM L2, per-DIMM DRAM module). Any remote access — even one whose
-// target DIMM shares the lane — goes through the IDC mechanism, whose
-// state (shared buses, host proxy, DLL retry) is not partitioned by lane,
-// so it must run in a serial phase.
-func (m *nmpMemory) LaneLocalAccess(coreID int, addr uint64) bool {
-	home := m.sys.coreDIMM(coreID)
-	return home == m.sys.Cfg.Geo.DIMMOf(addr)
-}
-
-// LaneLocalSpan implements cores.LaneLocality for scatter ops: scattered
-// line addresses land anywhere in [addr, addr+span), so the whole span
-// must sit on the core's own DIMM. DIMM address blocks are contiguous, so
-// checking both endpoints suffices.
-func (m *nmpMemory) LaneLocalSpan(coreID int, addr, span uint64) bool {
-	geo := m.sys.Cfg.Geo
-	if span < geo.LineBytes {
-		span = geo.LineBytes
-	}
-	home := m.sys.coreDIMM(coreID)
-	return geo.DIMMOf(addr) == home && geo.DIMMOf(addr+span-1) == home
 }
 
 // Barrier implements cores.Memory.

@@ -75,17 +75,6 @@ type Config struct {
 	// controllers). nil — the default — records nothing and leaves the
 	// simulation on the exact un-instrumented path.
 	Metrics *metrics.Collector
-
-	// Shards, when > 1, builds the system on a sharded event kernel
-	// (sim.ShardedEngine): DIMMs are split into contiguous blocks, one
-	// event lane each, with the conservative lookahead derived from the
-	// DL link SerDes and hop latency. The full system model runs in
-	// deterministic-merge mode — execution order, and therefore every
-	// output byte, is identical to the single-engine run for any shard
-	// count — so Shards is pure execution policy: it is set by SimHooks /
-	// exp.Options, never by the content-addressed spec. Values above the
-	// DIMM count are clamped; 0 and 1 keep the plain single engine.
-	Shards int
 }
 
 // DefaultConfig returns the Table V system for the given DIMM/channel
@@ -155,17 +144,6 @@ type System struct {
 	nmpMem  *nmpMemory // base memory for the end-of-kernel cache flush
 	Ctrs    stats.Counters
 	sampler *metrics.Sampler
-	sharded *sim.ShardedEngine // non-nil when Cfg.Shards > 1; Eng is lane 0
-
-	// Parallel-mode shard-resident sinks: when parallel is on, the memory
-	// layer accumulates counters and traffic into the lane owning the
-	// accessing core's home DIMM instead of the shared Ctrs/Traffic, so
-	// concurrent lanes never write the same cell. Stop folds them into
-	// Ctrs/Traffic in lane index order — pure commutative sums, so the
-	// folded totals are byte-identical to direct accumulation.
-	parallel    bool
-	laneCtrs    []stats.Counters
-	laneTraffic []*metrics.Traffic
 }
 
 // NewSystem builds a system from cfg.
@@ -177,28 +155,12 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	var sharded *sim.ShardedEngine
-	if cfg.Shards > 1 {
-		lanes := cfg.Shards
-		if lanes > cfg.Geo.NumDIMMs {
-			lanes = cfg.Geo.NumDIMMs
-		}
-		// The lookahead comes from the DL link physics; mechanisms without
-		// DL links still get a valid (positive) window, which the merged
-		// mode never consults for correctness anyway.
-		dl := cfg.DL
-		if dl.NumGroups <= 0 {
-			dl.NumGroups = core.GroupsFor(cfg.Geo.NumDIMMs)
-		}
-		sharded = sim.NewShardedEngine(lanes, core.CrossGroupLookahead(dl))
-		eng = sharded.Lane(0)
-	}
 	space := mem.MustNewSpace(cfg.Geo)
 	modules := make([]*dram.Module, cfg.Geo.NumDIMMs)
 	for i := range modules {
 		modules[i] = dram.New(cfg.Geo, cfg.DRAM, i)
 	}
-	s := &System{Cfg: cfg, Eng: eng, Space: space, Modules: modules, sharded: sharded}
+	s := &System{Cfg: cfg, Eng: eng, Space: space, Modules: modules}
 
 	switch cfg.Mech {
 	case MechDIMMLink:
@@ -273,81 +235,7 @@ func (s *System) NewGroup() *cores.Group {
 	if s.Cfg.Mech == MechHostCPU {
 		coreCfg = s.Cfg.HostCore
 	}
-	g := cores.NewGroup(s.Eng, coreCfg, s.memory)
-	if s.sharded != nil {
-		g.SetLanes(func(homeDIMM int) *sim.Engine {
-			return s.sharded.Lane(s.LaneFor(homeDIMM))
-		})
-	}
-	return g
-}
-
-// Sharded returns the sharded event kernel the system was built on, or nil
-// for a plain single-engine system.
-func (s *System) Sharded() *sim.ShardedEngine { return s.sharded }
-
-// SetParallel turns phase-parallel kernel execution on or off. It is an
-// execution policy, never part of the content-addressed spec: a parallel
-// run renders byte-identical reports to a merged run of the same system.
-// Requires a sharded system (Shards > 1) and no armed sampler (sampler
-// probes read cross-lane state from a lane-0 ticker, which is not safe
-// while lanes run concurrently).
-func (s *System) SetParallel(par bool) error {
-	if !par {
-		s.parallel = false
-		return nil
-	}
-	if s.sharded == nil {
-		return fmt.Errorf("nmp: parallel execution requires a sharded system (Shards > 1)")
-	}
-	if s.sampler != nil {
-		return fmt.Errorf("nmp: parallel execution is incompatible with an armed sampler; drop sampling or parallel mode")
-	}
-	if s.laneCtrs == nil {
-		lanes := s.sharded.Lanes()
-		s.laneCtrs = make([]stats.Counters, lanes)
-		if s.Traffic != nil {
-			s.laneTraffic = make([]*metrics.Traffic, lanes)
-			for i := range s.laneTraffic {
-				s.laneTraffic[i] = metrics.NewTraffic(s.Cfg.Geo.NumDIMMs)
-			}
-		}
-	}
-	s.parallel = true
-	return nil
-}
-
-// Parallel reports whether phase-parallel execution is enabled.
-func (s *System) Parallel() bool { return s.parallel }
-
-// ctrsFor returns the counter sink for activity homed on a DIMM: the
-// owning lane's shard-resident counters in parallel mode, the shared
-// system counters otherwise.
-func (s *System) ctrsFor(dimm int) *stats.Counters {
-	if s.parallel {
-		return &s.laneCtrs[s.LaneFor(dimm)]
-	}
-	return &s.Ctrs
-}
-
-// trafficFor returns the traffic-matrix sink for activity homed on a
-// DIMM, mirroring ctrsFor.
-func (s *System) trafficFor(dimm int) *metrics.Traffic {
-	if s.parallel && s.laneTraffic != nil {
-		return s.laneTraffic[s.LaneFor(dimm)]
-	}
-	return s.Traffic
-}
-
-// LaneFor returns the event lane owning a DIMM: contiguous DIMM blocks map
-// to lanes, aligned with the contiguous DL-group split, so a group never
-// spans lanes when Shards divides the group count. Host threads (DIMM -1)
-// and unsharded systems live on lane 0.
-func (s *System) LaneFor(dimm int) int {
-	if s.sharded == nil || dimm < 0 {
-		return 0
-	}
-	return dimm * s.sharded.Lanes() / s.Cfg.Geo.NumDIMMs
+	return cores.NewGroup(s.Eng, coreCfg, s.memory)
 }
 
 // Threads returns how many worker threads this system runs: one per NMP
@@ -465,13 +353,6 @@ func (s *System) StartSampler(period sim.Time) *metrics.Sampler {
 	if s.sampler != nil {
 		return s.sampler
 	}
-	if s.parallel {
-		// The sampler's ticker arms on lane 0 but its probes read link,
-		// tag and host-bus state owned by every lane — unsafe while lanes
-		// run concurrently. Callers must choose one mode (spec.RunSim
-		// rejects the combination up front with a friendlier error).
-		panic("nmp: sampler is not lane-safe in parallel mode; disable sampling or parallel execution")
-	}
 	sp := metrics.NewSampler(period, s.Cfg.Metrics)
 	if s.Link != nil {
 		for gi, net := range s.Link.Networks() {
@@ -511,17 +392,6 @@ func (s *System) Stop() {
 		s.Link.Stop()
 	} else if s.hostModel != nil {
 		s.hostModel.Stop()
-	}
-	// Fold the shard-resident sinks into the shared views in lane index
-	// order, then zero them so repeated Stops (and any later kernel on
-	// the same system) stay correct.
-	for i := range s.laneCtrs {
-		s.Ctrs.Merge(&s.laneCtrs[i])
-		s.laneCtrs[i].Reset()
-	}
-	for i, tm := range s.laneTraffic {
-		s.Traffic.Merge(tm)
-		s.laneTraffic[i] = metrics.NewTraffic(s.Cfg.Geo.NumDIMMs)
 	}
 }
 

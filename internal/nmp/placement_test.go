@@ -1,8 +1,6 @@
-// placement_test.go pins the thread-placement and lane-ownership helpers
-// at their boundary cases: uneven thread/DIMM ratios, single-group
-// shuffles, shard counts above the DIMM count, and host threads. The
-// parallel execution path leans on LaneFor for counter ownership, so its
-// edges are contract, not detail.
+// placement_test.go pins the thread-placement helpers at their boundary
+// cases: uneven thread/DIMM ratios, single-group shuffles, and host
+// threads.
 package nmp
 
 import (
@@ -116,73 +114,6 @@ func TestGroupShuffledPlacementStaysInGroup(t *testing.T) {
 		}
 		if i >= half && d < 4 {
 			t.Fatalf("thread %d (group 1) shuffled onto DIMM %d (group 0)", i, d)
-		}
-	}
-}
-
-// TestLaneForContiguousBlocks checks the DIMM→lane map on an evenly
-// sharded system: contiguous blocks, every lane owned, host threads
-// (DIMM -1) on lane 0.
-func TestLaneForContiguousBlocks(t *testing.T) {
-	cfg := DefaultConfig(8, 4, MechDIMMLink)
-	cfg.Shards = 4
-	s := MustNewSystem(cfg)
-	if got := s.Sharded().Lanes(); got != 4 {
-		t.Fatalf("lanes = %d, want 4", got)
-	}
-	for d := 0; d < 8; d++ {
-		if got, want := s.LaneFor(d), d/2; got != want {
-			t.Fatalf("LaneFor(%d) = %d, want %d", d, got, want)
-		}
-	}
-	if s.LaneFor(-1) != 0 {
-		t.Fatal("host threads must live on lane 0")
-	}
-}
-
-// TestLaneForShardsClampedToDIMMs asks for more shards than DIMMs: the
-// lane count clamps to the DIMM count and the map becomes the identity.
-func TestLaneForShardsClampedToDIMMs(t *testing.T) {
-	cfg := DefaultConfig(4, 2, MechDIMMLink)
-	cfg.Shards = 64
-	s := MustNewSystem(cfg)
-	if got := s.Sharded().Lanes(); got != 4 {
-		t.Fatalf("lanes = %d, want clamp to 4", got)
-	}
-	for d := 0; d < 4; d++ {
-		if s.LaneFor(d) != d {
-			t.Fatalf("LaneFor(%d) = %d under clamp, want identity", d, s.LaneFor(d))
-		}
-	}
-}
-
-// TestLaneForUnsharded pins the degenerate case: without a sharded kernel
-// every DIMM — and the host — maps to lane 0.
-func TestLaneForUnsharded(t *testing.T) {
-	s := MustNewSystem(DefaultConfig(4, 2, MechDIMMLink))
-	for d := -1; d < 4; d++ {
-		if s.LaneFor(d) != 0 {
-			t.Fatalf("LaneFor(%d) = %d on unsharded system, want 0", d, s.LaneFor(d))
-		}
-	}
-}
-
-// TestLaneForRespectsGroupAlignment pins the property the parallel path
-// depends on: when Shards divides the group count, no DL group ever spans
-// two lanes — lane ownership follows the contiguous group split.
-func TestLaneForRespectsGroupAlignment(t *testing.T) {
-	cfg := DefaultConfig(16, 8, MechDIMMLink)
-	cfg.DL.NumGroups = 4
-	cfg.Shards = 2
-	s := MustNewSystem(cfg)
-	perGroup := 16 / 4
-	for g := 0; g < 4; g++ {
-		lane := s.LaneFor(g * perGroup)
-		for d := g * perGroup; d < (g+1)*perGroup; d++ {
-			if s.LaneFor(d) != lane {
-				t.Fatalf("group %d spans lanes: DIMM %d on lane %d, group head on %d",
-					g, d, s.LaneFor(d), lane)
-			}
 		}
 	}
 }

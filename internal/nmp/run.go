@@ -72,12 +72,7 @@ func (s *System) RunKernel(profile bool, spawn func(g *cores.Group)) KernelResul
 		geo := s.Cfg.Geo
 		g.EnableProfiling(geo.NumDIMMs, geo.DIMMOf)
 	}
-	var makespan sim.Time
-	if s.parallel && s.sharded != nil {
-		makespan = g.RunParallel(s.sharded)
-	} else {
-		makespan = g.Run()
-	}
+	makespan := g.Run()
 	if s.nmpMem != nil {
 		makespan = s.nmpMem.FlushCaches(makespan)
 	}

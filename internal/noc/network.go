@@ -132,11 +132,10 @@ type Network struct {
 	// instrumented run is timing-identical to a bare one.
 	coll *metrics.Collector
 
-	// utilBuf is the network-owned buffer behind UtilizationSnapshot. PR 5
-	// had callers retain one shared buffer across networks, which assumed
-	// a single-threaded engine; owning the buffer here scopes it to the
-	// network's shard (networks are per DL group, the shard unit), so
-	// concurrent snapshots of different networks never collide.
+	// utilBuf is the network-owned buffer behind UtilizationSnapshot.
+	// Owning it here, rather than sharing one caller buffer across
+	// networks, means concurrent snapshots of different networks never
+	// collide.
 	utilBuf []float64
 }
 
@@ -393,11 +392,9 @@ func (n *Network) AppendLinkUtilization(dst []float64, now sim.Time) []float64 {
 
 // UtilizationSnapshot returns the utilization of every link over [0, now]
 // in LinkKeys order, in a buffer owned by the network and reused across
-// calls (valid until the next snapshot of the same network). This is the
-// shard-safe replacement for sharing one AppendLinkUtilization buffer
-// across networks: utilization queries retire BusyLine spans, so both the
-// buffer and the underlying line state must stay confined to the
-// network's owning shard.
+// calls (valid until the next snapshot of the same network). Utilization
+// queries retire BusyLine spans, so both the buffer and the underlying
+// line state belong to the one network.
 func (n *Network) UtilizationSnapshot(now sim.Time) []float64 {
 	n.utilBuf = n.AppendLinkUtilization(n.utilBuf[:0], now)
 	return n.utilBuf

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -190,5 +191,92 @@ func BenchmarkSend16Chain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n.Send(sim.Time(i)*100, i%16, (i+5)%16, 256)
+	}
+}
+
+// TestConcurrentUtilizationSnapshots is the race regression for the
+// utilization reuse buffer: sharing one AppendLinkUtilization destination
+// slice across networks breaks when two goroutines sample their own
+// networks at once. UtilizationSnapshot confines the buffer (and the
+// span-retiring BusyLine mutation underneath) to the network, so
+// concurrent snapshots of distinct networks are clean. This test fails
+// under -race on a shared-buffer code path.
+func TestConcurrentUtilizationSnapshots(t *testing.T) {
+	const nets, iters = 4, 200
+	load := func(n *Network) {
+		var at sim.Time
+		for p := 0; p < 32; p++ {
+			end, _, err := n.Send(at, p%8, (p+3)%8, 256)
+			if err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			at = end / 2
+		}
+	}
+	// Sequential reference: the identical workload sampled the identical
+	// way, single-threaded.
+	refNet := NewNetwork(NewChain(8), GRSLink())
+	load(refNet)
+	var ref []float64
+	for it := 0; it < iters; it++ {
+		ref = append(ref[:0], refNet.UtilizationSnapshot(sim.Time(1000*(it+1)))...)
+	}
+
+	networks := make([]*Network, nets)
+	for i := range networks {
+		networks[i] = NewNetwork(NewChain(8), GRSLink())
+		load(networks[i])
+	}
+	var wg sync.WaitGroup
+	for i := range networks {
+		n := networks[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last []float64
+			for it := 0; it < iters; it++ {
+				snap := n.UtilizationSnapshot(sim.Time(1000 * (it + 1)))
+				if len(snap) != n.NumLinks() {
+					t.Errorf("snapshot len %d, want %d", len(snap), n.NumLinks())
+					return
+				}
+				for j, u := range snap {
+					if u < 0 || u > 1 {
+						t.Errorf("link %d utilization %v out of [0,1]", j, u)
+						return
+					}
+				}
+				last = append(last[:0], snap...)
+			}
+			// Concurrent sampling must land on the sequential answer.
+			for j := range ref {
+				if last[j] != ref[j] {
+					t.Errorf("link %d: concurrent %v, sequential %v", j, last[j], ref[j])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestUtilizationSnapshotMatchesPerLink pins that the bulk snapshot is
+// the same numbers as the per-link probe, in LinkKeys order.
+func TestUtilizationSnapshotMatchesPerLink(t *testing.T) {
+	n := NewNetwork(NewRing(6), GRSLink())
+	var at sim.Time
+	for p := 0; p < 20; p++ {
+		end, _, err := n.Send(at, p%6, (p+2)%6, 512)
+		if err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		at = end
+	}
+	now := at + 1000
+	snap := n.UtilizationSnapshot(now)
+	for i, key := range n.LinkKeys() {
+		if want := n.OneLinkUtilization(key, now); snap[i] != want {
+			t.Fatalf("link %s: snapshot %v, per-link %v", key, snap[i], want)
+		}
 	}
 }

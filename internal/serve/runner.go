@@ -84,7 +84,7 @@ func newServerCore(cfg Config) *Server {
 		start:      time.Now(),
 	}
 	s.runSpec = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
-		return executeSpec(ctx, sp, s.cfg.ExpJobs, s.cfg.Shards, s.cfg.Parallel, s.cfg.Traces, progress, coll)
+		return executeSpec(ctx, sp, s.cfg.ExpJobs, s.cfg.Traces, progress, coll)
 	}
 	if cfg.Runner != nil {
 		s.runSpec = cfg.Runner
@@ -269,7 +269,7 @@ func (s *Server) evictionsLocked(n int) {
 
 // executeSpec is the real job runner: render exactly what the equivalent
 // CLI invocation would print, plus the structured body.
-func executeSpec(ctx context.Context, sp spec.Spec, expJobs, shards int, parallel bool, traces *store.Blobs, progress func(done, total int), coll *metrics.Collector) (*Result, error) {
+func executeSpec(ctx context.Context, sp spec.Spec, expJobs int, traces *store.Blobs, progress func(done, total int), coll *metrics.Collector) (*Result, error) {
 	n, err := sp.Normalized()
 	if err != nil {
 		return nil, err
@@ -291,7 +291,7 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs, shards int, paralle
 		if err != nil {
 			return nil, fmt.Errorf("serve: trace %s: %w", n.Trace[:12], err)
 		}
-		run, err := n.ReplayTrace(td, spec.SimHooks{Metrics: coll, Shards: shards, Parallel: parallel})
+		run, err := n.ReplayTrace(td, spec.SimHooks{Metrics: coll})
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +308,7 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs, shards int, paralle
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		run, err := n.RunSim(spec.SimHooks{Metrics: coll, Shards: shards, Parallel: parallel})
+		run, err := n.RunSim(spec.SimHooks{Metrics: coll})
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +320,7 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs, shards int, paralle
 		}
 		return &Result{Text: text.Bytes(), JSON: js}, nil
 	case spec.KindExp:
-		results, err := n.RunExp(ctx, spec.ExpHooks{Jobs: expJobs, Shards: shards, Parallel: parallel}, progress)
+		results, err := n.RunExp(ctx, spec.ExpHooks{Jobs: expJobs}, progress)
 		if err != nil {
 			return nil, err
 		}

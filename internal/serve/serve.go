@@ -71,15 +71,6 @@ type Config struct {
 	// internal/exp (0 = GOMAXPROCS). Output is byte-identical for every
 	// value, so this is pure execution policy.
 	ExpJobs int
-	// Shards selects the sharded event kernel for every simulation the
-	// server runs (0/1 = single queue). Like ExpJobs, output — and
-	// therefore the content-addressed cache — is byte-identical for
-	// every value.
-	Shards int
-	// Parallel runs lane-confined kernel phases concurrently on every
-	// sharded simulation (requires Shards > 1). Same byte-identity
-	// contract as Shards: pure execution policy, never in the spec.
-	Parallel bool
 	// JobTimeout, when non-zero, bounds each job's wall-clock run time;
 	// an expired job is reported as canceled.
 	JobTimeout time.Duration

@@ -139,113 +139,46 @@ func (h *eventHeap) pop() event {
 // Engine is a deterministic single-threaded discrete-event simulator.
 // Events scheduled for the same instant run in the order they were
 // scheduled. The zero value is not usable; call NewEngine.
-//
-// An Engine may also be one lane of a ShardedEngine (see shard.go), in
-// which case owner is non-nil and the clock/seq/drive methods delegate so
-// that model code holding a lane handle behaves exactly as if it held the
-// whole engine. owner == nil — a standalone engine — stays on the original
-// code path, one predictable nil-check away from it.
 type Engine struct {
 	now       Time
 	seq       uint64
 	events    eventHeap
 	processed uint64
-
-	owner *ShardedEngine // non-nil when this engine is a shard lane
-	lane  int            // this lane's index within owner
-
-	// nowp and seqp are the engine's clock and sequence-counter bindings,
-	// resolved once at construction so the per-event hot path (Now, push,
-	// After) is branch-free: a standalone engine and a parallel-mode lane
-	// bind their own fields; a merged-mode lane binds the composite's
-	// (lane-local clocks are only advanced by the popping lane, so an
-	// idle merged lane would otherwise report a stale time — and the
-	// shared counter is what reproduces single-engine total order).
-	nowp *Time
-	seqp *uint64
 }
 
 // NewEngine returns an empty engine with the clock at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.nowp = &e.now
-	e.seqp = &e.seq
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// Now returns the current simulated time: the composite clock on a
-// merged-mode lane, the engine's own clock otherwise.
-func (e *Engine) Now() Time { return *e.nowp }
+// Now returns the current simulated time.
+func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far (across all lanes
-// for a sharded engine's lane handle).
-func (e *Engine) Processed() uint64 {
-	if o := e.owner; o != nil {
-		return o.Processed()
-	}
-	return e.processed
-}
+// Processed returns the number of events executed so far.
+func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled (across all
-// lanes plus undelivered cross-shard mail for a sharded engine's lane
-// handle).
-func (e *Engine) Pending() int {
-	if o := e.owner; o != nil {
-		return o.Pending()
-	}
-	return len(e.events)
-}
-
-// push assigns the next sequence number and enqueues the event. Merged-mode
-// lanes share the owner's global counter (via seqp) — that is what makes
-// the composite pop order identical to a single engine's; parallel-mode
-// lanes use their own (each lane is its own deterministic sub-simulation
-// between barriers).
-func (e *Engine) push(at Time, fn func()) {
-	*e.seqp++
-	e.events.push(event{at: at, seq: *e.seqp, fn: fn})
-}
+// Pending returns the number of events currently scheduled.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a timing-model bug. The sequence bump is open-coded
-// (not a push call) to stay within the inlining budget — this is the
-// per-event hot path.
+// it always indicates a timing-model bug.
 func (e *Engine) At(t Time, fn func()) {
-	if now := *e.nowp; t < now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, now))
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	*e.seqp++
-	e.events.push(event{at: t, seq: *e.seqp, fn: fn})
+	e.seq++
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// After schedules fn to run d picoseconds from now. This is the alloc-free
-// fast path for the common relative schedule: now+d can never be in the
-// past (the uint64 clock does not wrap within any experiment), so the
-// past-check of At is skipped and the event value lands directly in the
-// heap's backing array.
+// After schedules fn to run d picoseconds from now. now+d can never be in
+// the past (the uint64 clock does not wrap within any experiment), so the
+// past-check of At is skipped.
 func (e *Engine) After(d Time, fn func()) {
-	*e.seqp++
-	e.events.push(event{at: *e.nowp + d, seq: *e.seqp, fn: fn})
+	e.seq++
+	e.events.push(event{at: e.now + d, seq: e.seq, fn: fn})
 }
 
 // Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed. On a lane handle
-// it steps the composite engine.
+// its timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if o := e.owner; o != nil {
-		return o.Step()
-	}
-	return e.stepLocal()
-}
-
-// StepLocal pops and executes this engine's own earliest event without
-// consulting the composite — the per-lane inner loop of a parallel span
-// (ShardedEngine.Span). On a standalone engine it is identical to Step.
-func (e *Engine) StepLocal() bool { return e.stepLocal() }
-
-// stepLocal pops and executes this engine's own earliest event — the
-// standalone Step, and the per-lane inner loop of a parallel window.
-func (e *Engine) stepLocal() bool {
 	if len(e.events) == 0 {
 		return false
 	}
@@ -258,23 +191,15 @@ func (e *Engine) stepLocal() bool {
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	if o := e.owner; o != nil {
-		o.Run()
-		return
-	}
-	for e.stepLocal() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	if o := e.owner; o != nil {
-		o.RunUntil(t)
-		return
-	}
 	for len(e.events) > 0 && e.events[0].at <= t {
-		e.stepLocal()
+		e.Step()
 	}
 	if t > e.now {
 		e.now = t
@@ -282,21 +207,7 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // RunFor executes events for d picoseconds of simulated time from now.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.Now() + d) }
-
-// LaneIndex returns this engine's lane index within its ShardedEngine, or
-// 0 for a standalone engine.
-func (e *Engine) LaneIndex() int { return e.lane }
-
-// LaneNow returns this lane's local clock — in parallel mode the lane's
-// own frontier rather than the composite clock. Standalone engines and
-// merged-mode lanes report the same value as Now.
-func (e *Engine) LaneNow() Time {
-	if o := e.owner; o != nil && o.par {
-		return e.now
-	}
-	return e.Now()
-}
+func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // BusyLine models a resource that serves requests one at a time in FIFO
 // order: a DRAM data bus, a SerDes lane, the host memory channel during

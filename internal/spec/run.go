@@ -21,28 +21,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// SimHooks carries the execution-policy extras a caller may layer onto a
+// SimHooks carries the observation extras a caller may layer onto a
 // simulation run. None of them changes the rendered report: the
-// collector is passive, sampling is passive, profiling only fills
-// KernelResult.Profile, and Shards selects an event-kernel execution
-// strategy whose deterministic-merge mode is byte-identity-preserving.
+// collector is passive, sampling is passive, and profiling only fills
+// KernelResult.Profile.
 type SimHooks struct {
 	Metrics      *metrics.Collector
 	SamplePeriod sim.Time
 	Profile      bool
-
-	// Shards > 1 runs the simulation on the sharded event kernel
-	// (nmp.Config.Shards). Like Jobs on the experiment side, this is
-	// execution policy and deliberately NOT part of the content-addressed
-	// Spec: the report bytes are identical for every value, which the
-	// shard-differential tests pin.
-	Shards int
-
-	// Parallel runs lane-confined phases of the kernel concurrently
-	// (nmp.System.SetParallel). Requires Shards > 1 and no sampling; the
-	// report bytes stay identical to the merged run, which the parallel
-	// differential tests pin. Execution policy, never part of the Spec.
-	Parallel bool
 }
 
 // SimRun bundles one completed simulation.
@@ -69,21 +55,12 @@ func (s Spec) RunSim(h SimHooks) (*SimRun, error) {
 		return nil, err
 	}
 	cfg.Metrics = h.Metrics
-	cfg.Shards = h.Shards
-	if h.Parallel && h.SamplePeriod > 0 {
-		return nil, fmt.Errorf("spec: -parallel and -sample are incompatible (sampler probes read cross-lane state); drop one")
-	}
 	sys, err := nmp.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if h.Metrics != nil && h.SamplePeriod > 0 {
 		sys.StartSampler(h.SamplePeriod)
-	}
-	if h.Parallel {
-		if err := sys.SetParallel(true); err != nil {
-			return nil, err
-		}
 	}
 	w, err := n.BuildWorkload(sys)
 	if err != nil {
@@ -204,13 +181,10 @@ type ExpResult struct {
 	Tables []*stats.Table `json:"tables"`
 }
 
-// ExpHooks is SimHooks' experiment-side counterpart: the execution-policy
-// knobs layered onto an exp-kind run. Neither field changes a rendered
-// byte — Jobs picks the grid pool width, Shards the event kernel.
+// ExpHooks carries the execution policy layered onto an exp-kind run.
+// Jobs picks the grid pool width and never changes a rendered byte.
 type ExpHooks struct {
-	Jobs     int  // worker-pool width per experiment grid (0 = GOMAXPROCS)
-	Shards   int  // sharded event kernel lanes per system (0/1 = single queue)
-	Parallel bool // phase-parallel kernel execution (requires Shards > 1)
+	Jobs int // worker-pool width per experiment grid (0 = GOMAXPROCS)
 }
 
 // RunExp executes an exp-kind spec's targets in registry order. Progress
@@ -230,8 +204,6 @@ func (s Spec) RunExp(ctx context.Context, h ExpHooks, progress func(done, total 
 	if err != nil {
 		return nil, err
 	}
-	o.Shards = h.Shards
-	o.Parallel = h.Parallel
 	results := make([]ExpResult, 0, len(targets))
 	for _, e := range targets {
 		if ctx != nil {

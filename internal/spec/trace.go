@@ -41,21 +41,12 @@ func (s Spec) ReplayTrace(td *ingest.Data, h SimHooks) (*SimRun, error) {
 		return nil, err
 	}
 	cfg.Metrics = h.Metrics
-	cfg.Shards = h.Shards
-	if h.Parallel && h.SamplePeriod > 0 {
-		return nil, fmt.Errorf("spec: -parallel and -sample are incompatible (sampler probes read cross-lane state); drop one")
-	}
 	sys, err := nmp.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if h.Metrics != nil && h.SamplePeriod > 0 {
 		sys.StartSampler(h.SamplePeriod)
-	}
-	if h.Parallel {
-		if err := sys.SetParallel(true); err != nil {
-			return nil, err
-		}
 	}
 	placement := sys.DefaultPlacement()
 	mapper, err := ingest.NewMapper(n.Map, uint64(n.PageBytes), cfg.Geo)

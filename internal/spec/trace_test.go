@@ -118,12 +118,11 @@ func recordWorkload(t *testing.T) (*trace.Trace, *nmp.System) {
 // a synthetic workload's recording, round-tripped through the ingest
 // encodings and replayed as a trace-kind spec on the same system shape,
 // reproduces the workload's inter-DIMM traffic matrix exactly — and the
-// replay's rendered report is byte-identical across encodings and shard
-// counts.
+// replay's rendered report is byte-identical across encodings.
 func TestReplayReproducesRecording(t *testing.T) {
 	tr, recSys := recordWorkload(t)
 
-	replay := func(format ingest.Format, shards int) (*SimRun, []byte) {
+	replay := func(format ingest.Format) (*SimRun, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := ingest.WriteTrace(&buf, tr, format); err != nil {
@@ -134,7 +133,7 @@ func TestReplayReproducesRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := Spec{Kind: KindTrace, Trace: td.Hash, DIMMs: 4, Channels: 2, Map: ingest.MapDirect}
-		run, err := sp.ReplayTrace(td, SimHooks{Shards: shards})
+		run, err := sp.ReplayTrace(td, SimHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,16 +146,13 @@ func TestReplayReproducesRecording(t *testing.T) {
 		return run, append(rep.Bytes(), csv...)
 	}
 
-	run, report := replay(ingest.FormatText, 0)
+	run, report := replay(ingest.FormatText)
 	if !run.Sys.Traffic.Equal(recSys.Traffic) {
 		t.Errorf("replayed traffic matrix differs from the recording run's:\nreplay total %d, recording total %d",
 			run.Sys.Traffic.Total(), recSys.Traffic.Total())
 	}
-	if _, binReport := replay(ingest.FormatBinary, 0); !bytes.Equal(report, binReport) {
+	if _, binReport := replay(ingest.FormatBinary); !bytes.Equal(report, binReport) {
 		t.Error("binary-encoded ingest produced a different report than text")
-	}
-	if _, shardReport := replay(ingest.FormatText, 4); !bytes.Equal(report, shardReport) {
-		t.Error("sharded replay produced a different report than single-queue")
 	}
 }
 

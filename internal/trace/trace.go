@@ -3,13 +3,12 @@
 // to drive the system. The ARM processor translates the memory traces to
 // Read/Write requests". This package reproduces that mode: a Recorder
 // captures the access stream of any workload run, and Replay drives a
-// system from a saved trace without the original workload.
+// system from a saved trace without the original workload; internal/ingest
+// reads and writes the trace file formats.
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/cores"
 	"repro/internal/nmp"
@@ -89,66 +88,6 @@ func (r *Recorder) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 // collective rendezvous have no per-thread address stream to record).
 func (r *Recorder) Collective(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
 	return r.Inner.Collective(op, arrivals, threadDIMM, bytes)
-}
-
-// Encode writes the trace in a line-oriented text format:
-//
-//	#threads N
-//	<thread> <R|W> <addr-hex> <size> <gap-cycles>
-func (t *Trace) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#threads %d\n", t.Threads); err != nil {
-		return err
-	}
-	for _, r := range t.Records {
-		op := "R"
-		if r.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%d %s %x %d %d\n", r.Thread, op, r.Addr, r.Size, r.Gap); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode parses a trace written by Encode.
-func Decode(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	t := &Trace{}
-	if !sc.Scan() {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	if _, err := fmt.Sscanf(sc.Text(), "#threads %d", &t.Threads); err != nil {
-		return nil, fmt.Errorf("trace: bad header %q: %v", sc.Text(), err)
-	}
-	seq := uint64(0)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		var rec Record
-		var op string
-		if _, err := fmt.Sscanf(line, "%d %s %x %d %d", &rec.Thread, &op, &rec.Addr, &rec.Size, &rec.Gap); err != nil {
-			return nil, fmt.Errorf("trace: bad record %q: %v", line, err)
-		}
-		if rec.Thread < 0 || rec.Thread >= t.Threads {
-			return nil, fmt.Errorf("trace: thread %d out of range", rec.Thread)
-		}
-		switch op {
-		case "R":
-		case "W":
-			rec.Write = true
-		default:
-			return nil, fmt.Errorf("trace: bad op %q", op)
-		}
-		rec.Seq = seq
-		seq++
-		t.Records = append(t.Records, rec)
-	}
-	return t, sc.Err()
 }
 
 // Replay is a workloads-compatible kernel that re-issues a trace: each

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/cores"
@@ -10,45 +8,6 @@ import (
 	"repro/internal/nmp"
 	"repro/internal/sim"
 )
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := &Trace{Threads: 2, Records: []Record{
-		{Seq: 0, Thread: 0, Addr: 0x1000, Size: 64, Write: false, Gap: 10},
-		{Seq: 1, Thread: 1, Addr: 0xdeadbeef, Size: 4096, Write: true, Gap: 0},
-	}}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Threads != 2 || len(got.Records) != 2 {
-		t.Fatalf("decoded %+v", got)
-	}
-	for i := range tr.Records {
-		a, b := tr.Records[i], got.Records[i]
-		if a.Thread != b.Thread || a.Addr != b.Addr || a.Size != b.Size || a.Write != b.Write || a.Gap != b.Gap {
-			t.Fatalf("record %d: %+v != %+v", i, a, b)
-		}
-	}
-}
-
-func TestDecodeRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"",
-		"#threads x\n",
-		"#threads 1\n0 Z 10 64 0\n",
-		"#threads 1\n5 R 10 64 0\n", // thread out of range
-		"#threads 1\nnot a record\n",
-	}
-	for i, c := range cases {
-		if _, err := Decode(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
 
 func TestRecorderCapturesAccesses(t *testing.T) {
 	sys := nmp.MustNewSystem(nmp.DefaultConfig(4, 2, nmp.MechDIMMLink))
@@ -116,16 +75,8 @@ func TestRecorderReplayEquivalence(t *testing.T) {
 	g.Run()
 	sysA.Stop()
 
-	var buf bytes.Buffer
-	if err := rec.Trace.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sysB, _ := build()
-	rp := &Replay{T: decoded}
+	rp := &Replay{T: &rec.Trace}
 	rp.Run(sysB, []int{0}, false)
 	readsA := sysA.Modules[0].Stats.Reads
 	readsB := sysB.Modules[0].Stats.Reads
