@@ -89,7 +89,7 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== histogram benchmark smoke"
 	go test -bench BenchmarkHistogram -benchtime 100x -run '^$' ./internal/metrics/ >/dev/null
 
-	echo "== go test -race ./internal/serve/... (service + cluster layers under the race detector)"
+	echo "== go test -race ./internal/serve/... (server, store, client and cluster dispatcher under the race detector)"
 	go test -race ./internal/serve/...
 
 	echo "== dlserve end-to-end smoke (HTTP result == CLI stdout, cache hit, trace upload, graceful drain)"

@@ -13,13 +13,10 @@
 //	curl -s -X POST localhost:8077/v1/jobs \
 //	     -d '{"kind":"sim","workload":"p2p","dimms":4,"channels":2}'
 //
-// With -peers, the node joins a cluster: submissions are routed to the
-// spec's owner on a consistent-hash ring, content-addressed reads
-// (/v1/results/{hash}) read through to peers, dead peers are marked
-// suspect, routed around and probed back to health. Every node must be
-// started with the same -peers set:
-//
-//	dlserve -addr :8077 -store s1 -peers http://h1:8077,http://h2:8077,http://h3:8077
+// A cluster is several plain dlserve nodes, each with its own -store;
+// the nodes do not know about each other. Placement, requeue on node
+// death and hedged reads live in the client (internal/serve/cluster's
+// Dispatcher, or dlsmoke -load -target URL,URL,...).
 //
 // On SIGTERM/SIGINT the server drains: submissions are rejected with
 // 503 while queued and running jobs finish and their results stay
@@ -37,12 +34,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/serve/cluster"
 	"repro/internal/serve/store"
 )
 
@@ -59,10 +54,6 @@ func main() {
 		storeDir   = flag.String("store", "", "disk-spill result store directory (content-addressed, survives restarts)")
 		storeMax   = flag.Int("storemax", 4096, "disk store bound (entries, evicted oldest-first)")
 		tracesDir  = flag.String("traces", "", "uploaded-trace blob store directory (default: <store>/traces when -store is set, else a temp dir)")
-		peers      = flag.String("peers", "", "comma-separated cluster node base URLs, this node included (enables cluster routing)")
-		selfURL    = flag.String("self", "", "this node's base URL as peers address it (default http://<listen addr>)")
-		vnodes     = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default)")
-		probe      = flag.Duration("probe", 2*time.Second, "suspect-peer health probe interval")
 	)
 	flag.Parse()
 
@@ -117,32 +108,8 @@ func main() {
 		logger.Fatalf("dlserve: listen: %v", err)
 	}
 
-	handler := http.Handler(srv)
-	var rt *cluster.Router
-	if *peers != "" {
-		self := *selfURL
-		if self == "" {
-			self = "http://" + ln.Addr().String()
-		}
-		var nodes []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				nodes = append(nodes, p)
-			}
-		}
-		rt, err = cluster.NewRouter(cluster.RouterConfig{
-			Self: self, Nodes: nodes, VNodes: *vnodes,
-			Local: srv, ProbeInterval: *probe, Logf: logger.Printf,
-		})
-		if err != nil {
-			logger.Fatalf("dlserve: cluster: %v", err)
-		}
-		handler = rt
-		logger.Printf("dlserve: cluster node %s in ring of %d", self, len(nodes))
-	}
-
 	hs := &http.Server{
-		Handler:           handler,
+		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -159,9 +126,6 @@ func main() {
 	select {
 	case sig := <-sigCh:
 		logger.Printf("dlserve: %s: draining (in-flight jobs finish, submissions get 503)", sig)
-		if rt != nil {
-			rt.Close() // stop probing peers; local serving continues through drain
-		}
 		// Drain jobs first, while the listener still serves status and
 		// result reads — clients blocked on ?wait=1 get their bodies.
 		dctx, dcancel := context.WithTimeout(context.Background(), *drainGrace)

@@ -10,14 +10,15 @@
 //     is retrievable through the drain window, new submissions are
 //     rejected with 503, and the server exits 0.
 //
-// With -cluster N it instead stands up an N-node cluster (each node a
-// separate dlserve process with a disk store, all sharing one ring) and
-// proves the cluster contract: routed submission, content-addressed
-// peer read-through, byte-identity with the CLI. With -chaos it
-// additionally SIGKILLs the node hosting a job mid-run and verifies the
-// dispatcher requeues onto a peer and still returns bytes identical to
-// the single-node CLI output — the determinism contract makes the kill
-// invisible in the answer.
+// With -cluster N it instead stands up N plain dlserve processes, each
+// with its own disk store, and drives them through the cluster
+// dispatcher, which owns placement: the job runs on its ring owner with
+// bytes identical to the CLI, and a second run is a content-addressed
+// cache read with the same bytes. With -chaos it additionally SIGKILLs
+// the node hosting a job mid-run and verifies the dispatcher requeues
+// onto a peer and still returns bytes identical to the single-node CLI
+// output — the determinism contract makes the kill invisible in the
+// answer — and that the peer then serves those bytes by content address.
 //
 // With -load N -dur D it becomes a load generator instead of a smoke:
 // N concurrent workers submit distinct-seed sim jobs against a running
@@ -37,7 +38,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -117,40 +117,9 @@ func startNode(serveBin string, extra ...string) (*node, error) {
 	return &node{url: strings.TrimPrefix(line, prefix), cmd: cmd}, nil
 }
 
-// reserveAddrs grabs n distinct ephemeral ports and releases them so
-// the nodes can be told their own and each other's addresses up front —
-// the ring membership must be identical on every node before any of
-// them binds.
-func reserveAddrs(n int) ([]string, error) {
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			_ = ln.Close()
-		}
-	}()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns = append(lns, ln)
-		addrs[i] = ln.Addr().String()
-	}
-	return addrs, nil
-}
-
 // --- cluster smoke ---
 
 func clusterSmoke(ctx context.Context, serveBin, simBin string, n int, chaos bool) {
-	addrs, err := reserveAddrs(n)
-	if err != nil {
-		fatal(fmt.Errorf("reserve ports: %w", err))
-	}
-	urls := make([]string, n)
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
 	storeRoot, err := os.MkdirTemp("", "dlsmoke-store-")
 	if err != nil {
 		fatal(err)
@@ -158,19 +127,18 @@ func clusterSmoke(ctx context.Context, serveBin, simBin string, n int, chaos boo
 	defer os.RemoveAll(storeRoot)
 
 	nodes := make([]*node, n)
+	urls := make([]string, n)
 	for i := range nodes {
 		nodes[i], err = startNode(serveBin,
-			"-addr", addrs[i],
+			"-addr", "127.0.0.1:0",
 			"-workers", "1",
-			"-self", urls[i],
-			"-peers", strings.Join(urls, ","),
 			"-store", fmt.Sprintf("%s/n%d", storeRoot, i),
-			"-probe", "250ms",
 		)
 		if err != nil {
 			fatal(err)
 		}
 		defer func(nd *node) { _ = nd.cmd.Process.Kill() }(nodes[i])
+		urls[i] = nodes[i].url
 	}
 	fmt.Printf("dlsmoke: %d-node cluster up (%s)\n", n, strings.Join(urls, ", "))
 
@@ -203,36 +171,21 @@ func clusterSmoke(ctx context.Context, serveBin, simBin string, n int, chaos boo
 	}
 	fmt.Printf("dlsmoke: cluster result byte-identical to dlsim stdout (owner %s)\n", owner)
 
-	// --- 2. Content-addressed read-through from a non-owner node. ---
-	var other string
-	for _, u := range urls {
-		if u != owner {
-			other = u
-			break
-		}
+	// --- 2. A second run is a content-addressed read, no new job. ---
+	again, err := d.Run(ctx, sp)
+	if err != nil {
+		fatal(fmt.Errorf("cluster rerun: %w", err))
 	}
-	oc := client.New(other)
-	status, body, _, err := oc.Do(ctx, http.MethodGet, "/v1/results/"+out.Hash, nil, nil)
-	if err != nil || status != http.StatusOK {
-		fatal(fmt.Errorf("peer read-through: status=%d err=%v", status, err))
+	if !again.Cached {
+		fatal(fmt.Errorf("second run was not served by content address (node %s)", again.Node))
 	}
-	if !bytes.Equal(body, cli) {
-		fatal(fmt.Errorf("read-through body differs from CLI output"))
+	if !bytes.Equal(again.Body, cli) {
+		fatal(fmt.Errorf("cached cluster result differs from dlsim stdout"))
 	}
-	fmt.Println("dlsmoke: peer read-through returned identical bytes")
-
-	// --- 3. Every node agrees on the membership. ---
-	for _, u := range urls {
-		c := client.New(u)
-		st, ib, _, err := c.Do(ctx, http.MethodGet, "/cluster", nil, nil)
-		if err != nil || st != http.StatusOK || !bytes.Contains(ib, []byte(owner)) {
-			fatal(fmt.Errorf("/cluster on %s: status=%d err=%v", u, st, err))
-		}
-	}
-	fmt.Println("dlsmoke: /cluster membership consistent on every node")
+	fmt.Printf("dlsmoke: second run served by content address from %s, identical bytes\n", again.Node)
 
 	if chaos {
-		chaosKill(ctx, simBin, d, nodes, urls)
+		chaosKill(ctx, simBin, d, nodes)
 	}
 }
 
@@ -240,7 +193,7 @@ func clusterSmoke(ctx context.Context, serveBin, simBin string, n int, chaos boo
 // it mid-flight, and requires the dispatcher to requeue onto a peer and
 // return bytes identical to the CLI — the cluster's whole fault-
 // tolerance story in one assertion.
-func chaosKill(ctx context.Context, simBin string, d *cluster.Dispatcher, nodes []*node, urls []string) {
+func chaosKill(ctx context.Context, simBin string, d *cluster.Dispatcher, nodes []*node) {
 	// The scale keeps the job in flight around a second — long enough to
 	// land the kill while it runs (see the single-node drain smoke).
 	slow := spec.Spec{Kind: spec.KindSim, Workload: "bfs", Scale: 17}
@@ -313,19 +266,16 @@ func chaosKill(ctx context.Context, simBin string, d *cluster.Dispatcher, nodes 
 	}
 	fmt.Printf("dlsmoke: requeued on %s after kill, %d requeue(s), bytes identical to CLI\n", r.out.Node, r.out.Requeues)
 
-	// The survivors noticed: the dead node is suspect somewhere.
-	for _, u := range urls {
-		if u == victimURL {
-			continue
-		}
-		c := client.New(u)
-		if st, ib, _, err := c.Do(ctx, http.MethodGet, "/cluster", nil, nil); err == nil && st == http.StatusOK &&
-			bytes.Contains(ib, []byte(`"suspects"`)) {
-			fmt.Println("dlsmoke: survivors marked the killed node suspect")
-			return
-		}
+	// The content address outlives the job: the node that ran the
+	// requeued job serves the same bytes by hash.
+	body, err := client.New(r.out.Node).ResultByHash(ctx, r.out.Hash)
+	if err != nil {
+		fatal(fmt.Errorf("result by hash on %s: %w", r.out.Node, err))
 	}
-	fatal(fmt.Errorf("no survivor marked the killed node suspect"))
+	if !bytes.Equal(body, cli) {
+		fatal(fmt.Errorf("result by hash on %s differs from CLI output", r.out.Node))
+	}
+	fmt.Printf("dlsmoke: %s serves the requeued result by content address\n", r.out.Node)
 }
 
 // --- single-node smoke (the original contract) ---

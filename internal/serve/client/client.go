@@ -9,8 +9,7 @@
 // statuses (4xx/5xx) are surfaced immediately and never retried here —
 // they are protocol answers (429 backpressure, 503 drain, 410 canceled),
 // and retry policy for them belongs to the caller. The retry budget's
-// consumption is observable via Counters, which cluster nodes export as
-// Prometheus series.
+// consumption is observable via Counters.
 package client
 
 import (
@@ -113,9 +112,6 @@ func NewWithOptions(base string, o Options) *Client {
 	}
 }
 
-// Base returns the base URL this client targets.
-func (c *Client) Base() string { return c.base }
-
 // Counters snapshots the client's robustness counters: retries spent
 // ("request.retries"), budgets exhausted ("retry.exhausted"), and
 // transport errors seen ("request.errors").
@@ -175,37 +171,33 @@ func StatusCode(err error) int {
 // next; any HTTP response — success or error status — returns
 // immediately. bounded applies the per-attempt RequestTimeout; long
 // polls pass false and rely on ctx alone.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, bounded bool) (int, []byte, http.Header, error) {
-	return c.roundTripHeaders(ctx, method, path, body, nil, bounded)
-}
-
-func (c *Client) roundTripHeaders(ctx context.Context, method, path string, body []byte, hdr http.Header, bounded bool) (int, []byte, http.Header, error) {
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, bounded bool) (int, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			c.count("request.retries")
 			if err := c.sleep(ctx, c.backoff(attempt-1)); err != nil {
-				return 0, nil, nil, err
+				return 0, nil, err
 			}
 		}
-		status, b, h, err := c.attempt(ctx, method, path, body, hdr, bounded)
+		status, b, err := c.attempt(ctx, method, path, body, bounded)
 		if err == nil {
-			return status, b, h, nil
+			return status, b, nil
 		}
 		lastErr = err
 		c.count("request.errors")
 		if ctx.Err() != nil {
-			return 0, nil, nil, ctx.Err()
+			return 0, nil, ctx.Err()
 		}
 	}
 	c.count("retry.exhausted")
-	return 0, nil, nil, fmt.Errorf("dlserve: %s %s: retry budget (%d) exhausted: %w",
+	return 0, nil, fmt.Errorf("dlserve: %s %s: retry budget (%d) exhausted: %w",
 		method, path, c.opts.Retries, lastErr)
 }
 
 // attempt is one HTTP exchange, fully reading the response body so the
 // per-attempt context can be released before returning.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hdr http.Header, bounded bool) (int, []byte, http.Header, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, bounded bool) (int, []byte, error) {
 	actx := ctx
 	if bounded && c.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -218,29 +210,26 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	req, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
 	resp, err := c.opts.HTTPClient.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	return resp.StatusCode, b, resp.Header, nil
+	return resp.StatusCode, b, nil
 }
 
 // do runs a bounded JSON request and decodes a 2xx body into out.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	status, b, _, err := c.roundTrip(ctx, method, path, body, true)
+	status, b, err := c.roundTrip(ctx, method, path, body, true)
 	if err != nil {
 		return err
 	}
@@ -253,50 +242,18 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	return nil
 }
 
-// Do performs a raw API request under the client's full robustness
-// envelope (per-attempt timeout, bounded retries, backoff) and returns
-// the HTTP status, body and headers verbatim — no status-code
-// interpretation. hdr (optional, may be nil) adds request headers; it is
-// the relay primitive the cluster router forwards through, carrying the
-// routing loop-guard headers.
-func (c *Client) Do(ctx context.Context, method, path string, body []byte, hdr http.Header) (int, []byte, http.Header, error) {
-	return c.roundTripHeaders(ctx, method, path, body, hdr, true)
-}
-
 // Submit posts a job spec. The returned status may already be terminal
 // (cache hit) or belong to an identical in-flight job (deduplicated).
 // Submission is idempotent under the determinism contract — the spec's
 // content address names its result — so a retried submit is always safe.
 func (c *Client) Submit(ctx context.Context, sp spec.Spec) (serve.JobStatus, error) {
-	st, _, err := c.SubmitRouted(ctx, sp)
-	return st, err
-}
-
-// SubmitRouted posts a job spec and additionally reports which cluster
-// node the submission was routed to (the X-DL-Routed-To response header;
-// empty when the receiving node hosted the job itself). Job ids are
-// node-local, so a caller polling a routed job must poll that node.
-func (c *Client) SubmitRouted(ctx context.Context, sp spec.Spec) (serve.JobStatus, string, error) {
 	b, err := json.Marshal(sp)
 	if err != nil {
-		return serve.JobStatus{}, "", err
-	}
-	status, rb, hdr, err := c.roundTrip(ctx, http.MethodPost, "/v1/jobs", b, true)
-	if err != nil {
-		return serve.JobStatus{}, "", err
-	}
-	routed := ""
-	if hdr != nil {
-		routed = hdr.Get("X-DL-Routed-To")
-	}
-	if status/100 != 2 {
-		return serve.JobStatus{}, routed, &apiError{Code: status, Body: string(rb)}
+		return serve.JobStatus{}, err
 	}
 	var st serve.JobStatus
-	if err := json.Unmarshal(rb, &st); err != nil {
-		return serve.JobStatus{}, routed, err
-	}
-	return st, routed, nil
+	err = c.do(ctx, http.MethodPost, "/v1/jobs", b, &st)
+	return st, err
 }
 
 // Status fetches a job's current state.
@@ -355,7 +312,7 @@ func (c *Client) resultBody(ctx context.Context, id, format string, wait bool) (
 	if wait {
 		path += sep + "wait=1"
 	}
-	status, b, _, err := c.roundTrip(ctx, http.MethodGet, path, nil, !wait)
+	status, b, err := c.roundTrip(ctx, http.MethodGet, path, nil, !wait)
 	if err != nil {
 		return nil, err
 	}
@@ -367,9 +324,9 @@ func (c *Client) resultBody(ctx context.Context, id, format string, wait bool) (
 
 // ResultByHash fetches a result by its content address from the node's
 // hot cache or disk store (404 when the node doesn't hold it). This is
-// the location-independent read the cluster layer routes and hedges.
+// the location-independent read the cluster dispatcher hedges.
 func (c *Client) ResultByHash(ctx context.Context, hash string) ([]byte, error) {
-	status, b, _, err := c.roundTrip(ctx, http.MethodGet, "/v1/results/"+hash, nil, true)
+	status, b, err := c.roundTrip(ctx, http.MethodGet, "/v1/results/"+hash, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +382,7 @@ func (c *Client) Health(ctx context.Context) (serve.Health, error) {
 
 // Metrics fetches the raw Prometheus exposition.
 func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
-	status, b, _, err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil, true)
+	status, b, err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,13 @@
 // cluster_test.go drives multi-node clusters in-process: each node is a
-// real serve.Server wrapped in a Router behind an httptest listener, and
-// "killing" a node swaps its handler for one that aborts connections at
-// the transport level — the same failure a SIGKILLed process presents to
-// its peers. The process-level version of these scenarios lives in
-// cmd/dlsmoke (-cluster -chaos).
+// plain serve.Server behind an httptest listener, a Dispatcher owns
+// placement, and "killing" a node swaps its handler for one that aborts
+// connections at the transport level — the same failure a SIGKILLed
+// process presents to its clients. The process-level version of these
+// scenarios lives in cmd/dlsmoke (-cluster -chaos).
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -48,10 +49,6 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	h := s.h
 	s.mu.Unlock()
-	if h == nil {
-		http.Error(w, "node not up", http.StatusServiceUnavailable)
-		return
-	}
 	h.ServeHTTP(w, r)
 }
 
@@ -60,11 +57,10 @@ type clusterNode struct {
 	ts  *httptest.Server
 	sw  *swapHandler
 	srv *serve.Server
-	rt  *Router
 }
 
 // kill makes the node refuse at the transport level: every request's
-// connection is aborted, which peers observe as a transport error (the
+// connection is aborted, which clients observe as a transport error (the
 // retryable class), exactly like a killed process.
 func (n *clusterNode) kill() {
 	n.sw.set(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
@@ -72,7 +68,7 @@ func (n *clusterNode) kill() {
 	}))
 }
 
-func (n *clusterNode) revive() { n.sw.set(n.rt) }
+func (n *clusterNode) revive() { n.sw.set(n.srv) }
 
 type runnerFunc = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*serve.Result, error)
 
@@ -114,54 +110,82 @@ func expected(t *testing.T, sp spec.Spec) string {
 	return "result:" + h + "\n"
 }
 
-// startCluster builds n nodes that all know each other. The circular
-// dependency — routers need every node's URL, URLs exist only once the
-// listeners do — is broken by standing up the listeners on swappable
-// handlers first.
-func startCluster(t *testing.T, n int, runner runnerFunc) ([]*clusterNode, []string) {
+// startCluster builds n independent nodes and a Dispatcher over them.
+// Handlers are swappable so a test can kill and revive a node in place.
+func startCluster(t *testing.T, n int, runner runnerFunc, hedgeAfter time.Duration) ([]*clusterNode, *Dispatcher) {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	urls := make([]string, n)
 	for i := range nodes {
-		sw := &swapHandler{}
-		ts := httptest.NewServer(sw)
-		nodes[i] = &clusterNode{url: ts.URL, ts: ts, sw: sw}
-		urls[i] = ts.URL
-	}
-	for _, nd := range nodes {
 		srv := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 16, CacheEntries: 16, Runner: runner})
-		rt, err := NewRouter(RouterConfig{
-			Self:          nd.url,
-			Nodes:         urls,
-			VNodes:        16,
-			Local:         srv,
-			Client:        fastOpts,
-			ProbeInterval: 20 * time.Millisecond,
-			Logf:          t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("NewRouter(%s): %v", nd.url, err)
-		}
-		nd.srv, nd.rt = srv, rt
-		nd.sw.set(rt)
+		sw := &swapHandler{h: srv}
+		ts := httptest.NewServer(sw)
+		nodes[i] = &clusterNode{url: ts.URL, ts: ts, sw: sw, srv: srv}
+		urls[i] = ts.URL
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.ts.Close()
-		}
-		for _, nd := range nodes {
-			nd.rt.Close()
 			nd.srv.Close()
 		}
 	})
-	return nodes, urls
+	d, err := NewDispatcher(DispatcherConfig{
+		Nodes:        urls,
+		Client:       fastOpts,
+		HedgeAfter:   hedgeAfter,
+		PollInterval: 5 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewDispatcher: %v", err)
+	}
+	return nodes, d
 }
 
-// specOwnedBy searches seeds until the spec's hash lands on the wanted
-// owner — deterministic given the ring, no randomness involved.
-func specOwnedBy(t *testing.T, ring *Ring, owner string) spec.Spec {
+// runOn executes sp on one node directly, bypassing the Dispatcher, and
+// waits for it to finish.
+func runOn(t *testing.T, url string, sp spec.Spec) {
 	t.Helper()
-	for seed := int64(1); seed < 4000; seed++ {
+	ctx := context.Background()
+	c := client.NewWithOptions(url, fastOpts)
+	st, err := c.Submit(ctx, sp)
+	if err != nil {
+		t.Fatalf("submit to %s: %v", url, err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || fin.State != serve.JobDone {
+		t.Fatalf("wait on %s: state=%s err=%v", url, fin.State, err)
+	}
+}
+
+// scrape returns a node's /metrics exposition.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	mb, err := client.NewWithOptions(url, fastOpts).Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("metrics %s: %v", url, err)
+	}
+	return string(mb)
+}
+
+// metricValue returns the value text of one series in an exposition.
+func metricValue(t *testing.T, exposition, series string) string {
+	t.Helper()
+	sc := bufio.NewScanner(strings.NewReader(exposition))
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("series %s missing from:\n%s", series, exposition)
+	return ""
+}
+
+// specOwnedBy searches seeds from `from` upwards until the spec's hash
+// lands on the wanted owner — deterministic given the ring, no
+// randomness involved.
+func specOwnedBy(t *testing.T, ring *Ring, owner string, from int64) spec.Spec {
+	t.Helper()
+	for seed := from; seed < from+4000; seed++ {
 		sp := spec.Spec{Kind: spec.KindSim, Workload: "p2p", Seed: seed}
 		h, err := sp.Hash()
 		if err != nil {
@@ -175,183 +199,108 @@ func specOwnedBy(t *testing.T, ring *Ring, owner string) spec.Spec {
 	return spec.Spec{}
 }
 
-func clusterInfo(t *testing.T, url string) Info {
-	t.Helper()
-	resp, err := http.Get(url + "/cluster")
-	if err != nil {
-		t.Fatalf("GET /cluster: %v", err)
-	}
-	defer resp.Body.Close()
-	var info Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatalf("decode /cluster: %v", err)
-	}
-	return info
-}
-
+// TestRouterForwardsToOwner: Dispatcher.Run places a job on its ring
+// owner and nowhere else.
 func TestRouterForwardsToOwner(t *testing.T) {
-	nodes, _ := startCluster(t, 3, echoRunner(0, nil))
-	ring := nodes[0].rt.Ring()
-	ctx := context.Background()
-
+	nodes, d := startCluster(t, 3, echoRunner(0, nil), 50*time.Millisecond)
 	owner := nodes[1]
-	sp := specOwnedBy(t, ring, owner.url)
+	sp := specOwnedBy(t, d.Ring(), owner.url, 1)
 
-	// Submitted via a non-owner node, the job must land on the owner.
-	c := client.NewWithOptions(nodes[0].url, fastOpts)
-	st, routed, err := c.SubmitRouted(ctx, sp)
+	out, err := d.Run(context.Background(), sp)
 	if err != nil {
-		t.Fatalf("routed submit: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if routed != owner.url {
-		t.Fatalf("routed to %q, want owner %q", routed, owner.url)
+	if out.Node != owner.url || out.Requeues != 0 || out.Cached {
+		t.Fatalf("outcome node=%q requeues=%d cached=%v, want fresh run on owner %q",
+			out.Node, out.Requeues, out.Cached, owner.url)
 	}
-	oc := client.NewWithOptions(owner.url, fastOpts)
-	if _, err := oc.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
-		t.Fatalf("wait on owner: %v", err)
+	if string(out.Body) != expected(t, sp) {
+		t.Fatalf("result = %q, want %q", out.Body, expected(t, sp))
 	}
-	body, err := oc.Result(ctx, st.ID, true)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	if string(body) != expected(t, sp) {
-		t.Fatalf("routed result = %q, want %q", body, expected(t, sp))
-	}
-
-	// Submitted at the owner itself, no forwarding happens.
-	if _, routed, err := oc.SubmitRouted(ctx, sp); err != nil || routed != "" {
-		t.Fatalf("owner-local submit: routed=%q err=%v, want local", routed, err)
+	for _, nd := range nodes {
+		want := "0"
+		if nd == owner {
+			want = "1"
+		}
+		if got := metricValue(t, scrape(t, nd.url), "dlserve_jobs_completed_total"); got != want {
+			t.Errorf("node %s completed %s jobs, want %s", nd.url, got, want)
+		}
 	}
 }
 
+// TestRouterReadThroughReplicates: a finished result is served by the
+// Dispatcher's hedged read — from the owner, or from the successor when
+// only the successor holds it — and a hash no node holds is an error.
 func TestRouterReadThroughReplicates(t *testing.T) {
-	nodes, _ := startCluster(t, 3, echoRunner(0, nil))
-	ring := nodes[0].rt.Ring()
+	nodes, d := startCluster(t, 3, echoRunner(0, nil), 50*time.Millisecond)
 	ctx := context.Background()
 
-	owner := nodes[0]
-	sp := specOwnedBy(t, ring, owner.url)
+	sp := specOwnedBy(t, d.Ring(), nodes[0].url, 1)
 	hash, _ := sp.Hash()
-
-	oc := client.NewWithOptions(owner.url, fastOpts)
-	st, err := oc.Submit(ctx, sp)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	runOn(t, nodes[0].url, sp)
+	body, node, hedged, err := d.ResultByHash(ctx, hash)
+	if err != nil || string(body) != expected(t, sp) {
+		t.Fatalf("owner read: body=%q err=%v, want %q", body, err, expected(t, sp))
 	}
-	if _, err := oc.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-
-	// A non-owner that doesn't hold the result serves it by read-through…
-	other := client.NewWithOptions(nodes[2].url, fastOpts)
-	status, body, hdr, err := other.Do(ctx, http.MethodGet, "/v1/results/"+hash, nil, nil)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("read-through: status=%d err=%v", status, err)
-	}
-	if string(body) != expected(t, sp) {
-		t.Fatalf("read-through body = %q, want %q", body, expected(t, sp))
-	}
-	if got := hdr.Get("X-DL-Spec-Hash"); got != hash {
-		t.Fatalf("X-DL-Spec-Hash = %q, want %q", got, hash)
+	if node != nodes[0].url || hedged {
+		t.Fatalf("owner read: node=%q hedged=%v, want unhedged read from %q", node, hedged, nodes[0].url)
 	}
 
-	// …and admits the copy into its own tiers: a local-only read now hits.
-	noRT := http.Header{HeaderNoReadthrough: []string{"1"}}
-	status, body, _, err = other.Do(ctx, http.MethodGet, "/v1/results/"+hash, nil, noRT)
-	if err != nil || status != http.StatusOK || string(body) != expected(t, sp) {
-		t.Fatalf("local copy after read-through: status=%d err=%v body=%q", status, err, body)
+	// Held only by the ring successor: the owner's 404 fires the hedge.
+	sp2 := specOwnedBy(t, d.Ring(), nodes[0].url, sp.Seed+1)
+	hash2, _ := sp2.Hash()
+	succ := d.Ring().Successors(hash2, 2)[1]
+	runOn(t, succ, sp2)
+	body, node, hedged, err = d.ResultByHash(ctx, hash2)
+	if err != nil || string(body) != expected(t, sp2) {
+		t.Fatalf("successor read: body=%q err=%v, want %q", body, err, expected(t, sp2))
+	}
+	if node != succ || !hedged {
+		t.Fatalf("successor read: node=%q hedged=%v, want hedge win from %q", node, hedged, succ)
 	}
 
-	// A hash nobody holds is a clean 404 even after the full walk.
-	bogus := strings.Repeat("ab", 32)
-	status, _, _, err = other.Do(ctx, http.MethodGet, "/v1/results/"+bogus, nil, nil)
-	if err != nil || status != http.StatusNotFound {
-		t.Fatalf("unknown hash: status=%d err=%v, want 404", status, err)
+	if body, node, _, err := d.ResultByHash(ctx, strings.Repeat("ab", 32)); err == nil {
+		t.Fatalf("unknown hash served %q by %s, want an error", body, node)
 	}
 }
 
+// TestRouterDeadPeerRerouteAndRecovery: with the owner dead, Run
+// requeues onto another node; once the owner is back, the next spec it
+// owns runs there with no requeue — there is no health state to recover.
 func TestRouterDeadPeerRerouteAndRecovery(t *testing.T) {
-	nodes, _ := startCluster(t, 3, echoRunner(0, nil))
-	ring := nodes[0].rt.Ring()
+	nodes, d := startCluster(t, 3, echoRunner(0, nil), 20*time.Millisecond)
 	ctx := context.Background()
-
 	owner := nodes[1]
-	submitVia := nodes[0]
-	sp := specOwnedBy(t, ring, owner.url)
+	sp := specOwnedBy(t, d.Ring(), owner.url, 1)
 
 	owner.kill()
-
-	// The submit still succeeds: the router marks the dead owner suspect
-	// and re-routes along the ring (possibly hosting locally).
-	c := client.NewWithOptions(submitVia.url, fastOpts)
-	st, routed, err := c.SubmitRouted(ctx, sp)
+	out, err := d.Run(ctx, sp)
 	if err != nil {
-		t.Fatalf("submit with dead owner: %v", err)
+		t.Fatalf("run with dead owner: %v", err)
 	}
-	if routed == owner.url {
-		t.Fatalf("routed to the dead owner %q", routed)
+	if out.Node == owner.url || out.Requeues < 1 {
+		t.Fatalf("node=%q requeues=%d, want a requeue away from %q", out.Node, out.Requeues, owner.url)
 	}
-	pollURL := submitVia.url
-	if routed != "" {
-		pollURL = routed
-	}
-	pc := client.NewWithOptions(pollURL, fastOpts)
-	if _, err := pc.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
-		t.Fatalf("wait on rerouted node: %v", err)
-	}
-	body, err := pc.Result(ctx, st.ID, true)
-	if err != nil || string(body) != expected(t, sp) {
-		t.Fatalf("rerouted result = %q err=%v, want %q", body, err, expected(t, sp))
+	if string(out.Body) != expected(t, sp) {
+		t.Fatalf("requeued result = %q, want %q", out.Body, expected(t, sp))
 	}
 
-	info := clusterInfo(t, submitVia.url)
-	if len(info.Suspects) != 1 || info.Suspects[0] != owner.url {
-		t.Fatalf("suspects = %v, want [%s]", info.Suspects, owner.url)
-	}
-
-	// Revival: the probe loop notices within a few intervals and restores
-	// the peer to the walk.
 	owner.revive()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if len(clusterInfo(t, submitVia.url).Suspects) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dead peer never recovered after revival")
-		}
-		time.Sleep(10 * time.Millisecond)
+	sp2 := specOwnedBy(t, d.Ring(), owner.url, sp.Seed+1)
+	out, err = d.Run(ctx, sp2)
+	if err != nil {
+		t.Fatalf("run after revival: %v", err)
 	}
-	// Forwarding to the recovered owner works again.
-	sp2 := specOwnedBy(t, ring, owner.url)
-	sp2.Iters = 2 // distinct spec, same owner not guaranteed — recheck
-	if h2, _ := sp2.Hash(); ring.Owner(h2) != owner.url {
-		sp2 = sp // fall back: resubmitting the original spec re-forwards too
-	}
-	if _, routed, err := c.SubmitRouted(ctx, sp2); err != nil || routed != owner.url {
-		t.Fatalf("post-recovery submit: routed=%q err=%v, want %q", routed, err, owner.url)
+	if out.Node != owner.url || out.Requeues != 0 {
+		t.Fatalf("after revival: node=%q requeues=%d, want %q with no requeue", out.Node, out.Requeues, owner.url)
 	}
 }
 
 func TestDispatcherRequeuesWhenNodeDiesMidJob(t *testing.T) {
 	started := make(chan string, 8)
-	nodes, urls := startCluster(t, 3, echoRunner(300*time.Millisecond, started))
-	ring := nodes[0].rt.Ring()
-
+	nodes, d := startCluster(t, 3, echoRunner(300*time.Millisecond, started), 50*time.Millisecond)
 	owner := nodes[0]
-	sp := specOwnedBy(t, ring, owner.url)
-
-	d, err := NewDispatcher(DispatcherConfig{
-		Nodes:        urls,
-		VNodes:       16,
-		Client:       fastOpts,
-		HedgeAfter:   50 * time.Millisecond,
-		PollInterval: 5 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("NewDispatcher: %v", err)
-	}
+	sp := specOwnedBy(t, d.Ring(), owner.url, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -393,35 +342,20 @@ func TestDispatcherRequeuesWhenNodeDiesMidJob(t *testing.T) {
 }
 
 func TestDispatcherHedgedReadSurvivesDeadOwner(t *testing.T) {
-	nodes, urls := startCluster(t, 2, echoRunner(0, nil))
-	ring := nodes[0].rt.Ring()
+	nodes, d := startCluster(t, 2, echoRunner(0, nil), 30*time.Millisecond)
 	ctx := context.Background()
 
 	owner := nodes[0]
-	sp := specOwnedBy(t, ring, owner.url)
+	sp := specOwnedBy(t, d.Ring(), owner.url, 1)
 	hash, _ := sp.Hash()
 
-	oc := client.NewWithOptions(owner.url, fastOpts)
-	st, err := oc.Submit(ctx, sp)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if _, err := oc.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	// Replicate to the successor via read-through, then kill the owner:
-	// the hedged read must be served by the survivor.
-	succ := ring.Successors(hash, 2)[1]
-	sc := client.NewWithOptions(succ, fastOpts)
-	if status, _, _, err := sc.Do(ctx, http.MethodGet, "/v1/results/"+hash, nil, nil); err != nil || status != http.StatusOK {
-		t.Fatalf("replicate: status=%d err=%v", status, err)
-	}
+	// Both nodes hold the result (content addressing makes the copies
+	// identical); then the owner dies and the survivor must serve the read.
+	runOn(t, owner.url, sp)
+	succ := d.Ring().Successors(hash, 2)[1]
+	runOn(t, succ, sp)
 	owner.kill()
 
-	d, err := NewDispatcher(DispatcherConfig{Nodes: urls, VNodes: 16, Client: fastOpts, HedgeAfter: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewDispatcher: %v", err)
-	}
 	body, node, hedged, err := d.ResultByHash(ctx, hash)
 	if err != nil {
 		t.Fatalf("hedged read with dead owner: %v", err)
@@ -435,13 +369,9 @@ func TestDispatcherHedgedReadSurvivesDeadOwner(t *testing.T) {
 }
 
 func TestDispatcherSingleNodeAndCachedFastPath(t *testing.T) {
-	_, urls := startCluster(t, 1, echoRunner(0, nil))
+	_, d := startCluster(t, 1, echoRunner(0, nil), 20*time.Millisecond)
 	ctx := context.Background()
 
-	d, err := NewDispatcher(DispatcherConfig{Nodes: urls, Client: fastOpts, HedgeAfter: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewDispatcher: %v", err)
-	}
 	sp := spec.Spec{Kind: spec.KindSim, Workload: "p2p", Seed: 7}
 	first, err := d.Run(ctx, sp)
 	if err != nil {
@@ -462,41 +392,34 @@ func TestDispatcherSingleNodeAndCachedFastPath(t *testing.T) {
 	}
 }
 
+// TestClusterMetricsExposition: cluster nodes are plain dlserve, so each
+// node's /metrics is the dlserve exposition alone — no dlcluster_ series.
 func TestClusterMetricsExposition(t *testing.T) {
-	nodes, _ := startCluster(t, 2, echoRunner(0, nil))
-	ring := nodes[0].rt.Ring()
-	ctx := context.Background()
-
-	// Force one forward so the counter is nonzero.
-	owner := nodes[1]
-	sp := specOwnedBy(t, ring, owner.url)
-	c := client.NewWithOptions(nodes[0].url, fastOpts)
-	if _, routed, err := c.SubmitRouted(ctx, sp); err != nil || routed != owner.url {
-		t.Fatalf("forwarded submit: routed=%q err=%v", routed, err)
+	nodes, d := startCluster(t, 2, echoRunner(0, nil), 50*time.Millisecond)
+	sp := specOwnedBy(t, d.Ring(), nodes[1].url, 1)
+	if _, err := d.Run(context.Background(), sp); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-
-	mb, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	for _, want := range []string{
-		"dlserve_jobs_submitted_total", // the wrapped server's exposition survives
-		"dlcluster_forwards_total 1",
-		"dlcluster_peers_healthy 1",
-		"dlcluster_ring_nodes 2",
-		"dlcluster_peer_request_errors_total", // per-peer client budgets aggregated
-	} {
-		if !strings.Contains(string(mb), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, mb)
+	for _, nd := range nodes {
+		mb := scrape(t, nd.url)
+		metricValue(t, mb, "dlserve_jobs_submitted_total")
+		for _, line := range strings.Split(mb, "\n") {
+			if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+				line = strings.SplitN(line, " ", 3)[2]
+			}
+			if line != "" && !strings.HasPrefix(line, "dlserve_") {
+				t.Fatalf("node %s exports a non-dlserve series %q", nd.url, line)
+			}
 		}
 	}
 }
 
+// TestRouterRejectsForeignSelf: the Dispatcher refuses a membership it
+// cannot place on — no nodes at all, or one node listed twice.
 func TestRouterRejectsForeignSelf(t *testing.T) {
-	if _, err := NewRouter(RouterConfig{
-		Self:  "http://not-a-member",
-		Nodes: []string{"http://n1", "http://n2"},
-	}); err == nil {
-		t.Fatal("self outside the membership must be rejected")
+	for _, nodes := range [][]string{nil, {"http://n1", "http://n2", "http://n1"}} {
+		if _, err := NewDispatcher(DispatcherConfig{Nodes: nodes}); err == nil {
+			t.Errorf("NewDispatcher(%q) accepted a bad membership", nodes)
+		}
 	}
 }

@@ -1,31 +1,27 @@
-// dispatch.go — the client-side half of the cluster layer. A Dispatcher
-// holds the same ring the nodes do, submits each spec to its owner,
-// hedges content-addressed reads against the ring successor, and — when
-// a node dies mid-run — requeues the job on the next node. Requeueing is
-// just resubmission: the spec's content address names its result, so a
-// job that ran twice (or half-ran on a dead node) converges on the same
-// bytes wherever it lands.
+// dispatch.go — the cluster's only routing layer. Every node is a plain
+// dlserve; a Dispatcher holds the consistent-hash ring, submits each
+// spec to its owner, hedges content-addressed reads against the ring
+// successor, and — when a node dies mid-run — requeues the job on the
+// next node. Requeueing is just resubmission: the spec's content address
+// names its result, so a job that ran twice (or half-ran on a dead node)
+// converges on the same bytes wherever it lands.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/spec"
-	"repro/internal/stats"
 )
 
 // DispatcherConfig configures a cluster client.
 type DispatcherConfig struct {
-	// Nodes is the ring membership (the same set every node runs with).
+	// Nodes is the ring membership: the base URLs of the dlserve nodes.
 	Nodes []string
-	// VNodes must match the nodes' setting (default 64).
-	VNodes int
 	// Client tunes the per-node robustness envelope.
 	Client client.Options
 	// HedgeAfter is how long a content-addressed read waits on the owner
@@ -42,9 +38,6 @@ type Dispatcher struct {
 	cfg     DispatcherConfig
 	ring    *Ring
 	clients map[string]*client.Client
-
-	mu   sync.Mutex
-	ctrs stats.Counters
 }
 
 // Outcome reports how a Run was satisfied — all fields other than Body
@@ -67,7 +60,7 @@ type Outcome struct {
 
 // NewDispatcher builds the dispatcher and its per-node clients.
 func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -81,9 +74,6 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	for _, n := range ring.Nodes() {
 		d.clients[n] = client.NewWithOptions(n, cfg.Client)
 	}
-	for _, c := range []string{"runs", "requeues", "node.failures", "hedge.wins", "read.fastpath"} {
-		d.ctrs.Add(c, 0)
-	}
 	return d, nil
 }
 
@@ -94,29 +84,6 @@ func (d *Dispatcher) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
 		d.cfg.Logf(format, args...)
 	}
-}
-
-func (d *Dispatcher) count(name string) {
-	d.mu.Lock()
-	d.ctrs.Inc(name)
-	d.mu.Unlock()
-}
-
-// Counters snapshots the dispatcher's counters plus each node client's,
-// the latter prefixed "node.<base>.".
-func (d *Dispatcher) Counters() map[string]uint64 {
-	out := make(map[string]uint64)
-	d.mu.Lock()
-	for _, name := range d.ctrs.Names() {
-		out[name] = d.ctrs.Get(name)
-	}
-	d.mu.Unlock()
-	for base, c := range d.clients {
-		for k, v := range c.Counters() {
-			out["node."+base+"."+k] = v
-		}
-	}
-	return out
 }
 
 // Hash returns the spec's content address — the routing key.
@@ -130,9 +97,9 @@ func (d *Dispatcher) Hash(sp spec.Spec) (string, error) {
 
 // ResultByHash performs a hedged content-addressed read: the owner is
 // asked first, and if it has not answered within HedgeAfter the ring
-// successor is raced against it. Either node may satisfy the read from
-// its own tiers or by read-through. Returns the body, the node credited
-// with serving it, and whether the hedge won.
+// successor is raced against it. Each node answers from its own hot
+// cache or disk store. Returns the body, the node credited with serving
+// it, and whether the hedge won.
 func (d *Dispatcher) ResultByHash(ctx context.Context, hash string) ([]byte, string, bool, error) {
 	cands := d.ring.Successors(hash, 2)
 	primary := func(c context.Context) ([]byte, error) {
@@ -153,7 +120,6 @@ func (d *Dispatcher) ResultByHash(ctx context.Context, hash string) ([]byte, str
 	node := cands[0]
 	if hedged {
 		node = snode
-		d.count("hedge.wins")
 	}
 	return body, node, hedged, nil
 }
@@ -170,9 +136,7 @@ func (d *Dispatcher) Run(ctx context.Context, sp spec.Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.count("runs")
 	if body, node, hedged, err := d.ResultByHash(ctx, hash); err == nil {
-		d.count("read.fastpath")
 		return &Outcome{Body: body, Hash: hash, Node: node, Hedged: hedged, Cached: true}, nil
 	}
 
@@ -184,10 +148,10 @@ func (d *Dispatcher) Run(ctx context.Context, sp spec.Spec) (*Outcome, error) {
 		}
 		attempts++
 		if attempts > 1 {
-			d.count("requeues")
 			d.logf("cluster: requeue %s on %s (attempt %d): %v", hash[:12], node, attempts, lastErr)
 		}
-		st, routed, err := d.clients[node].SubmitRouted(ctx, sp)
+		c := d.clients[node]
+		st, err := c.Submit(ctx, sp)
 		if err != nil {
 			if code := client.StatusCode(err); code != 0 {
 				if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -196,42 +160,32 @@ func (d *Dispatcher) Run(ctx context.Context, sp spec.Spec) (*Outcome, error) {
 				}
 				return nil, err // protocol rejection (bad spec, ...): final
 			}
-			d.count("node.failures")
 			lastErr = err
 			continue
 		}
-		// Job ids are node-local: when the submission was forwarded, poll
-		// the node that actually hosts the job.
-		pollNode := node
-		if routed != "" && d.clients[routed] != nil {
-			pollNode = routed
-		}
-		pc := d.clients[pollNode]
-		fin, err := pc.Wait(ctx, st.ID, d.cfg.PollInterval)
+		fin, err := c.Wait(ctx, st.ID, d.cfg.PollInterval)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			d.count("node.failures")
-			lastErr = fmt.Errorf("node %s died mid-job: %w", pollNode, err)
+			lastErr = fmt.Errorf("node %s died mid-job: %w", node, err)
 			continue // requeue: resubmission is idempotent by content address
 		}
 		switch fin.State {
 		case serve.JobDone:
-			body, err := pc.Result(ctx, st.ID, true)
+			body, err := c.Result(ctx, st.ID, true)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				d.count("node.failures")
-				lastErr = fmt.Errorf("node %s died before result read: %w", pollNode, err)
+				lastErr = fmt.Errorf("node %s died before result read: %w", node, err)
 				continue
 			}
-			return &Outcome{Body: body, Hash: hash, Node: pollNode, Requeues: attempts - 1}, nil
+			return &Outcome{Body: body, Hash: hash, Node: node, Requeues: attempts - 1}, nil
 		case serve.JobFailed:
 			return nil, fmt.Errorf("cluster: job failed deterministically: %s", fin.Error)
 		default: // canceled
-			lastErr = fmt.Errorf("node %s reported job %s: %s", pollNode, st.ID, fin.State)
+			lastErr = fmt.Errorf("node %s reported job %s: %s", node, st.ID, fin.State)
 			continue
 		}
 	}

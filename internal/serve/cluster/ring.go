@@ -1,17 +1,15 @@
-// Package cluster is the fault-tolerant multi-node layer over
-// internal/serve: a consistent-hash ring that assigns every spec hash a
-// home node, a Router each node runs to forward submissions to their
-// owner (with suspect tracking, health-probe recovery, re-routing around
-// dead peers and local hosting as the final fallback), and a Dispatcher
-// clients use to submit, hedge reads, and requeue jobs when a node dies
-// mid-run.
+// Package cluster is the multi-node layer over internal/serve. Each
+// node is a plain dlserve; a consistent-hash ring assigns every spec
+// hash a home node, and a Dispatcher clients use submits to that owner,
+// hedges reads against its ring successor, and requeues a job on the
+// next node when a node dies mid-run.
 //
 // The whole layer is execution policy. The determinism contract — a
 // normalized spec's sha256 exactly addresses its output bytes — makes
 // results location-independent: any node computing a spec produces the
-// identical bytes, so rerouting, requeueing, peer read-through and
-// hedging can never change an answer, only where and when it is
-// produced. Nothing in this package enters the content address.
+// identical bytes, so requeueing and hedging can never change an answer,
+// only where and when it is produced. Nothing in this package enters the
+// content address.
 package cluster
 
 import (
@@ -25,9 +23,8 @@ import (
 // URLs). Each node projects VNodes points onto the ring so ownership
 // splits evenly; a key is owned by the first point clockwise from the
 // key's own hash. Identical (nodes, vnodes) inputs build identical
-// rings on every process — routing needs no coordination.
+// rings in every process.
 type Ring struct {
-	vnodes int
 	nodes  []string
 	points []ringPoint // sorted by h
 }
@@ -65,7 +62,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate node %q", sorted[i])
 		}
 	}
-	r := &Ring{vnodes: vnodes, nodes: sorted}
+	r := &Ring{nodes: sorted}
 	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
 	for ni, n := range sorted {
 		for v := 0; v < vnodes; v++ {
@@ -105,8 +102,8 @@ func (r *Ring) Owner(key string) string {
 
 // Successors returns up to n distinct nodes in ring order starting at
 // the key's owner: the owner first, then each next node clockwise. This
-// is the routing walk — the owner's successor is the re-route target
-// when the owner is down and the hedge target for reads.
+// is the Dispatcher's walk — the owner's successor is the requeue
+// target when the owner is down and the hedge target for reads.
 func (r *Ring) Successors(key string, n int) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)

@@ -96,7 +96,7 @@ func newServerCore(cfg Config) *Server {
 		"http.requests", "jobs.submitted", "jobs.completed", "jobs.failed",
 		"jobs.canceled", "jobs.deduped", "queue.rejects",
 		"cache.hits", "cache.misses", "cache.evictions",
-		"results.hits", "results.misses", "results.admitted",
+		"results.hits", "results.misses",
 	}
 	if cfg.Store != nil {
 		names = append(names, "store.hits", "store.writes", "store.errors")

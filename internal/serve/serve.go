@@ -26,7 +26,7 @@
 //	GET    /v1/results/{hash}   content-addressed result read: serves the
 //	                            bytes for a spec hash from the hot LRU or
 //	                            the disk store, 404 when absent — the
-//	                            endpoint cluster peers read through
+//	                            read the cluster dispatcher hedges
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /healthz             liveness + queue/worker occupancy
 //	GET    /metrics             Prometheus text exposition
@@ -337,8 +337,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // LookupResult fetches the result bytes for a spec hash from the hot
 // LRU or, failing that, the disk store (promoting a disk hit into the
-// LRU). It is the local read path behind /v1/results/{hash} and the
-// hook cluster routers use for peer read-through.
+// LRU). It is the read path behind /v1/results/{hash}.
 func (s *Server) LookupResult(hash string) (*Result, bool) {
 	s.mu.Lock()
 	res, ok := s.cache.get(hash)
@@ -365,30 +364,10 @@ func (s *Server) LookupResult(hash string) (*Result, bool) {
 	return res, true
 }
 
-// AdmitResult inserts a result fetched from elsewhere (a cluster peer)
-// into the hot LRU and the disk store. The determinism contract makes
-// this safe: the hash fully addresses the bytes, so an admitted result
-// is identical to what a local computation would have produced.
-func (s *Server) AdmitResult(hash string, res *Result) {
-	s.mu.Lock()
-	if _, ok := s.cache.get(hash); !ok {
-		if ev := s.cache.put(hash, res); ev > 0 {
-			s.evictionsLocked(ev)
-		}
-	}
-	s.mu.Unlock()
-	s.count("results.admitted")
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.Put(hash, res.Text, res.JSON); err != nil {
-			s.logf("dlserve: store admit %s: %v", hash[:12], err)
-		}
-	}
-}
-
 // handleResultByHash serves a result by its content address. Unlike the
 // job endpoints this is location-independent: any node holding the bytes
-// (hot or spilled) can answer, which is what makes cluster peer
-// read-through possible.
+// (hot or spilled) can answer, which is what lets the cluster dispatcher
+// hedge reads across nodes.
 func (s *Server) handleResultByHash(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	res, ok := s.LookupResult(hash)

@@ -746,8 +746,9 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 	}
 }
 
-// TestAdmitResult: a result admitted from a peer is served from the hot
-// LRU and lands in the disk store.
+// TestAdmitResult: a result held only in the disk store is served by
+// LookupResult and promoted into the hot LRU, so only the first lookup
+// reads the disk (store.hits stays at 1).
 func TestAdmitResult(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -757,13 +758,28 @@ func TestAdmitResult(t *testing.T) {
 	defer srv.Close()
 
 	hash := strings.Repeat("ab", 32)
-	srv.AdmitResult(hash, &Result{Text: []byte("peer bytes\n"), JSON: []byte("{}")})
-	res, ok := srv.LookupResult(hash)
-	if !ok || string(res.Text) != "peer bytes\n" {
-		t.Fatalf("LookupResult after admit: %v %q", ok, res)
+	if err := st.Put(hash, []byte("spilled bytes\n"), []byte("{}")); err != nil {
+		t.Fatal(err)
 	}
-	if !st.Has(hash) {
-		t.Error("admitted result not spilled to disk")
+	storeHits := func() uint64 {
+		srv.mmu.Lock()
+		defer srv.mmu.Unlock()
+		return srv.ctrs.Get("store.hits")
+	}
+	for i := 1; i <= 2; i++ {
+		res, ok := srv.LookupResult(hash)
+		if !ok || string(res.Text) != "spilled bytes\n" || string(res.JSON) != "{}" {
+			t.Fatalf("lookup %d: ok=%v res=%+v", i, ok, res)
+		}
+		if got := storeHits(); got != 1 {
+			t.Fatalf("lookup %d: store.hits = %d, want 1", i, got)
+		}
+	}
+	srv.mu.Lock()
+	_, hot := srv.cache.get(hash)
+	srv.mu.Unlock()
+	if !hot {
+		t.Fatal("disk hit not promoted into the hot LRU")
 	}
 }
 

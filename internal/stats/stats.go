@@ -40,16 +40,6 @@ func (c *Counters) Names() []string {
 	return names
 }
 
-// Merge adds every counter in other into c.
-func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.m {
-		c.Add(k, v)
-	}
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() { c.m = nil }
-
 // Dist accumulates a distribution of sample values (latencies, hop counts)
 // using Welford's online algorithm. The naive sum-of-squares form
 // catastrophically cancels when the mean dwarfs the spread — picosecond

@@ -19,17 +19,6 @@ func TestCounters(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names() = %v", names)
 	}
-	var d Counters
-	d.Add("b", 3)
-	d.Add("c", 1)
-	c.Merge(&d)
-	if c.Get("b") != 10 || c.Get("c") != 1 {
-		t.Fatalf("merge wrong: b=%d c=%d", c.Get("b"), c.Get("c"))
-	}
-	c.Reset()
-	if c.Get("a") != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }
 
 func TestDist(t *testing.T) {
