@@ -79,12 +79,8 @@ if [ "${1:-}" != "quick" ]; then
 	"$tmp/dlsim" -workload bfs -scale 12 -traffic "$tmp/traffic_bfs.csv" >/dev/null
 	cmp testdata/golden_traffic_bfs.csv "$tmp/traffic_bfs.csv"
 
-	echo "== dlperf quick smoke (writes BENCH_ci.json, exits non-zero on a dead suite)"
-	go run ./cmd/dlperf -label ci -quick -o "$tmp" >/dev/null
-	test -s "$tmp/BENCH_ci.json"
-
-	echo "== dlperf compare gate (fresh quick run vs committed baseline; allocs/op + RSS)"
-	go run ./cmd/dlperf compare -skip-rate BENCH_ci-base.json "$tmp/BENCH_ci.json"
+	echo "== go test -C bench . (all four benchmark workloads at --quick size against their goldens)"
+	go test -C bench .
 
 	echo "== histogram benchmark smoke"
 	go test -bench BenchmarkHistogram -benchtime 100x -run '^$' ./internal/metrics/ >/dev/null
@@ -99,9 +95,6 @@ if [ "${1:-}" != "quick" ]; then
 
 	echo "== dlserve cluster chaos smoke (3 nodes, SIGKILL mid-job, requeue + byte-identity)"
 	"$tmp/dlsmoke" -serve "$tmp/dlserve" -sim "$tmp/dlsim" -cluster 3 -chaos >/dev/null
-
-	echo "== dlsmoke load generator (2 workers, 3s; sustained jobs/sec + p50/p99 latency)"
-	"$tmp/dlsmoke" -serve "$tmp/dlserve" -load 2 -dur 3s 2>/dev/null | grep "dlsmoke: load:"
 fi
 
 echo "ci: OK"

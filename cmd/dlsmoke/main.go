@@ -20,16 +20,7 @@
 // output — the determinism contract makes the kill invisible in the
 // answer — and that the peer then serves those bytes by content address.
 //
-// With -load N -dur D it becomes a load generator instead of a smoke:
-// N concurrent workers submit distinct-seed sim jobs against a running
-// dlserve (or one it spawns itself) for the duration and it reports
-// sustained jobs/sec plus p50/p99 submit-to-result latency. Point it at
-// an existing deployment with -target URL[,URL...]; several URLs route
-// through the cluster dispatcher.
-//
 // Usage: dlsmoke -serve ./dlserve -sim ./dlsim [-cluster 3 [-chaos]]
-//
-//	dlsmoke -serve ./dlserve -load 4 -dur 10s [-target URL[,URL...]]
 package main
 
 import (
@@ -41,9 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -60,21 +49,15 @@ func main() {
 		clusterN = flag.Int("cluster", 0, "run the cluster smoke with N nodes instead of the single-node smoke")
 		chaos    = flag.Bool("chaos", false, "with -cluster: SIGKILL the node hosting a job mid-run and require a byte-identical answer from a peer")
 		traceIn  = flag.String("tracein", "", "single-node smoke only: additionally upload this trace file and require the trace job's result to match dlsim -tracein byte for byte")
-		load     = flag.Int("load", 0, "load-generator mode: run N concurrent submit workers instead of the smoke")
-		dur      = flag.Duration("dur", 5*time.Second, "with -load: how long to keep submitting jobs")
-		target   = flag.String("target", "", "with -load: URL(s) of a running dlserve, comma-separated (several route via the cluster dispatcher); empty spawns a local node")
 	)
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	switch {
-	case *load > 0:
-		loadGen(ctx, *serveBin, *load, *dur, *target)
-	case *clusterN > 0:
+	if *clusterN > 0 {
 		clusterSmoke(ctx, *serveBin, *simBin, *clusterN, *chaos)
-	default:
+	} else {
 		singleSmoke(ctx, *serveBin, *simBin, *traceIn)
 	}
 	fmt.Println("dlsmoke: PASS")
@@ -414,126 +397,6 @@ func singleSmoke(ctx context.Context, serveBin, simBin, traceIn string) {
 		fatal(fmt.Errorf("dlserve exited non-zero after drain: %w", err))
 	}
 	fmt.Println("dlsmoke: SIGTERM drained gracefully (503 intake, result intact, exit 0)")
-}
-
-// --- load generator ---
-
-// loadGen hammers a dlserve deployment with distinct-seed sim jobs from
-// `workers` concurrent submitters for `dur`, then reports sustained
-// jobs/sec and p50/p99 submit-to-result latency. Every job uses a fresh
-// seed so the content-addressed cache never short-circuits the measured
-// path: each submission is a real compute.
-func loadGen(ctx context.Context, serveBin string, workers int, dur time.Duration, target string) {
-	var urls []string
-	if target != "" {
-		for _, u := range strings.Split(target, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		if len(urls) == 0 {
-			fatal(fmt.Errorf("-target given but no URLs parsed"))
-		}
-	} else {
-		nd, err := startNode(serveBin, "-addr", "127.0.0.1:0", "-workers", fmt.Sprint(workers))
-		if err != nil {
-			fatal(err)
-		}
-		defer func() { _ = nd.cmd.Process.Kill() }()
-		urls = []string{nd.url}
-		fmt.Printf("dlsmoke: load: spawned local node %s\n", nd.url)
-	}
-
-	// One submit-to-result round trip. Single target talks straight HTTP;
-	// several route through the cluster dispatcher so hedging and requeue
-	// behaviour are part of what the numbers measure.
-	var runJob func(ctx context.Context, sp spec.Spec) error
-	if len(urls) == 1 {
-		c := client.New(urls[0])
-		runJob = func(ctx context.Context, sp spec.Spec) error {
-			st, err := c.Submit(ctx, sp)
-			if err != nil {
-				return fmt.Errorf("submit: %w", err)
-			}
-			// The long poll returns as soon as the job is terminal, so
-			// the latency is the server's, not a client poll interval.
-			if _, err := c.Result(ctx, st.ID, true); err != nil {
-				return fmt.Errorf("result: %w", err)
-			}
-			return nil
-		}
-	} else {
-		d, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-			Nodes:        urls,
-			Client:       client.Options{Retries: 3, BackoffBase: 20 * time.Millisecond, RequestTimeout: 30 * time.Second},
-			HedgeAfter:   500 * time.Millisecond,
-			PollInterval: 25 * time.Millisecond,
-		})
-		if err != nil {
-			fatal(fmt.Errorf("dispatcher: %w", err))
-		}
-		runJob = func(ctx context.Context, sp spec.Spec) error {
-			_, err := d.Run(ctx, sp)
-			return err
-		}
-	}
-
-	fmt.Printf("dlsmoke: load: %d worker(s) against %d target(s) for %s\n", workers, len(urls), dur)
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		failures  int
-		firstErr  error
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Seeds are partitioned per worker so no two submissions in a
-			// run ever hash alike.
-			seed := int64(w) * 1_000_000
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				seed++
-				sp := spec.Spec{Kind: spec.KindSim, Workload: "p2p", DIMMs: 4, Channels: 2, Seed: seed}
-				start := time.Now()
-				err := runJob(ctx, sp)
-				lat := time.Since(start)
-				mu.Lock()
-				if err != nil {
-					failures++
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					latencies = append(latencies, lat)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	done := len(latencies)
-	if done == 0 {
-		fatal(fmt.Errorf("load: no job completed (%d failures, first: %v)", failures, firstErr))
-	}
-	if failures > 0 {
-		fmt.Printf("dlsmoke: load: %d job(s) FAILED (first: %v)\n", failures, firstErr)
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		i := int(p * float64(done-1))
-		return latencies[i]
-	}
-	fmt.Printf("dlsmoke: load: %d jobs in %s = %.1f jobs/s sustained\n",
-		done, dur, float64(done)/dur.Seconds())
-	fmt.Printf("dlsmoke: load: submit-to-result latency p50 %s  p99 %s  max %s\n",
-		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond), latencies[done-1].Round(time.Microsecond))
-	if failures > 0 {
-		fatal(fmt.Errorf("load: %d of %d jobs failed", failures, failures+done))
-	}
 }
 
 // traceSmoke proves the external-trace contract end to end: the same

@@ -44,9 +44,10 @@
 //
 // Parsing is incremental: a Reader holds O(1) state per record (one
 // bufio buffer, a running canonical hash), so arbitrarily large traces
-// ingest without a whole-file slurp — the dlperf "ingest" suite measures
-// this path. Every malformed input is reported as an error carrying the
-// line (text) or record (binary) position.
+// ingest without a whole-file slurp — the benchmark's trace-idc workload
+// measures this path as ingest.records_per_s. Every malformed input is
+// reported as an error carrying the line (text) or record (binary)
+// position.
 //
 // # Canonical hash
 //

