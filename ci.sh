@@ -17,6 +17,9 @@ cd "$(dirname "$0")"
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l . (the tree must be gofmt-clean)"
+test -z "$(gofmt -l .)"
+
 echo "== go build ./..."
 go build ./...
 
@@ -53,6 +56,10 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== dlsim golden output (perf work must keep stdout byte-identical)"
 	"$tmp/dlsim" -workload p2p >"$tmp/golden_check.txt"
 	cmp testdata/golden_dlsim_p2p.txt "$tmp/golden_check.txt"
+
+	echo "== dlsim metrics golden (histograms, per-link utilization, sampled series)"
+	"$tmp/dlsim" -workload bfs -scale 12 -metrics -sample 10000 >"$tmp/golden_metrics.txt"
+	cmp testdata/golden_dlsim_bfs_metrics.txt "$tmp/golden_metrics.txt"
 
 	echo "== dlbench allreduce smoke (collective layer: all mechanisms + DL topologies)"
 	go run ./cmd/dlbench -exp allreduce -q >/dev/null

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	dlserve -addr :8077
-//	dlserve -addr 127.0.0.1:0 -workers 4 -queue 32 -sidedir /tmp/dlserve
+//	dlserve -addr 127.0.0.1:0 -workers 4 -queue 32
 //	dlserve -addr :8077 -store /var/lib/dlserve/results
 //
 //	curl -s -X POST localhost:8077/v1/jobs \
@@ -16,12 +16,13 @@
 // A cluster is several plain dlserve nodes, each with its own -store;
 // the nodes do not know about each other. Placement, requeue on node
 // death and hedged reads live in the client (internal/serve/cluster's
-// Dispatcher, or dlsmoke -load -target URL,URL,...).
+// Dispatcher, which dlsmoke -cluster N drives).
 //
 // On SIGTERM/SIGINT the server drains: submissions are rejected with
 // 503 while queued and running jobs finish and their results stay
 // retrievable (use ?wait=1 on the result endpoint), then the listener
-// shuts down and the process exits 0.
+// shuts down, a trace directory dlserve created itself is removed, and
+// the process exits 0.
 package main
 
 import (
@@ -49,7 +50,6 @@ func main() {
 		cache      = flag.Int("cache", 64, "result cache bound (entries)")
 		expJobs    = flag.Int("jobs", 0, "per-experiment grid pool width (0 = GOMAXPROCS); output is identical for every value")
 		jobTimeout = flag.Duration("jobtimeout", 0, "per-job wall-clock bound (0 = none)")
-		sideDir    = flag.String("sidedir", "", "directory for per-job side files (spec, trace, status)")
 		drainGrace = flag.Duration("drain", 2*time.Minute, "max time to wait for in-flight jobs on shutdown before canceling them")
 		storeDir   = flag.String("store", "", "disk-spill result store directory (content-addressed, survives restarts)")
 		storeMax   = flag.Int("storemax", 4096, "disk store bound (entries, evicted oldest-first)")
@@ -58,11 +58,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	if *sideDir != "" {
-		if err := os.MkdirAll(*sideDir, 0o755); err != nil {
-			logger.Fatalf("dlserve: sidedir: %v", err)
-		}
-	}
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -77,8 +72,8 @@ func main() {
 	// Traces always get a blob store: next to the result store when one is
 	// configured, otherwise in a throwaway temp dir (uploads then live for
 	// the process lifetime only, which still serves the common
-	// upload-then-submit flow).
-	tdir := *tracesDir
+	// upload-then-submit flow, and the dir is removed after a drain).
+	tdir, tmpTraces := *tracesDir, ""
 	if tdir == "" {
 		if *storeDir != "" {
 			tdir = *storeDir + "/traces"
@@ -88,6 +83,7 @@ func main() {
 			if err != nil {
 				logger.Fatalf("dlserve: traces: %v", err)
 			}
+			tmpTraces = tdir
 		}
 	}
 	traces, err := store.OpenBlobs(tdir)
@@ -98,7 +94,7 @@ func main() {
 
 	srv := serve.NewServer(serve.Config{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cache,
-		ExpJobs: *expJobs, JobTimeout: *jobTimeout, SideDir: *sideDir,
+		ExpJobs: *expJobs, JobTimeout: *jobTimeout,
 		Store: st, Traces: traces,
 		Logf: logger.Printf,
 	})
@@ -138,6 +134,11 @@ func main() {
 			logger.Printf("dlserve: shutdown: %v", err)
 		}
 		scancel()
+		if tmpTraces != "" {
+			if err := os.RemoveAll(tmpTraces); err != nil {
+				logger.Printf("dlserve: remove %s: %v", tmpTraces, err)
+			}
+		}
 		logger.Printf("dlserve: drained, exiting")
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {

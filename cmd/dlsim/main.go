@@ -218,9 +218,8 @@ func reportMetrics(coll *metrics.Collector, sys *nmp.System, makespan sim.Time) 
 	if sys.Link != nil {
 		ut := stats.NewTable("per-link utilization over the kernel", "link", "utilization")
 		for gi, net := range sys.Link.Networks() {
-			snap := net.UtilizationSnapshot(makespan)
 			for i, key := range net.LinkKeys() {
-				ut.Addf(fmt.Sprintf("g%d %s", gi, key), snap[i])
+				ut.Addf(fmt.Sprintf("g%d %s", gi, key), net.LinkUtilizationAt(i, makespan))
 			}
 		}
 		fmt.Println()

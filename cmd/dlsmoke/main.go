@@ -8,7 +8,8 @@
 //  3. /healthz and /metrics respond;
 //  4. SIGTERM drains gracefully — a running job finishes and its result
 //     is retrievable through the drain window, new submissions are
-//     rejected with 503, and the server exits 0.
+//     rejected with 503, the server exits 0, and it leaves nothing behind
+//     in its $TMPDIR (dlsmoke points that at a directory of its own).
 //
 // With -cluster N it instead stands up N plain dlserve processes, each
 // with its own disk store, and drives them through the cluster
@@ -70,10 +71,14 @@ type node struct {
 }
 
 // startNode spawns a dlserve, waits for its listening line and keeps
-// draining its stdout. extra appends process-specific flags.
-func startNode(serveBin string, extra ...string) (*node, error) {
+// draining its stdout. A non-empty tmpDir becomes the process's $TMPDIR;
+// extra appends process-specific flags.
+func startNode(serveBin, tmpDir string, extra ...string) (*node, error) {
 	args := append([]string{}, extra...)
 	cmd := exec.Command(serveBin, args...)
+	if tmpDir != "" {
+		cmd.Env = append(os.Environ(), "TMPDIR="+tmpDir)
+	}
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -112,7 +117,7 @@ func clusterSmoke(ctx context.Context, serveBin, simBin string, n int, chaos boo
 	nodes := make([]*node, n)
 	urls := make([]string, n)
 	for i := range nodes {
-		nodes[i], err = startNode(serveBin,
+		nodes[i], err = startNode(serveBin, "",
 			"-addr", "127.0.0.1:0",
 			"-workers", "1",
 			"-store", fmt.Sprintf("%s/n%d", storeRoot, i),
@@ -264,7 +269,12 @@ func chaosKill(ctx context.Context, simBin string, d *cluster.Dispatcher, nodes 
 // --- single-node smoke (the original contract) ---
 
 func singleSmoke(ctx context.Context, serveBin, simBin, traceIn string) {
-	nd, err := startNode(serveBin, "-addr", "127.0.0.1:0", "-workers", "1")
+	tmpDir, err := os.MkdirTemp("", "dlsmoke-tmp-")
+	if err != nil {
+		fatal(err)
+	}
+	defer os.RemoveAll(tmpDir)
+	nd, err := startNode(serveBin, tmpDir, "-addr", "127.0.0.1:0", "-workers", "1")
 	if err != nil {
 		fatal(err)
 	}
@@ -396,7 +406,14 @@ func singleSmoke(ctx context.Context, serveBin, simBin, traceIn string) {
 	if err := cmd.Wait(); err != nil {
 		fatal(fmt.Errorf("dlserve exited non-zero after drain: %w", err))
 	}
-	fmt.Println("dlsmoke: SIGTERM drained gracefully (503 intake, result intact, exit 0)")
+	left, err := os.ReadDir(tmpDir)
+	if err != nil {
+		fatal(err)
+	}
+	if len(left) > 0 {
+		fatal(fmt.Errorf("dlserve left %s in its $TMPDIR after a graceful drain", left[0].Name()))
+	}
+	fmt.Println("dlsmoke: SIGTERM drained gracefully (503 intake, result intact, exit 0, $TMPDIR empty)")
 }
 
 // traceSmoke proves the external-trace contract end to end: the same

@@ -180,12 +180,3 @@ func (c *Cache) Flush() []uint64 {
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() sim.Time { return c.cfg.HitLatency }
-
-// HitRate returns hits/(hits+misses), or zero when untouched.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}

@@ -165,13 +165,3 @@ func TestInclusionNeverExceedsCapacity(t *testing.T) {
 		t.Fatalf("%d lines resident, capacity is 64", count)
 	}
 }
-
-func TestHitRate(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 1}
-	if s.HitRate() != 0.75 {
-		t.Fatalf("HitRate = %v", s.HitRate())
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("empty HitRate != 0")
-	}
-}

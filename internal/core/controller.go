@@ -82,27 +82,17 @@ func (c *Controller) HoldPacket(arrive sim.Time, bytes int, service func(admit s
 	return c.pktBuf.holdWith(arrive, bytes, service)
 }
 
-// TagHighWater reports the maximum concurrently-busy tag count seen.
-func (c *Controller) TagHighWater() int { return c.tags.HighWater }
-
 // TagsInUse reports how many transaction tags are busy at time at — the
 // metrics sampler's queue-depth probe. Read-only.
 func (c *Controller) TagsInUse(at sim.Time) int { return c.tags.InUse(at) }
-
-// DataBufHighWater reports the Data Buffer's byte high-water mark.
-func (c *Controller) DataBufHighWater() int { return c.dataBuf.highWater }
-
-// PacketBufHighWater reports the Packet Buffer's byte high-water mark.
-func (c *Controller) PacketBufHighWater() int { return c.pktBuf.highWater }
 
 // byteBuffer tracks timed byte reservations against a capacity: an entry
 // occupies space from its admission until its release time. Admission is
 // delayed until enough space has freed.
 type byteBuffer struct {
-	cap       int
-	holds     []bufHold // sorted by freeAt
-	occupied  int
-	highWater int
+	cap      int
+	holds    []bufHold // sorted by freeAt
+	occupied int
 }
 
 type bufHold struct {
@@ -152,9 +142,6 @@ func (b *byteBuffer) holdWith(at sim.Time, bytes int, service func(admit sim.Tim
 		until = admit
 	}
 	b.occupied += bytes
-	if b.occupied > b.highWater {
-		b.highWater = b.occupied
-	}
 	// Insert sorted by freeAt.
 	idx := sort.Search(len(b.holds), func(i int) bool { return b.holds[i].freeAt > until })
 	b.holds = append(b.holds, bufHold{})

@@ -36,8 +36,8 @@ func TestByteBufferAdmitsWhenSpaceFrees(t *testing.T) {
 		}
 		return 1200
 	})
-	if b.highWater != 100 {
-		t.Fatalf("highWater = %d", b.highWater)
+	if b.occupied != 50 {
+		t.Fatalf("occupied = %d, want 50 (first entry released)", b.occupied)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestByteBufferConcurrentEntriesFit(t *testing.T) {
 			return 500
 		})
 	}
-	if b.highWater != 100 {
-		t.Fatalf("highWater = %d", b.highWater)
+	if b.occupied != 100 {
+		t.Fatalf("occupied = %d, want 100", b.occupied)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestControllerTagExhaustion(t *testing.T) {
 		t.Fatalf("third tag at %d, want 500", t3)
 	}
 	c.ReleaseTag(s2, 900)
-	if c.TagHighWater() == 0 {
+	if c.tags.HighWater == 0 {
 		t.Fatal("tag high-water not tracked")
 	}
 }

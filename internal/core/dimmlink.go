@@ -333,12 +333,6 @@ func (l *Link) Counters() *stats.Counters { return &l.ctrs }
 // Host returns the host model (for bus-occupation reporting).
 func (l *Link) Host() *host.Host { return l.host }
 
-// GroupOf returns the DL group of a DIMM.
-func (l *Link) GroupOf(dimm int) int { return l.groupOf[dimm] }
-
-// MasterOf returns the master (and polling proxy) DIMM of a group.
-func (l *Link) MasterOf(group int) int { return l.groups[group].master }
-
 // Networks returns the per-group link networks (for utilization reports).
 func (l *Link) Networks() []*noc.Network {
 	nets := make([]*noc.Network, len(l.groups))

@@ -43,18 +43,18 @@ func TestGroupsFor(t *testing.T) {
 func TestGroupAssignment(t *testing.T) {
 	l, _ := newTestLink(16, 8, 2, host.ProxyPolling)
 	for d := 0; d < 8; d++ {
-		if l.GroupOf(d) != 0 {
-			t.Fatalf("DIMM %d in group %d", d, l.GroupOf(d))
+		if l.groupOf[d] != 0 {
+			t.Fatalf("DIMM %d in group %d", d, l.groupOf[d])
 		}
 	}
 	for d := 8; d < 16; d++ {
-		if l.GroupOf(d) != 1 {
-			t.Fatalf("DIMM %d in group %d", d, l.GroupOf(d))
+		if l.groupOf[d] != 1 {
+			t.Fatalf("DIMM %d in group %d", d, l.groupOf[d])
 		}
 	}
 	// Master is the middle DIMM of each group.
-	if l.MasterOf(0) != 3 || l.MasterOf(1) != 11 {
-		t.Fatalf("masters = %d, %d", l.MasterOf(0), l.MasterOf(1))
+	if l.groups[0].master != 3 || l.groups[1].master != 11 {
+		t.Fatalf("masters = %d, %d", l.groups[0].master, l.groups[1].master)
 	}
 }
 

@@ -18,7 +18,7 @@ func FuzzDecode(f *testing.F) {
 		{Src: 1, Dst: 1, Cmd: CmdAck, Addr: 42, Tag: 9, Data: make([]byte, 17)},
 	}
 	for _, p := range seeds {
-		buf, err := p.Encode(PackDLL(7, 2))
+		buf, err := p.Encode(2<<16 | 7)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestCRCCatchesSingleBitFlips(t *testing.T) {
 		{Src: 0, Dst: 63, Cmd: CmdFwdReq, Addr: 1, Tag: 0}, // header-only
 	}
 	for _, p := range pkts {
-		orig, err := p.Encode(PackDLL(1, 1))
+		orig, err := p.Encode(1<<16 | 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestCRCCatchesSingleBitFlips(t *testing.T) {
 				got.Addr != p.Addr || got.Tag != p.Tag {
 				t.Fatalf("DLL-word flip at bit %d changed packet fields", bit)
 			}
-			if dll == PackDLL(1, 1) {
+			if dll == 1<<16|1 {
 				t.Fatalf("DLL-word flip at bit %d not visible in DLL word", bit)
 			}
 		}

@@ -194,19 +194,6 @@ func Decode(buf []byte) (*Packet, uint32, error) {
 	return p, dll, nil
 }
 
-// DLL word helpers. The 32-bit DLL field carries the retry sequence number
-// (low 16 bits) and the credit return count (high 16 bits).
-
-// PackDLL builds a DLL word from a sequence number and credit count.
-func PackDLL(seq uint16, credits uint16) uint32 {
-	return uint32(credits)<<16 | uint32(seq)
-}
-
-// UnpackDLL splits a DLL word.
-func UnpackDLL(dll uint32) (seq uint16, credits uint16) {
-	return uint16(dll), uint16(dll >> 16)
-}
-
 // NumChunks returns len(SplitPayload(size)) without building the slice:
 // the number of DL packets a transfer of size bytes occupies.
 func NumChunks(size uint32) int {

@@ -53,7 +53,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Src: 3, Dst: 12, Cmd: CmdWriteReq, Addr: 0x1234567890, Tag: 17,
 		Data: []byte("hello, DIMM-Link! this payload crosses a flit boundary"),
 	}
-	buf, err := p.Encode(PackDLL(42, 7))
+	const dllWord = 7<<16 | 42 // credits 7 (high half), sequence 42 (low half)
+	buf, err := p.Encode(dllWord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +72,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(got.Data)%FlitBytes != 0 {
 		t.Fatalf("decoded payload %d not flit-padded", len(got.Data))
 	}
-	seq, credits := UnpackDLL(dll)
-	if seq != 42 || credits != 7 {
-		t.Fatalf("DLL = (%d, %d)", seq, credits)
+	if dll != dllWord {
+		t.Fatalf("DLL word = %#x, want %#x", dll, dllWord)
 	}
 }
 

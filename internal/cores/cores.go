@@ -530,12 +530,6 @@ func (c *Ctx) send(o op) {
 	}
 }
 
-// ThreadID returns the thread's index within its group.
-func (c *Ctx) ThreadID() int { return c.t.id }
-
-// HomeDIMM returns the thread's home DIMM (-1 on the host).
-func (c *Ctx) HomeDIMM() int { return c.t.homeDIMM }
-
 // Load issues an independent read of size bytes; it returns once the
 // request is in flight (the window bounds outstanding requests).
 func (c *Ctx) Load(addr uint64, size uint32) { c.send(op{kind: opLoad, addr: addr, size: size}) }
@@ -579,17 +573,6 @@ func op2coll(o CollectiveOp, bytes uint32) op {
 // rank with the full result (the gradient exchange of data-parallel
 // training).
 func (c *Ctx) AllReduce(bytes uint32) { c.Collective(CollAllReduce, bytes) }
-
-// ReduceScatter sums across ranks, leaving each rank with its 1/N share.
-func (c *Ctx) ReduceScatter(bytes uint32) { c.Collective(CollReduceScatter, bytes) }
-
-// AllGather concatenates each rank's 1/N share into the full payload on
-// every rank.
-func (c *Ctx) AllGather(bytes uint32) { c.Collective(CollAllGather, bytes) }
-
-// AllToAll performs the personalized exchange: each rank sends a distinct
-// 1/N chunk to every other rank.
-func (c *Ctx) AllToAll(bytes uint32) { c.Collective(CollAllToAll, bytes) }
 
 // Drain blocks until all of this thread's outstanding accesses complete.
 func (c *Ctx) Drain() { c.send(op{kind: opDrain}) }

@@ -66,14 +66,6 @@ func DDR4_3200() Timing {
 	}
 }
 
-// DDR4_2400 returns timing parameters for DDR4-2400 (19.2 GB/s bus).
-func DDR4_2400() Timing {
-	t := DDR4_3200()
-	t.TBL = 3340 // 8 beats at 0.4167 ns
-	t.BusBytesPerSec = 19.2e9
-	return t
-}
-
 // Validate checks the parameters for sanity.
 func (t Timing) Validate() error {
 	if t.TRCD == 0 || t.TRP == 0 || t.TCL == 0 || t.TBL == 0 {
@@ -273,15 +265,6 @@ func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) sim.Time {
 		bk.casReadyAt = bk.preReadyAt + m.tim.TRP
 	}
 	return end
-}
-
-// BusUtilization returns per-rank data-bus utilization over [0, now].
-func (m *Module) BusUtilization(now sim.Time) []float64 {
-	us := make([]float64, len(m.ranks))
-	for i, rk := range m.ranks {
-		us[i] = rk.bus.Utilization(now)
-	}
-	return us
 }
 
 // PeakBytesPerSec returns the aggregate peak bandwidth of the module

@@ -24,9 +24,6 @@ func TestTimingValidate(t *testing.T) {
 	if err := DDR4_3200().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := DDR4_2400().Validate(); err != nil {
-		t.Fatal(err)
-	}
 	bad := DDR4_3200()
 	bad.TRFC = bad.TREFI
 	if bad.Validate() == nil {

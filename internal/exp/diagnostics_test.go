@@ -28,7 +28,7 @@ func TestDiagnostics(t *testing.T) {
 	// BFSBreakdown prints per-mechanism makespans and stall splits plus the
 	// interconnect and host counters for a mid-size BFS.
 	t.Run("BFSBreakdown", func(t *testing.T) {
-		w := workloads.NewBFS(12, 42)
+		w := workloads.NewBFSFromGraph(workloads.RMAT(12, 8, 42))
 		cfg := sysConfig{"8D-4C", 8, 4}
 		for _, mech := range []nmp.Mechanism{nmp.MechHostCPU, nmp.MechMCN, nmp.MechAIM, nmp.MechDIMMLink} {
 			out := execute(o, w, mech, cfg, nil, nil, false)

@@ -77,8 +77,8 @@ func latencyRun(o Options, w workloads.Workload, cfg sysConfig) latOut {
 		hostOccup: out.sys.Host().BusOccupation(out.res.Makespan),
 	}
 	for _, net := range out.sys.Link.Networks() {
-		for _, key := range net.LinkKeys() {
-			u := net.OneLinkUtilization(key, out.res.Makespan)
+		for i := range net.LinkKeys() {
+			u := net.LinkUtilizationAt(i, out.res.Makespan)
 			r.links++
 			r.utilMean += u
 			if u > r.utilMax {

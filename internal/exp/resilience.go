@@ -66,8 +66,8 @@ func faultRun(o Options, w workloads.Workload, cfg sysConfig, plan *fault.Plan, 
 		retryStallNs: float64(coll.Reg.Hist(metrics.HistDLLRetry).Sum()) / 1000,
 	}
 	for _, net := range out.sys.Link.Networks() {
-		for _, key := range net.LinkKeys() {
-			if u := net.OneLinkUtilization(key, out.res.Makespan); u > fo.utilMax {
+		for i := range net.LinkKeys() {
+			if u := net.LinkUtilizationAt(i, out.res.Makespan); u > fo.utilMax {
 				fo.utilMax = u
 			}
 		}

@@ -298,12 +298,3 @@ func (h *Host) BusOccupation(now sim.Time) float64 {
 	}
 	return sum / float64(len(h.channels))
 }
-
-// ChannelUtilization returns per-channel utilization over [0, now].
-func (h *Host) ChannelUtilization(now sim.Time) []float64 {
-	out := make([]float64, len(h.channels))
-	for i, c := range h.channels {
-		out[i] = c.Utilization(now)
-	}
-	return out
-}

@@ -139,9 +139,8 @@ func TestForwardOccupiesBothChannels(t *testing.T) {
 	if done != want {
 		t.Fatalf("forward done at %d, want %d", done, want)
 	}
-	u := h.ChannelUtilization(done)
-	if u[0] == 0 || u[7] == 0 {
-		t.Fatalf("channels not occupied: %v", u)
+	if u0, u7 := h.channels[0].Utilization(done), h.channels[7].Utilization(done); u0 == 0 || u7 == 0 {
+		t.Fatalf("channels not occupied: %v, %v", u0, u7)
 	}
 	if h.Counters.Get("host.forwards") != 1 || h.Counters.Get("fwd.bytes") != 256 {
 		t.Fatalf("counters wrong: %v", h.Counters)

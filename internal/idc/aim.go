@@ -58,9 +58,6 @@ func (a *AIM) Name() string { return "aim" }
 // Counters implements Interconnect.
 func (a *AIM) Counters() *stats.Counters { return &a.ctrs }
 
-// BusUtilization returns the dedicated bus utilization over [0, now].
-func (a *AIM) BusUtilization(now sim.Time) float64 { return a.bus.Utilization(now) }
-
 // busTransfer occupies the dedicated bus for a command phase plus the data
 // transfer, returning the completion time.
 func (a *AIM) busTransfer(at sim.Time, size uint32) sim.Time {

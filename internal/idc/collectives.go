@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cores"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -18,31 +19,6 @@ import (
 // plan the DIMM-Link transport transparently retries, reroutes, and
 // host-falls-back per packet (RouteAt / BroadcastPlanAt), so collectives
 // degrade gracefully without any collective-specific fault handling.
-
-// CollOp enumerates the collective operations.
-type CollOp int
-
-const (
-	CollAllReduce CollOp = iota
-	CollReduceScatter
-	CollAllGather
-	CollAllToAll
-)
-
-// String implements fmt.Stringer.
-func (o CollOp) String() string {
-	switch o {
-	case CollAllReduce:
-		return "allreduce"
-	case CollReduceScatter:
-		return "reduce-scatter"
-	case CollAllGather:
-		return "allgather"
-	case CollAllToAll:
-		return "alltoall"
-	}
-	return fmt.Sprintf("collop(%d)", int(o))
-}
 
 // CollAlgo names a collective schedule.
 type CollAlgo string
@@ -145,7 +121,7 @@ func (c *Collectives) Algo() CollAlgo { return c.cfg.Algo }
 // Threads first aggregate per DIMM (the DIMM master owns the rank), the
 // distinct DIMMs run the schedule, and the release pays the intra-DIMM
 // hand-off again — mirroring the barrier cost model.
-func (c *Collectives) Run(op CollOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
+func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
 	ctrs := c.ic.Counters()
 	ctrs.Inc(CtrCollectives)
 	ctrs.Add(CtrCollBytes, uint64(bytes))
@@ -161,22 +137,22 @@ func (c *Collectives) Run(op CollOp, arrivals []sim.Time, threadDIMM []int, byte
 			algo = AlgoRing // halving-doubling needs a power-of-two rank count
 		}
 		switch {
-		case op == CollAllToAll:
+		case op == cores.CollAllToAll:
 			// Pairwise rounds are the schedule for every transport: each
 			// rank holds n distinct chunks and no reduction can shrink them.
 			c.pairwise(t, ranks, bytes)
 		case algo == AlgoRing:
-			if op == CollAllReduce || op == CollReduceScatter {
+			if op == cores.CollAllReduce || op == cores.CollReduceScatter {
 				c.ringPass(t, ranks, bytes, true)
 			}
-			if op == CollAllReduce || op == CollAllGather {
+			if op == cores.CollAllReduce || op == cores.CollAllGather {
 				c.ringPass(t, ranks, bytes, false)
 			}
 		case algo == AlgoHalving:
-			if op == CollAllReduce || op == CollReduceScatter {
+			if op == cores.CollAllReduce || op == cores.CollReduceScatter {
 				c.halving(t, ranks, bytes)
 			}
-			if op == CollAllReduce || op == CollAllGather {
+			if op == cores.CollAllReduce || op == cores.CollAllGather {
 				c.doubling(t, ranks, bytes)
 			}
 		default: // AlgoTree
@@ -317,11 +293,11 @@ func (c *Collectives) doubling(t []sim.Time, ranks []int, bytes uint32) {
 // scatter writes (ReduceScatter). The root folds incoming payloads in
 // arrival order — the gather serializes on the shared medium anyway, which
 // is exactly the host-forwarding bottleneck this schedule models.
-func (c *Collectives) tree(op CollOp, t []sim.Time, ranks []int, bytes uint32) {
+func (c *Collectives) tree(op cores.CollectiveOp, t []sim.Time, ranks []int, bytes uint32) {
 	n := len(ranks)
 	root := 0
 	gatherSize := bytes
-	if op == CollAllGather {
+	if op == cores.CollAllGather {
 		gatherSize = chunkOf(bytes, n) // each rank contributes one chunk
 	}
 	in := make([]sim.Time, 0, n-1)
@@ -335,12 +311,12 @@ func (c *Collectives) tree(op CollOp, t []sim.Time, ranks []int, bytes uint32) {
 		if a > cur {
 			cur = a
 		}
-		if op != CollAllGather {
+		if op != cores.CollAllGather {
 			cur += c.reduceTime(gatherSize)
 		}
 	}
 	switch op {
-	case CollReduceScatter:
+	case cores.CollReduceScatter:
 		chunk := chunkOf(bytes, n)
 		c.ic.Counters().Inc(CtrCollSteps)
 		t[root] = cur

@@ -3,6 +3,7 @@ package idc
 import (
 	"testing"
 
+	"repro/internal/cores"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -27,9 +28,20 @@ func (m *mockIC) Broadcast(at sim.Time, src int, addr uint64, size uint32) sim.T
 	return at + 2*m.lat + sim.Time(uint64(size)*m.psPerByte)
 }
 func (m *mockIC) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	return MaxBarrier(arrivals) + m.lat
+	return maxArrival(arrivals) + m.lat
 }
 func (m *mockIC) Counters() *stats.Counters { return &m.ctrs }
+
+// maxArrival returns the latest of the arrival times.
+func maxArrival(arrivals []sim.Time) sim.Time {
+	var m sim.Time
+	for _, a := range arrivals {
+		if a > m {
+			m = a
+		}
+	}
+	return m
+}
 
 func newMockColl(algo CollAlgo, dimms int) (*Collectives, *mockIC) {
 	ic := &mockIC{lat: 100 * sim.Nanosecond, psPerByte: 40} // 25 GB/s
@@ -52,7 +64,7 @@ func TestRingAllReduceStepCount(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8} {
 		c, ic := newMockColl(AlgoRing, n)
 		arr, dimms := uniform(n, 0)
-		c.Run(CollAllReduce, arr, dimms, 1<<16)
+		c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
 		if got, want := ic.ctrs.Get(CtrCollSteps), uint64(2*(n-1)); got != want {
 			t.Fatalf("n=%d: ring allreduce steps = %d, want %d", n, got, want)
 		}
@@ -67,14 +79,14 @@ func TestHalvingDoublingFallsBackToRing(t *testing.T) {
 	// (2(N-1) rounds) instead of producing a wrong pairing.
 	c, ic := newMockColl(AlgoHalving, 6)
 	arr, dimms := uniform(6, 0)
-	c.Run(CollAllReduce, arr, dimms, 1<<16)
+	c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
 	if got := ic.ctrs.Get(CtrCollSteps); got != 10 {
 		t.Fatalf("hd on 6 ranks: steps = %d, want ring's 10", got)
 	}
 	// 8 ranks runs the real halving-doubling: 2*log2(8) = 6 rounds.
 	c8, ic8 := newMockColl(AlgoHalving, 8)
 	arr8, dimms8 := uniform(8, 0)
-	c8.Run(CollAllReduce, arr8, dimms8, 1<<16)
+	c8.Run(cores.CollAllReduce, arr8, dimms8, 1<<16)
 	if got := ic8.ctrs.Get(CtrCollSteps); got != 6 {
 		t.Fatalf("hd on 8 ranks: steps = %d, want 6", got)
 	}
@@ -85,14 +97,14 @@ func TestAllReduceAtLeastComponents(t *testing.T) {
 	// on a stateless transport it can never beat either component alone.
 	const n, bytes = 8, 1 << 18
 	for _, algo := range []CollAlgo{AlgoRing, AlgoHalving, AlgoTree} {
-		run := func(op CollOp) sim.Time {
+		run := func(op cores.CollectiveOp) sim.Time {
 			c, _ := newMockColl(algo, n)
 			arr, dimms := uniform(n, 1000)
 			return c.Run(op, arr, dimms, bytes)
 		}
-		ar := run(CollAllReduce)
-		rs := run(CollReduceScatter)
-		ag := run(CollAllGather)
+		ar := run(cores.CollAllReduce)
+		rs := run(cores.CollReduceScatter)
+		ag := run(cores.CollAllGather)
 		if ar < rs || ar < ag {
 			t.Fatalf("%s: allreduce %d beat a component (rs %d, ag %d)", algo, ar, rs, ag)
 		}
@@ -108,7 +120,7 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 	cfg := c.cfg
 	arrIn := []sim.Time{100, 700, 300, 500}
 	dimmsIn := []int{0, 1, 2, 3}
-	got := c.Run(CollAllReduce, arrIn, dimmsIn, bytes)
+	got := c.Run(cores.CollAllReduce, arrIn, dimmsIn, bytes)
 
 	chunk := (bytes + n - 1) / n
 	xfer := ic.lat + sim.Time(uint64(chunk)*ic.psPerByte)
@@ -134,7 +146,7 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 			t0 = next
 		}
 	}
-	want := MaxBarrier(t0) + cfg.IntraCost
+	want := maxArrival(t0) + cfg.IntraCost
 	if got != want {
 		t.Fatalf("ring allreduce release = %d, brute-force reference = %d", got, want)
 	}
@@ -143,7 +155,7 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 func TestTreeAllReduceUsesNativeBroadcast(t *testing.T) {
 	c, ic := newMockColl(AlgoTree, 8)
 	arr, dimms := uniform(8, 0)
-	c.Run(CollAllReduce, arr, dimms, 1<<16)
+	c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
 	if ic.bcasts != 1 {
 		t.Fatalf("tree allreduce broadcasts = %d, want 1", ic.bcasts)
 	}
@@ -153,7 +165,7 @@ func TestAllToAllStepCount(t *testing.T) {
 	for _, algo := range []CollAlgo{AlgoRing, AlgoTree} {
 		c, ic := newMockColl(algo, 5)
 		arr, dimms := uniform(5, 0)
-		c.Run(CollAllToAll, arr, dimms, 1<<14)
+		c.Run(cores.CollAllToAll, arr, dimms, 1<<14)
 		if got := ic.ctrs.Get(CtrCollSteps); got != 4 {
 			t.Fatalf("%s alltoall steps = %d, want n-1 = 4", algo, got)
 		}
@@ -170,7 +182,7 @@ func TestCollectivesOnRealMechanisms(t *testing.T) {
 		algo := SelectAlgo(ic.Name(), "")
 		c := NewCollectives(ic, geoN(8, 4), DefaultCollConfig(algo))
 		episodes := uint64(0)
-		for _, op := range []CollOp{CollAllReduce, CollReduceScatter, CollAllGather, CollAllToAll} {
+		for _, op := range []cores.CollectiveOp{cores.CollAllReduce, cores.CollReduceScatter, cores.CollAllGather, cores.CollAllToAll} {
 			arr, dimms := uniform(8, 0)
 			if rel := c.Run(op, arr, dimms, 4096); rel <= 0 {
 				t.Fatalf("%s %v released at %d", ic.Name(), op, rel)
@@ -192,7 +204,7 @@ func TestCollectiveAggregatesThreadsPerDIMM(t *testing.T) {
 	c, ic := newMockColl(AlgoRing, 4)
 	arr := []sim.Time{0, 50, 100, 150}
 	dimms := []int{0, 0, 1, 1}
-	c.Run(CollAllReduce, arr, dimms, 1<<12)
+	c.Run(cores.CollAllReduce, arr, dimms, 1<<12)
 	if got := ic.ctrs.Get(CtrCollSteps); got != 2 {
 		t.Fatalf("2-rank allreduce steps = %d, want 2", got)
 	}

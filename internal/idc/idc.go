@@ -15,9 +15,6 @@
 package idc
 
 import (
-	"repro/internal/dram"
-	"repro/internal/host"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -53,20 +50,6 @@ type Interconnect interface {
 	// Counters exposes the mechanism's activity counters (packets, bytes on
 	// each medium, polls, forwards) for reporting and the energy model.
 	Counters() *stats.Counters
-}
-
-// Fabric bundles the shared hardware every mechanism operates on.
-type Fabric struct {
-	Eng  *sim.Engine
-	Geo  mem.Geometry
-	DRAM []*dram.Module // one per DIMM
-	Host *host.Host     // nil only for mechanisms that never touch the host
-}
-
-// AccessDRAM performs a DRAM access on the destination DIMM's module,
-// starting no earlier than at, and returns its completion time.
-func (f *Fabric) AccessDRAM(at sim.Time, dimm int, addr uint64, size uint32, write bool) sim.Time {
-	return f.DRAM[dimm].Access(at, addr, size, write)
 }
 
 // Counter names shared across mechanisms, consumed by the energy model and
@@ -109,15 +92,3 @@ const (
 	CtrFaultFallback  = "fault.fallback.packets" // packets forced onto the host-forwarding fallback
 	CtrFaultFallbackB = "fault.fallback.bytes"   // bytes carried by the fallback path
 )
-
-// MaxBarrier returns the latest of the arrival times (helper shared by the
-// barrier implementations).
-func MaxBarrier(arrivals []sim.Time) sim.Time {
-	var m sim.Time
-	for _, a := range arrivals {
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}

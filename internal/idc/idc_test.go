@@ -109,7 +109,7 @@ func TestAIMBusContentionSerializes(t *testing.T) {
 	if d2 <= d1 {
 		t.Fatalf("shared bus must serialize disjoint pairs: %d vs %d", d2, d1)
 	}
-	if a.BusUtilization(d2) == 0 {
+	if a.bus.Utilization(d2) == 0 {
 		t.Fatal("bus utilization not tracked")
 	}
 }
@@ -245,12 +245,6 @@ func TestBarrierOrderingAcrossMechanisms(t *testing.T) {
 	mR := m.Barrier(arr, dimms)
 	if aR >= mR {
 		t.Fatalf("AIM barrier (%d) should beat MCN barrier (%d)", aR, mR)
-	}
-}
-
-func TestMaxBarrier(t *testing.T) {
-	if MaxBarrier([]sim.Time{3, 9, 1}) != 9 || MaxBarrier(nil) != 0 {
-		t.Fatal("MaxBarrier wrong")
 	}
 }
 

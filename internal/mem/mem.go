@@ -108,9 +108,6 @@ func (g Geometry) DIMMOf(addr uint64) int {
 // result is always in [0, NumChannels).
 func (g Geometry) ChannelOfDIMM(dimm int) int { return dimm / g.DIMMsPerChannel() }
 
-// ChannelOf returns the channel owning addr.
-func (g Geometry) ChannelOf(addr uint64) int { return g.ChannelOfDIMM(g.DIMMOf(addr)) }
-
 // DIMMBase returns the first physical address of the given DIMM.
 func (g Geometry) DIMMBase(dimm int) uint64 {
 	return uint64(dimm) * g.DIMMCapBytes
@@ -167,10 +164,9 @@ type rangeAttr struct {
 // Space is the segment allocator over a Geometry. It hands out physical
 // address ranges with explicit placement and tracks sharing attributes.
 type Space struct {
-	Geo      Geometry
-	next     []uint64 // per-DIMM bump pointer (offset within the DIMM)
-	ranges   []rangeAttr
-	segments []*Segment
+	Geo    Geometry
+	next   []uint64 // per-DIMM bump pointer (offset within the DIMM)
+	ranges []rangeAttr
 }
 
 // NewSpace creates an empty address space over g.
@@ -190,21 +186,13 @@ func MustNewSpace(g Geometry) *Space {
 	return s
 }
 
-// Segment is a named allocation. Depending on placement it is either
-// contiguous on one DIMM or striped across all DIMMs at chunk granularity.
-// Addr translates a logical offset within the segment into a physical
-// address.
+// Segment is a named allocation, contiguous on one DIMM. Addr translates
+// a logical offset within the segment into a physical address.
 type Segment struct {
-	Name  string
-	Size  uint64
-	Attr  Attr
-	space *Space
-
-	// Placement: either home >= 0 (single DIMM, base bases[0]), or striped
-	// with chunk size stripe and one base per DIMM.
-	home   int
-	stripe uint64
-	bases  []uint64
+	Name string
+	Size uint64
+	Attr Attr
+	base uint64
 }
 
 const allocAlign = 64
@@ -233,33 +221,8 @@ func (s *Space) AllocOn(name string, size uint64, dimm int, attr Attr) (*Segment
 	if err != nil {
 		return nil, err
 	}
-	seg := &Segment{Name: name, Size: size, Attr: attr, space: s, home: dimm, bases: []uint64{base}}
+	seg := &Segment{Name: name, Size: size, Attr: attr, base: base}
 	s.register(seg, base, base+alignUp(size, allocAlign))
-	return seg, nil
-}
-
-// AllocStriped allocates size bytes striped across all DIMMs in chunks of
-// stripe bytes (round-robin). This is how partitioned workload data is laid
-// out so that DIMM i's threads mostly touch DIMM i's chunks.
-func (s *Space) AllocStriped(name string, size uint64, stripe uint64, attr Attr) (*Segment, error) {
-	if size == 0 {
-		return nil, fmt.Errorf("mem: zero-size segment %q", name)
-	}
-	if stripe == 0 || stripe%allocAlign != 0 {
-		return nil, fmt.Errorf("mem: stripe %d must be a positive multiple of %d", stripe, allocAlign)
-	}
-	n := uint64(s.Geo.NumDIMMs)
-	chunks := (size + stripe - 1) / stripe
-	perDIMM := (chunks + n - 1) / n * stripe
-	seg := &Segment{Name: name, Size: size, Attr: attr, space: s, home: -1, stripe: stripe, bases: make([]uint64, n)}
-	for d := 0; d < int(n); d++ {
-		base, err := s.allocRaw(d, perDIMM)
-		if err != nil {
-			return nil, err
-		}
-		seg.bases[d] = base
-		s.register(seg, base, base+perDIMM)
-	}
 	return seg, nil
 }
 
@@ -272,30 +235,9 @@ func (s *Space) MustAllocOn(name string, size uint64, dimm int, attr Attr) *Segm
 	return seg
 }
 
-// MustAllocStriped panics on allocation failure.
-func (s *Space) MustAllocStriped(name string, size uint64, stripe uint64, attr Attr) *Segment {
-	seg, err := s.AllocStriped(name, size, stripe, attr)
-	if err != nil {
-		panic(err)
-	}
-	return seg
-}
-
 func (s *Space) register(seg *Segment, start, end uint64) {
 	s.ranges = append(s.ranges, rangeAttr{start: start, end: end, seg: seg})
 	sort.Slice(s.ranges, func(i, j int) bool { return s.ranges[i].start < s.ranges[j].start })
-	if seg.space == s {
-		found := false
-		for _, existing := range s.segments {
-			if existing == seg {
-				found = true
-				break
-			}
-		}
-		if !found {
-			s.segments = append(s.segments, seg)
-		}
-	}
 }
 
 // SegmentOf returns the segment containing addr, or nil.
@@ -316,32 +258,11 @@ func (s *Space) AttrOf(addr uint64) Attr {
 	return Private
 }
 
-// Segments returns all allocated segments in allocation order.
-func (s *Space) Segments() []*Segment { return s.segments }
-
-// UsedOn returns the bytes allocated so far on the given DIMM.
-func (s *Space) UsedOn(dimm int) uint64 { return s.next[dimm] }
-
 // Addr translates a logical offset within the segment to a physical
 // address. Offsets at or beyond the segment size panic.
 func (sg *Segment) Addr(off uint64) uint64 {
 	if off >= sg.Size {
 		panic(fmt.Sprintf("mem: offset %d beyond segment %q size %d", off, sg.Name, sg.Size))
 	}
-	if sg.home >= 0 {
-		return sg.bases[0] + off
-	}
-	chunk := off / sg.stripe
-	n := uint64(len(sg.bases))
-	dimm := chunk % n
-	idx := chunk / n
-	return sg.bases[dimm] + idx*sg.stripe + off%sg.stripe
-}
-
-// HomeDIMM returns the DIMM of a single-DIMM segment, or -1 for striped.
-func (sg *Segment) HomeDIMM() int { return sg.home }
-
-// DIMMOfOffset returns the DIMM holding the given logical offset.
-func (sg *Segment) DIMMOfOffset(off uint64) int {
-	return sg.space.Geo.DIMMOf(sg.Addr(off))
+	return sg.base + off
 }

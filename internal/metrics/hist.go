@@ -94,14 +94,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Sum returns the exact integer sum of all samples.
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Min returns the smallest recorded sample (zero when empty).
-func (h *Histogram) Min() uint64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample (zero when empty).
 func (h *Histogram) Max() uint64 {
 	if h.n == 0 {
@@ -184,14 +176,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.n += other.n
 	h.sum += other.sum
-}
-
-// Reset clears all samples, keeping the bucket allocation.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // String summarizes the histogram with the tail percentiles the reports

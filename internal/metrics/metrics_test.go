@@ -45,7 +45,7 @@ func TestNilCollector(t *testing.T) {
 	c.Observe("x", 1)
 	c.Packet(0, "pkt", 0, 1, 80)
 	c.Sample(0, "util", 0.5)
-	if c.Active() || c.Tracing() {
+	if c.Active() {
 		t.Error("nil collector reports active")
 	}
 }

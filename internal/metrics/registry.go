@@ -116,9 +116,6 @@ func (c *Collector) Observe(name string, d sim.Time) {
 // Active reports whether observations are being recorded.
 func (c *Collector) Active() bool { return c != nil }
 
-// Tracing reports whether an event tracer is attached.
-func (c *Collector) Tracing() bool { return c != nil && c.Trace != nil }
-
 // Packet emits a packet-level trace event if a tracer is attached.
 func (c *Collector) Packet(t sim.Time, ev string, src, dst, bytes int) {
 	if c == nil || c.Trace == nil {

@@ -13,7 +13,7 @@ import (
 // order. The format is hand-rendered (fixed key order, %g floats) so that
 // identical simulations produce byte-identical traces.
 //
-// Tracing rides the same discipline as fault plans: the inactive path (no
+// Event tracing rides the same discipline as fault plans: the inactive path (no
 // tracer attached) is byte-identical to a build without trace support,
 // because emission is guarded by a nil test in Collector and recording
 // never touches simulated time.

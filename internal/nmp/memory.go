@@ -1,11 +1,8 @@
 package nmp
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/cores"
-	"repro/internal/idc"
 	"repro/internal/sim"
 )
 
@@ -124,22 +121,7 @@ func (m *nmpMemory) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 // Collective implements cores.Memory: the exchange runs on the IDC
 // mechanism's collective scheduler.
 func (m *nmpMemory) Collective(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
-	return m.sys.Coll.Run(idcCollOp(op), arrivals, threadDIMM, bytes)
-}
-
-// idcCollOp maps the core-model op onto the IDC scheduler's.
-func idcCollOp(op cores.CollectiveOp) idc.CollOp {
-	switch op {
-	case cores.CollAllReduce:
-		return idc.CollAllReduce
-	case cores.CollReduceScatter:
-		return idc.CollReduceScatter
-	case cores.CollAllGather:
-		return idc.CollAllGather
-	case cores.CollAllToAll:
-		return idc.CollAllToAll
-	}
-	panic(fmt.Sprintf("nmp: unknown collective op %v", op))
+	return m.sys.Coll.Run(op, arrivals, threadDIMM, bytes)
 }
 
 // FlushCaches models the kernel-completion cache flush (Section III-E):

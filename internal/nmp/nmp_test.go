@@ -145,13 +145,15 @@ func TestSpawnPlacedRejectsHostOnNMP(t *testing.T) {
 
 func TestHostBaselineRuns(t *testing.T) {
 	s := MustNewSystem(DefaultConfig(4, 2, MechHostCPU))
-	seg := s.Space.MustAllocStriped("data", 1<<16, 4096, mem.Private)
+	segs := make([]*mem.Segment, s.Threads())
+	for i := range segs {
+		segs[i] = s.Space.MustAllocOn("data", 4096, i%4, mem.Private)
+	}
 	res := s.RunKernel(false, func(g *cores.Group) {
 		place := s.DefaultPlacement()
 		s.SpawnPlaced(g, place, func(tid int, c *cores.Ctx) {
-			base := uint64(tid) * 4096
 			for i := uint64(0); i < 4096; i += 64 {
-				c.Load(seg.Addr(base+i), 64)
+				c.Load(segs[tid].Addr(i), 64)
 			}
 			c.Barrier()
 		})

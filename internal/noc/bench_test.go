@@ -40,7 +40,7 @@ func BenchmarkNetworkSendRoute(b *testing.B) {
 }
 
 // BenchmarkLinkUtilizationSample measures one full sampler tick over every
-// link using the reuse-buffer bulk probe.
+// link using the per-link probe.
 func BenchmarkLinkUtilizationSample(b *testing.B) {
 	n := NewNetwork(NewChain(8), GRSLink())
 	var t sim.Time
@@ -48,11 +48,14 @@ func BenchmarkLinkUtilizationSample(b *testing.B) {
 		end, _, _ := n.Send(t, i%7, i%7+1, 272)
 		t = end
 	}
-	buf := make([]float64, 0, n.NumLinks())
+	links := len(n.LinkKeys())
+	var sum float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = n.AppendLinkUtilization(buf[:0], t)
+		for j := 0; j < links; j++ {
+			sum += n.LinkUtilizationAt(j, t)
+		}
 	}
-	_ = buf
+	_ = sum
 }

@@ -97,7 +97,6 @@ type Network struct {
 	// so samplers and end-of-run tables never rebuild key strings.
 	sortedKeys  []string
 	sortedLinks []*link
-	byKey       map[string]*link
 
 	Stats Stats
 
@@ -131,12 +130,6 @@ type Network struct {
 	// observation is passive and never changes any reservation, so an
 	// instrumented run is timing-identical to a bare one.
 	coll *metrics.Collector
-
-	// utilBuf is the network-owned buffer behind UtilizationSnapshot.
-	// Owning it here, rather than sharing one caller buffer across
-	// networks, means concurrent snapshots of different networks never
-	// collide.
-	utilBuf []float64
 }
 
 // NewNetwork builds the link state for every edge of the topology.
@@ -150,21 +143,21 @@ func NewNetwork(topo Topology, cfg LinkConfig) *Network {
 		cfg:   cfg,
 		n:     nn,
 		links: make([]*link, nn*nn),
-		byKey: make(map[string]*link),
 	}
+	byKey := make(map[string]*link)
 	for u := 0; u < nn; u++ {
 		for _, v := range topo.Neighbors(u) {
 			l := &link{credits: make([]sim.Time, cfg.Credits)}
 			n.links[u*nn+v] = l
 			key := fmt.Sprintf("%d->%d", u, v)
 			n.sortedKeys = append(n.sortedKeys, key)
-			n.byKey[key] = l
+			byKey[key] = l
 		}
 	}
 	sort.Strings(n.sortedKeys)
 	n.sortedLinks = make([]*link, len(n.sortedKeys))
 	for i, k := range n.sortedKeys {
-		n.sortedLinks[i] = n.byKey[k]
+		n.sortedLinks[i] = byKey[k]
 	}
 	n.staticRoutes = make([][]int, nn*nn)
 	n.trees = make([][]int, nn)
@@ -346,26 +339,11 @@ func BFSOrder(parent []int, src int) []int {
 // default) records nothing.
 func (n *Network) SetMetrics(c *metrics.Collector) { n.coll = c }
 
-// LinkUtilization returns the utilization of every link over [0, now],
-// keyed by "u->v". The map is built fresh per call; tight loops (the
-// metrics sampler) should use LinkUtilizationAt or AppendLinkUtilization
-// with the precomputed LinkKeys instead.
-func (n *Network) LinkUtilization(now sim.Time) map[string]float64 {
-	out := make(map[string]float64, len(n.sortedKeys))
-	for i, k := range n.sortedKeys {
-		out[k] = n.sortedLinks[i].bus.Utilization(now)
-	}
-	return out
-}
-
 // LinkKeys returns every "u->v" link key in deterministic sorted order —
 // the iteration order sampler probes and report tables must use. The
 // slice is precomputed at NewNetwork and shared: callers must not mutate
 // it.
 func (n *Network) LinkKeys() []string { return n.sortedKeys }
-
-// NumLinks returns the number of directed links.
-func (n *Network) NumLinks() int { return len(n.sortedLinks) }
 
 // LinkUtilizationAt returns the utilization over [0, now] of the i-th
 // link in LinkKeys order. It is the alloc-free per-link probe the metrics
@@ -378,45 +356,3 @@ func (n *Network) LinkUtilizationAt(i int, now sim.Time) float64 {
 // LinkKeys order — the per-link demand column of the traffic-matrix
 // report.
 func (n *Network) LinkBytesAt(i int) uint64 { return n.sortedLinks[i].bytes }
-
-// AppendLinkUtilization appends the utilization of every link over
-// [0, now] to dst in LinkKeys order and returns the extended slice — the
-// reuse-buffer bulk variant: pass dst[:0] of a retained buffer to sample
-// every link with zero steady-state allocations.
-func (n *Network) AppendLinkUtilization(dst []float64, now sim.Time) []float64 {
-	for _, l := range n.sortedLinks {
-		dst = append(dst, l.bus.Utilization(now))
-	}
-	return dst
-}
-
-// UtilizationSnapshot returns the utilization of every link over [0, now]
-// in LinkKeys order, in a buffer owned by the network and reused across
-// calls (valid until the next snapshot of the same network). Utilization
-// queries retire BusyLine spans, so both the buffer and the underlying
-// line state belong to the one network.
-func (n *Network) UtilizationSnapshot(now sim.Time) []float64 {
-	n.utilBuf = n.AppendLinkUtilization(n.utilBuf[:0], now)
-	return n.utilBuf
-}
-
-// OneLinkUtilization returns the utilization of the named "u->v" link over
-// [0, now]; unknown keys return 0. Probe closures use this so sampling a
-// single link does not allocate a whole map per tick.
-func (n *Network) OneLinkUtilization(key string, now sim.Time) float64 {
-	l, ok := n.byKey[key]
-	if !ok {
-		return 0
-	}
-	return l.bus.Utilization(now)
-}
-
-// TotalLinkBytes returns the sum of bytes carried over all links (a packet
-// crossing h hops counts h times).
-func (n *Network) TotalLinkBytes() uint64 {
-	var total uint64
-	for _, l := range n.sortedLinks {
-		total += l.bytes
-	}
-	return total
-}

@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -186,7 +184,6 @@ func (s *Server) runJob(j *Job) {
 	// under mmu afterwards. Attaching it is passive — it cannot change
 	// the result bytes.
 	coll := metrics.NewCollector()
-	traceFile := s.attachTrace(j, coll)
 
 	progress := func(done, total int) {
 		s.mu.Lock()
@@ -195,11 +192,6 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	res, err := s.runSpec(ctx, j.Spec, progress, coll)
-
-	if traceFile != nil {
-		_ = coll.Trace.Close()
-		_ = traceFile.Close()
-	}
 
 	wait := j.started.Sub(j.submitted)
 	run := time.Since(j.started)
@@ -230,7 +222,6 @@ func (s *Server) runJob(j *Job) {
 		outcome = "jobs.failed"
 	}
 	close(j.done)
-	st := j.statusLocked()
 	s.mu.Unlock()
 
 	// Spill the finished result to the disk tier outside the lock; a
@@ -253,7 +244,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.mmu.Unlock()
 
-	s.writeStatusSideFile(j, st)
 	s.logf("dlserve: job %s %s (%s) in %.1fms", j.ID, j.State, j.Hash[:12], float64(run)/float64(time.Millisecond))
 }
 
@@ -333,50 +323,6 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs int, traces *store.B
 		return &Result{Text: text.Bytes(), JSON: js}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown spec kind %q", n.Kind)
-}
-
-// attachTrace wires a JSONL tracer side file to a sim job's collector
-// when SideDir is configured. Returns the open file (closed by runJob).
-func (s *Server) attachTrace(j *Job, coll *metrics.Collector) *os.File {
-	if s.cfg.SideDir == "" || j.Spec.Kind != spec.KindSim {
-		return nil
-	}
-	path := filepath.Join(s.cfg.SideDir, j.ID+".trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		s.logf("dlserve: trace side file: %v", err)
-		return nil
-	}
-	coll.Trace = metrics.NewTracer(f)
-	return f
-}
-
-// writeSpecSideFile records the canonical spec for a submitted job.
-func (s *Server) writeSpecSideFile(j *Job) {
-	if s.cfg.SideDir == "" {
-		return
-	}
-	c, err := j.Spec.Canonical()
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(filepath.Join(s.cfg.SideDir, j.ID+".spec.txt"), c, 0o644); err != nil {
-		s.logf("dlserve: spec side file: %v", err)
-	}
-}
-
-// writeStatusSideFile records a job's terminal status.
-func (s *Server) writeStatusSideFile(j *Job, st JobStatus) {
-	if s.cfg.SideDir == "" {
-		return
-	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(filepath.Join(s.cfg.SideDir, j.ID+".status.json"), append(b, '\n'), 0o644); err != nil {
-		s.logf("dlserve: status side file: %v", err)
-	}
 }
 
 // handleMetrics renders the service counters, the job-latency histograms

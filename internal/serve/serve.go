@@ -79,10 +79,6 @@ type Config struct {
 	// normalized specs) — the cache, the disk store and the cluster
 	// layer all assume it. Test seam and extension point.
 	Runner func(ctx context.Context, sp spec.Spec, progress func(done, total int), coll *metrics.Collector) (*Result, error)
-	// SideDir, when non-empty, receives per-job side files: the
-	// canonical spec (<id>.spec.txt), a JSONL event trace for sim jobs
-	// (<id>.trace.jsonl), and the final status (<id>.status.json).
-	SideDir string
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -230,7 +226,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st := j.statusLocked()
 		s.mu.Unlock()
 		s.count("jobs.submitted")
-		s.writeSpecSideFile(j)
 		writeJSON(w, http.StatusAccepted, st)
 	default:
 		delete(s.jobs, j.ID)

@@ -12,10 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 )
 
 const blobSuffix = ".trace"
@@ -24,68 +20,17 @@ const blobSuffix = ".trace"
 // traces. Safe for concurrent use within one process; cross-process
 // safety comes from the atomic rename.
 type Blobs struct {
-	dir string
-
-	mu     sync.Mutex
-	hashes map[string]struct{}
+	index
 }
 
 // OpenBlobs creates (if needed) and scans dir, sweeping leftover temp
 // files from crashed writers.
 func OpenBlobs(dir string) (*Blobs, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	b := &Blobs{dir: dir, hashes: make(map[string]struct{})}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if h, ok := strings.CutSuffix(name, blobSuffix); ok && validHash(h) {
-			b.hashes[h] = struct{}{}
-		}
+	b := &Blobs{}
+	if err := b.open(dir, blobSuffix); err != nil {
+		return nil, err
 	}
 	return b, nil
-}
-
-// Dir returns the backing directory.
-func (b *Blobs) Dir() string { return b.dir }
-
-// Len returns the number of blobs believed present.
-func (b *Blobs) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.hashes)
-}
-
-// Hashes returns every stored blob hash in sorted order.
-func (b *Blobs) Hashes() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.hashes))
-	for h := range b.hashes {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether a blob exists for the hash.
-func (b *Blobs) Has(hash string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.hashes[hash]
-	return ok
-}
-
-func (b *Blobs) path(hash string) string {
-	return filepath.Join(b.dir, hash+blobSuffix)
 }
 
 // Open returns a reader over a stored blob.
@@ -96,9 +41,7 @@ func (b *Blobs) Open(hash string) (io.ReadCloser, error) {
 	f, err := os.Open(b.path(hash))
 	if err != nil {
 		if os.IsNotExist(err) {
-			b.mu.Lock()
-			delete(b.hashes, hash)
-			b.mu.Unlock()
+			b.forget(hash)
 			return nil, ErrNotFound
 		}
 		return nil, fmt.Errorf("store: %w", err)
@@ -151,9 +94,7 @@ func (w *BlobWriter) Commit(hash string) error {
 		_ = os.Remove(w.name)
 		return fmt.Errorf("store: %w", err)
 	}
-	w.b.mu.Lock()
-	w.b.hashes[hash] = struct{}{}
-	w.b.mu.Unlock()
+	w.b.add(hash)
 	return nil
 }
 

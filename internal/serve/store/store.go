@@ -47,16 +47,95 @@ const (
 	tmpPattern = ".tmp-*"
 )
 
+// index is the directory machinery Store and Blobs share: one file per
+// hash named <hash><suffix>, and the set of hashes believed present on
+// disk under a mutex.
+type index struct {
+	dir    string
+	suffix string
+
+	mu     sync.Mutex
+	hashes map[string]struct{} // entries believed present on disk
+}
+
+// open creates (if needed) and scans dir, removing leftover temp files
+// from crashed writers.
+func (x *index) open(dir, suffix string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	x.dir, x.suffix, x.hashes = dir, suffix, make(map[string]struct{})
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, ".tmp-") {
+			_ = os.Remove(filepath.Join(dir, name)) // crashed writer
+			continue
+		}
+		if h, ok := strings.CutSuffix(name, suffix); ok && validHash(h) {
+			x.hashes[h] = struct{}{}
+		}
+	}
+	return nil
+}
+
+// Dir returns the backing directory.
+func (x *index) Dir() string { return x.dir }
+
+// Len returns the number of entries believed present.
+func (x *index) Len() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.hashes)
+}
+
+// Hashes returns every stored hash in sorted order.
+func (x *index) Hashes() []string {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	out := make([]string, 0, len(x.hashes))
+	for h := range x.hashes {
+		out = append(out, h)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Has reports whether an entry is believed present (no checksum pass —
+// Store.Get performs the authoritative check).
+func (x *index) Has(hash string) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	_, ok := x.hashes[hash]
+	return ok
+}
+
+func (x *index) path(hash string) string {
+	return filepath.Join(x.dir, hash+x.suffix)
+}
+
+func (x *index) add(hash string) {
+	x.mu.Lock()
+	x.hashes[hash] = struct{}{}
+	x.mu.Unlock()
+}
+
+func (x *index) forget(hash string) {
+	x.mu.Lock()
+	delete(x.hashes, hash)
+	x.mu.Unlock()
+}
+
 // Store is a disk-backed content-addressed result store. It is safe for
 // concurrent use by multiple goroutines within one process; cross-process
 // safety comes from the atomic rename (readers only ever see complete
 // files).
 type Store struct {
-	dir string
+	index
 	max int // entry bound; 0 = unbounded
-
-	mu     sync.Mutex
-	hashes map[string]struct{} // entries believed present on disk
 }
 
 // header is the first line of every result file.
@@ -72,51 +151,11 @@ type header struct {
 // oldest files by modification time are evicted. Leftover temp files
 // from a crashed writer are removed.
 func Open(dir string, maxEntries int) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{dir: dir, max: maxEntries, hashes: make(map[string]struct{})}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			_ = os.Remove(filepath.Join(dir, name)) // crashed writer
-			continue
-		}
-		if h, ok := strings.CutSuffix(name, suffix); ok {
-			s.hashes[h] = struct{}{}
-		}
+	s := &Store{max: maxEntries}
+	if err := s.open(dir, suffix); err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-// Dir returns the backing directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Len returns the number of entries believed present.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.hashes)
-}
-
-// Hashes returns every stored hash in sorted order.
-func (s *Store) Hashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.hashes))
-	for h := range s.hashes {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s *Store) path(hash string) string {
-	return filepath.Join(s.dir, hash+suffix)
 }
 
 // payloadSum is the self-check digest: sha256 over text||json.
@@ -160,9 +199,7 @@ func (s *Store) Put(hash string, text, js []byte) error {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	s.hashes[hash] = struct{}{}
-	s.mu.Unlock()
+	s.add(hash)
 	s.evict()
 	return nil
 }
@@ -199,25 +236,10 @@ func (s *Store) Get(hash string) (text, js []byte, err error) {
 	return text, js, nil
 }
 
-// Has reports whether a valid-looking entry exists (no checksum pass —
-// Get performs the authoritative check).
-func (s *Store) Has(hash string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.hashes[hash]
-	return ok
-}
-
 // Remove deletes an entry if present.
 func (s *Store) Remove(hash string) {
 	_ = os.Remove(s.path(hash))
 	s.forget(hash)
-}
-
-func (s *Store) forget(hash string) {
-	s.mu.Lock()
-	delete(s.hashes, hash)
-	s.mu.Unlock()
 }
 
 // corrupt evicts a failed file and returns ErrCorrupt.

@@ -108,7 +108,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 	}
 }
 
-// TestRunUntilBoundaries pins the RunUntil/RunFor edge cases: an event
+// TestRunUntilBoundaries pins the RunUntil edge cases: an event
 // exactly at the boundary executes, events beyond it stay pending, the
 // clock lands exactly on the boundary, and draining an empty heap still
 // advances the clock.
@@ -126,20 +126,20 @@ func TestRunUntilBoundaries(t *testing.T) {
 	if eng.Now() != 100 {
 		t.Fatalf("clock at %d after RunUntil(100)", eng.Now())
 	}
-	if eng.Pending() != 1 {
-		t.Fatalf("%d events pending, want 1", eng.Pending())
+	if len(eng.events) != 1 {
+		t.Fatalf("%d events pending, want 1", len(eng.events))
 	}
 
-	// RunFor advances relative to now and executes the straggler.
-	eng.RunFor(1)
+	// A step of one past the boundary executes the straggler.
+	eng.RunUntil(eng.Now() + 1)
 	if len(ran) != 3 || ran[2] != 101 {
-		t.Fatalf("RunFor(1) ran %v, want [50 100 101]", ran)
+		t.Fatalf("RunUntil(101) ran %v, want [50 100 101]", ran)
 	}
 
 	// Empty heap: RunUntil is pure clock advance, past times are a no-op.
 	eng.RunUntil(500)
-	if eng.Now() != 500 || eng.Pending() != 0 {
-		t.Fatalf("empty RunUntil: now=%d pending=%d", eng.Now(), eng.Pending())
+	if eng.Now() != 500 || len(eng.events) != 0 {
+		t.Fatalf("empty RunUntil: now=%d pending=%d", eng.Now(), len(eng.events))
 	}
 	eng.RunUntil(400)
 	if eng.Now() != 500 {
@@ -174,7 +174,7 @@ func TestTickerReusesEvent(t *testing.T) {
 			t.Fatalf("ticked at %v, want %v", ticks, want)
 		}
 	}
-	if !tk.Stopped() {
+	if !tk.stopped {
 		t.Fatal("ticker not stopped")
 	}
 }

@@ -155,9 +155,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a timing-model bug.
 func (e *Engine) At(t Time, fn func()) {
@@ -206,9 +203,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunFor executes events for d picoseconds of simulated time from now.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
 // BusyLine models a resource that serves requests one at a time in FIFO
 // order: a DRAM data bus, a SerDes lane, the host memory channel during
 // forwarding. Reserving time on the line returns when the transfer starts
@@ -224,7 +218,6 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // line regardless of traffic.
 type BusyLine struct {
 	busyUntil Time
-	busyTotal Time // cumulative booked time, including bookings beyond any query
 	settled   Time // booked time in spans already folded out of pending
 	pending   []busySpan
 }
@@ -249,7 +242,6 @@ func (b *BusyLine) Reserve(at Time, dur Time) (start, end Time) {
 	}
 	end = start + dur
 	b.busyUntil = end
-	b.busyTotal += dur
 	if dur > 0 {
 		if n := len(b.pending); n > 0 && b.pending[n-1].end == start {
 			b.pending[n-1].end = end // back-to-back: extend the open span
@@ -268,13 +260,6 @@ func (b *BusyLine) Reserve(at Time, dur Time) (start, end Time) {
 	}
 	return start, end
 }
-
-// FreeAt returns the earliest time the line becomes free.
-func (b *BusyLine) FreeAt() Time { return b.busyUntil }
-
-// BusyTotal returns the cumulative booked time, including reservations
-// extending beyond the current clock.
-func (b *BusyLine) BusyTotal() Time { return b.busyTotal }
 
 // busyUpTo returns the booked time inside [0, now], retiring fully-past
 // spans into the settled total. Queries are expected to be non-decreasing
@@ -313,8 +298,8 @@ func (b *BusyLine) Utilization(now Time) float64 {
 }
 
 // Pool models a resource with K interchangeable slots served in FIFO order
-// of request: transaction tags, MSHR entries, buffer slots. Acquire books
-// the slot that frees earliest.
+// of request: transaction tags, MSHR entries, buffer slots. AcquireSlot
+// books the slot that frees earliest.
 type Pool struct {
 	freeAt []Time
 	// HighWater tracks the maximum number of simultaneously busy slots
@@ -328,31 +313,6 @@ func NewPool(k int) *Pool {
 		panic(fmt.Sprintf("sim: pool with %d slots", k))
 	}
 	return &Pool{freeAt: make([]Time, k)}
-}
-
-// Acquire books one slot for [start, start+dur) where start is the earliest
-// time >= at any slot is free. It returns the booked interval.
-func (p *Pool) Acquire(at Time, dur Time) (start, end Time) {
-	best := 0
-	busy := 0
-	for i, f := range p.freeAt {
-		if f > at {
-			busy++
-		}
-		if f < p.freeAt[best] {
-			best = i
-		}
-	}
-	if busy > p.HighWater {
-		p.HighWater = busy
-	}
-	start = at
-	if p.freeAt[best] > start {
-		start = p.freeAt[best]
-	}
-	end = start + dur
-	p.freeAt[best] = end
-	return start, end
 }
 
 // Size returns the slot count.
@@ -445,6 +405,3 @@ func NewTicker(eng *Engine, period Time, fn func(Time)) *Ticker {
 
 // Stop cancels future ticks. It is safe to call from within the callback.
 func (t *Ticker) Stop() { t.stopped = true }
-
-// Stopped reports whether the ticker has been stopped.
-func (t *Ticker) Stopped() bool { return t.stopped }

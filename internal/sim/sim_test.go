@@ -126,12 +126,12 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 25 {
 		t.Fatalf("Now() = %d after RunUntil(25)", e.Now())
 	}
-	e.RunFor(10)
+	e.RunUntil(e.Now() + 10)
 	if !ran[30] || ran[40] {
-		t.Fatalf("RunFor(10) ran wrong events: %v", ran)
+		t.Fatalf("RunUntil(35) ran wrong events: %v", ran)
 	}
 	if e.Now() != 35 {
-		t.Fatalf("Now() = %d after RunFor(10)", e.Now())
+		t.Fatalf("Now() = %d after RunUntil(35)", e.Now())
 	}
 }
 
@@ -171,9 +171,6 @@ func TestBusyLineSerializes(t *testing.T) {
 	s3, e3 := b.Reserve(100, 10)
 	if s3 != 100 || e3 != 110 {
 		t.Fatalf("third reserve = [%d,%d], want [100,110]", s3, e3)
-	}
-	if b.BusyTotal() != 30 {
-		t.Fatalf("BusyTotal = %d, want 30", b.BusyTotal())
 	}
 	if u := b.Utilization(300); u != 0.1 {
 		t.Fatalf("Utilization(300) = %v, want 0.1", u)
@@ -226,8 +223,8 @@ func TestTickerStop(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("ticker fired %d times after Stop at 5", n)
 	}
-	if !tk.Stopped() {
-		t.Fatal("Stopped() = false")
+	if !tk.stopped {
+		t.Fatal("ticker not marked stopped")
 	}
 }
 
@@ -241,14 +238,22 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// book takes the earliest-free slot for [start, start+dur): AcquireSlot
+// immediately followed by ReleaseSlot at the known end.
+func book(p *Pool, at, dur Time) (start, end Time) {
+	slot, start := p.AcquireSlot(at)
+	p.ReleaseSlot(slot, start+dur)
+	return start, start + dur
+}
+
 func TestPoolAcquire(t *testing.T) {
 	p := NewPool(2)
-	s1, e1 := p.Acquire(0, 10)
-	s2, e2 := p.Acquire(0, 10)
+	s1, e1 := book(p, 0, 10)
+	s2, e2 := book(p, 0, 10)
 	if s1 != 0 || s2 != 0 || e1 != 10 || e2 != 10 {
 		t.Fatalf("two slots should start immediately: %d %d", s1, s2)
 	}
-	s3, _ := p.Acquire(0, 10)
+	s3, _ := book(p, 0, 10)
 	if s3 != 10 {
 		t.Fatalf("third acquisition at %d, want 10", s3)
 	}
@@ -303,7 +308,7 @@ func TestPoolFIFOFairness(t *testing.T) {
 	p := NewPool(3)
 	var ends []Time
 	for i := 0; i < 30; i++ {
-		s, e := p.Acquire(Time(i), 50)
+		s, e := book(p, Time(i), 50)
 		if i >= 3 && s < ends[i-3] {
 			t.Fatalf("request %d started at %d before slot freed at %d", i, s, ends[i-3])
 		}
@@ -324,10 +329,6 @@ func TestBusyLineUtilizationClamped(t *testing.T) {
 	b.Reserve(200, 1000) // [200, 1200): mostly in the future at now=250
 	if u := b.Utilization(250); u != (100.0+50.0)/250.0 {
 		t.Fatalf("Utilization(250) = %v, want 0.6", u)
-	}
-	// BusyTotal still reports the full booked time, including the future.
-	if b.BusyTotal() != 1100 {
-		t.Fatalf("BusyTotal = %d, want 1100", b.BusyTotal())
 	}
 	if u := b.Utilization(1200); u != 1100.0/1200.0 {
 		t.Fatalf("Utilization(1200) = %v, want %v", u, 1100.0/1200.0)
@@ -389,20 +390,20 @@ func TestBusyLineFoldExact(t *testing.T) {
 
 func TestPoolHighWaterInterleaved(t *testing.T) {
 	// HighWater counts slots busy at acquisition time, before booking the
-	// new one, across both Acquire and AcquireSlot.
+	// new one, across both booked and held-open slots.
 	p := NewPool(3)
-	p.Acquire(0, 100)            // busy seen: 0
+	book(p, 0, 100)              // busy seen: 0
 	slot, _ := p.AcquireSlot(10) // busy seen: 1
-	p.Acquire(20, 100)           // busy seen: 2
+	book(p, 20, 100)             // busy seen: 2
 	if p.HighWater != 2 {
 		t.Fatalf("HighWater = %d, want 2", p.HighWater)
 	}
 	p.ReleaseSlot(slot, 50)
-	p.Acquire(60, 100) // busy seen: 2 (held slot released, two Acquires live)
+	book(p, 60, 100) // busy seen: 2 (held slot released, two bookings live)
 	if p.HighWater != 2 {
 		t.Fatalf("HighWater after release = %d, want 2", p.HighWater)
 	}
-	p.Acquire(70, 100) // busy seen: 3 — every slot occupied
+	book(p, 70, 100) // busy seen: 3 — every slot occupied
 	if p.HighWater != 3 {
 		t.Fatalf("HighWater at saturation = %d, want 3", p.HighWater)
 	}
@@ -415,22 +416,22 @@ func TestPoolHighWaterInterleaved(t *testing.T) {
 }
 
 func TestPoolEarliestFreeTieBreak(t *testing.T) {
-	// When several slots free at the same instant, Acquire and AcquireSlot
-	// must pick the lowest-indexed one so replays are deterministic.
+	// When several slots free at the same instant, AcquireSlot must pick
+	// the lowest-indexed one so replays are deterministic.
 	p := NewPool(3)
 	for i := 0; i < 3; i++ {
-		p.Acquire(0, 100) // all slots now free at 100
+		book(p, 0, 100) // all slots now free at 100
 	}
 	slot, start := p.AcquireSlot(0)
 	if slot != 0 || start != 100 {
 		t.Fatalf("AcquireSlot picked slot %d at %d, want slot 0 at 100", slot, start)
 	}
 	p.ReleaseSlot(slot, 200)
-	// Acquire must also prefer the earliest-free slot over later ones:
+	// Booking must also prefer the earliest-free slot over later ones:
 	// slot 0 frees at 200, slots 1 and 2 at 100 — ties among 1,2 go to 1.
-	_, end := p.Acquire(0, 50)
+	_, end := book(p, 0, 50)
 	if end != 150 {
-		t.Fatalf("Acquire booked to %d, want 150 (earliest-free slot)", end)
+		t.Fatalf("booked to %d, want 150 (earliest-free slot)", end)
 	}
 	if p.freeAt[1] != 150 || p.freeAt[2] != 100 {
 		t.Fatalf("tie broke to wrong slot: freeAt = %v", p.freeAt)

@@ -106,9 +106,6 @@ type Spec struct {
 	FaultSeed int64  `json:"faultseed,omitempty"`
 }
 
-// Sim returns a sim-kind spec with every field on the shared defaults.
-func Sim() Spec { return mustNormalize(Spec{Kind: KindSim}) }
-
 // Exp returns an exp-kind spec for the given experiment selection.
 func Exp(id string) Spec {
 	s, err := Spec{Kind: KindExp, Exp: id}.Normalized()
@@ -116,14 +113,6 @@ func Exp(id string) Spec {
 		s = Spec{Kind: KindExp, Exp: id, Seed: DefaultSeed, FaultSeed: DefaultFaultSeed}
 	}
 	return s
-}
-
-func mustNormalize(s Spec) Spec {
-	n, err := s.Normalized()
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // workloadAliases maps every accepted workload spelling to its canonical

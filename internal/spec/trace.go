@@ -4,7 +4,6 @@
 package spec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -120,13 +119,4 @@ func (r *SimRun) WriteTrafficCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// TrafficCSV renders WriteTrafficCSV to a byte slice.
-func (r *SimRun) TrafficCSV() ([]byte, error) {
-	var b bytes.Buffer
-	if err := r.WriteTrafficCSV(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
 }

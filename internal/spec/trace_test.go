@@ -139,11 +139,10 @@ func TestReplayReproducesRecording(t *testing.T) {
 		}
 		var rep bytes.Buffer
 		run.Report(&rep)
-		csv, err := run.TrafficCSV()
-		if err != nil {
+		if err := run.WriteTrafficCSV(&rep); err != nil {
 			t.Fatal(err)
 		}
-		return run, append(rep.Bytes(), csv...)
+		return run, rep.Bytes()
 	}
 
 	run, report := replay(ingest.FormatText)
@@ -164,11 +163,11 @@ func TestTrafficCSVShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv, err := run.TrafficCSV()
-	if err != nil {
+	var csv bytes.Buffer
+	if err := run.WriteTrafficCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	s := string(csv)
+	s := csv.String()
 	if !strings.HasPrefix(s, `src\dst,0,1,2,3`+"\n") {
 		t.Errorf("matrix header missing:\n%s", s)
 	}

@@ -40,18 +40,15 @@ func (c *Counters) Names() []string {
 	return names
 }
 
-// Dist accumulates a distribution of sample values (latencies, hop counts)
-// using Welford's online algorithm. The naive sum-of-squares form
-// catastrophically cancels when the mean dwarfs the spread — picosecond
-// timestamps in the 1e9 range with nanosecond-scale variation lose every
-// significant digit of the variance — so the running mean and the centered
-// second moment are carried instead. The zero value is ready to use.
+// Dist accumulates a distribution of sample values (latencies, hop counts):
+// count, minimum, maximum and a running mean updated incrementally (the
+// Welford mean step), which keeps its precision when the mean dwarfs the
+// spread. The zero value is ready to use.
 type Dist struct {
 	N    uint64
 	MinV float64
 	MaxV float64
 	mean float64
-	m2   float64 // sum of squared deviations from the running mean
 }
 
 // Observe adds one sample.
@@ -65,7 +62,6 @@ func (d *Dist) Observe(v float64) {
 	d.N++
 	delta := v - d.mean
 	d.mean += delta / float64(d.N)
-	d.m2 += delta * (v - d.mean)
 }
 
 // Mean returns the sample mean, or zero when empty.
@@ -74,46 +70,6 @@ func (d *Dist) Mean() float64 {
 		return 0
 	}
 	return d.mean
-}
-
-// Sum returns the sum of all samples.
-func (d *Dist) Sum() float64 { return d.mean * float64(d.N) }
-
-// Std returns the population standard deviation, or zero when empty.
-func (d *Dist) Std() float64 {
-	if d.N == 0 {
-		return 0
-	}
-	v := d.m2 / float64(d.N)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Merge folds other into d using the parallel-variance combination
-// (Chan et al.), which is as well-conditioned as Welford itself: the
-// experiment harness merges per-worker Dists without losing precision.
-func (d *Dist) Merge(other *Dist) {
-	if other.N == 0 {
-		return
-	}
-	if d.N == 0 {
-		*d = *other
-		return
-	}
-	if other.MinV < d.MinV {
-		d.MinV = other.MinV
-	}
-	if other.MaxV > d.MaxV {
-		d.MaxV = other.MaxV
-	}
-	nA, nB := float64(d.N), float64(other.N)
-	n := nA + nB
-	delta := other.mean - d.mean
-	d.mean += delta * nB / n
-	d.m2 += other.m2 + delta*delta*nA*nB/n
-	d.N += other.N
 }
 
 func (d *Dist) String() string {

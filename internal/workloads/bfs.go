@@ -66,13 +66,8 @@ type BFS struct {
 	Source int32
 }
 
-// NewBFS builds a BFS over an R-MAT graph of the given scale, rooted at
-// the highest-degree vertex.
-func NewBFS(scale int, seed int64) *BFS {
-	return NewBFSFromGraph(RMAT(scale, 8, seed))
-}
-
-// NewBFSFromGraph builds a BFS over an existing graph.
+// NewBFSFromGraph builds a BFS over an existing graph, rooted at the
+// highest-degree vertex.
 func NewBFSFromGraph(g *CSR) *BFS {
 	return &BFS{G: g, Source: g.MaxDegreeVertex()}
 }

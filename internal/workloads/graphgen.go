@@ -181,36 +181,3 @@ func (g *CSR) MaxDegreeVertex() int32 {
 	}
 	return best
 }
-
-// Grid2D generates a 2D grid graph (rows x cols, 4-neighborhood), the
-// regular counterpart used in tests.
-func Grid2D(rows, cols int) *CSR {
-	n := int32(rows * cols)
-	id := func(r, c int) int32 { return int32(r*cols + c) }
-	var edges []int32
-	offsets := make([]int32, n+1)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			var nb []int32
-			if r > 0 {
-				nb = append(nb, id(r-1, c))
-			}
-			if r < rows-1 {
-				nb = append(nb, id(r+1, c))
-			}
-			if c > 0 {
-				nb = append(nb, id(r, c-1))
-			}
-			if c < cols-1 {
-				nb = append(nb, id(r, c+1))
-			}
-			offsets[id(r, c)+1] = offsets[id(r, c)] + int32(len(nb))
-			edges = append(edges, nb...)
-		}
-	}
-	w := make([]int32, len(edges))
-	for i := range w {
-		w[i] = 1
-	}
-	return &CSR{N: n, Offsets: offsets, Edges: edges, Weights: w}
-}

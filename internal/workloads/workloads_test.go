@@ -49,17 +49,6 @@ func TestRMATDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestGrid2D(t *testing.T) {
-	g := Grid2D(3, 4)
-	if g.N != 12 {
-		t.Fatalf("N = %d", g.N)
-	}
-	// Corner has 2 neighbors, interior has 4.
-	if g.Degree(0) != 2 || g.Degree(5) != 4 {
-		t.Fatalf("degrees: %d, %d", g.Degree(0), g.Degree(5))
-	}
-}
-
 func TestPartsRanges(t *testing.T) {
 	p := MakeParts(10, 4)
 	total := 0
@@ -78,7 +67,7 @@ func TestPartsRanges(t *testing.T) {
 }
 
 func TestBFSMatchesReferenceAcrossMechanisms(t *testing.T) {
-	bfs := NewBFS(8, 7)
+	bfs := NewBFSFromGraph(RMAT(8, 8, 7))
 	want := hashUint32s(ReferenceBFS(bfs.G, bfs.Source))
 	for _, mech := range []nmp.Mechanism{nmp.MechDIMMLink, nmp.MechMCN, nmp.MechAIM, nmp.MechHostCPU} {
 		s := sys4(mech)
@@ -93,7 +82,7 @@ func TestBFSMatchesReferenceAcrossMechanisms(t *testing.T) {
 }
 
 func TestBFSPlacementInvariant(t *testing.T) {
-	bfs := NewBFS(8, 7)
+	bfs := NewBFSFromGraph(RMAT(8, 8, 7))
 	s1 := sys4(nmp.MechDIMMLink)
 	_, a, _ := bfs.Run(s1, s1.DefaultPlacement(), false)
 	// A rotated placement must not change the functional result.
@@ -232,7 +221,7 @@ func TestTSPowMatchesReference(t *testing.T) {
 }
 
 func TestDIMMLinkBeatsMCNOnBFS(t *testing.T) {
-	bfs := NewBFS(9, 21)
+	bfs := NewBFSFromGraph(RMAT(9, 8, 21))
 	sDL := sys4(nmp.MechDIMMLink)
 	rDL, _, _ := bfs.Run(sDL, sDL.DefaultPlacement(), false)
 	sMCN := sys4(nmp.MechMCN)
