@@ -109,7 +109,11 @@ func main() {
 				}
 			}
 		}
-		tables := e.Run(runOpts)
+		tables, err := exp.RunContext(e, runOpts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dlbench: %s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
 		for i, tb := range tables {
 			tb.Render(os.Stdout)
 			fmt.Println()

@@ -94,7 +94,7 @@ func TestTagPressureDelaysTransactions(t *testing.T) {
 		modules := testModules(geo)
 		cfg := DefaultConfig(1)
 		cfg.Controller.Tags = tags
-		l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 		var last sim.Time
 		for i := 0; i < 8; i++ {
 			if done := l.Access(0, 0, l.geo.DIMMBase(1)+uint64(i)*4096, 64, false); done > last {
@@ -116,7 +116,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 	modules := testModules(geo)
 	cfg := DefaultConfig(2)
 	cfg.InterGroup = ViaCXL
-	l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 	done := l.Access(0, 0, l.geo.DIMMBase(6), 4096, false) // cross-blade read
 	if l.host.Counters.Get("host.forwards") != 0 || l.host.Counters.Get("host.polls") != 0 {
 		t.Fatal("CXL transport used the host")
@@ -126,7 +126,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 	}
 	// No polling interval in the path: far faster than the host route.
 	hostCfg := DefaultConfig(2)
-	lh := NewLink(sim.NewEngine(), geo, testModules(geo), host.DefaultConfig(), hostCfg)
+	lh := mustNewLink(sim.NewEngine(), geo, testModules(geo), host.DefaultConfig(), hostCfg)
 	hostDone := lh.Access(0, 0, lh.geo.DIMMBase(6), 4096, false)
 	if done >= hostDone {
 		t.Fatalf("CXL cross-blade read (%d) should beat host forwarding (%d)", done, hostDone)
@@ -144,7 +144,7 @@ func TestCXLBroadcastAndBarrier(t *testing.T) {
 	modules := testModules(geo)
 	cfg := DefaultConfig(2)
 	cfg.InterGroup = ViaCXL
-	l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 	if done := l.Broadcast(0, 0, l.geo.DIMMBase(0), 1024); done == 0 {
 		t.Fatal("broadcast returned zero")
 	}

@@ -5,6 +5,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/fault"
@@ -187,6 +188,11 @@ type Link struct {
 	ctrs     stats.Counters
 	pktCount uint64 // for deterministic error injection
 
+	// Handles into ctrs, registered once in NewLink.
+	tx                                                  idc.TxCounters
+	linkBytes, retries, proxyRegs, cxlBytes, interGroup *stats.Counter
+	fc                                                  faultCounters
+
 	// flt is the per-run fault state; nil means the perfect physical
 	// layer (the fast path through sendPacket/broadcastWithin).
 	flt *fault.Injector
@@ -214,16 +220,18 @@ type group struct {
 
 // NewLink builds a DIMM-Link interconnect over the system's DIMMs and
 // creates the host model with the polling-proxy targets (the group masters)
-// when hostCfg uses a proxy mode, or all DIMMs otherwise.
-func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) *Link {
+// when hostCfg uses a proxy mode, or all DIMMs otherwise. It rejects a
+// DIMM count the groups or the packet format cannot hold, and a fault
+// event on a DIMM pair that is not a link of the built topology.
+func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) (*Link, error) {
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = GroupsFor(geo.NumDIMMs)
 	}
 	if geo.NumDIMMs%cfg.NumGroups != 0 {
-		panic(fmt.Sprintf("core: %d DIMMs not divisible into %d groups", geo.NumDIMMs, cfg.NumGroups))
+		return nil, fmt.Errorf("core: %d DIMMs not divisible into %d groups", geo.NumDIMMs, cfg.NumGroups)
 	}
 	if geo.NumDIMMs > MaxDIMMs {
-		panic(fmt.Sprintf("core: %d DIMMs exceed the %d-DIMM SRC/DST field", geo.NumDIMMs, MaxDIMMs))
+		return nil, fmt.Errorf("core: %d DIMMs exceed the %d-DIMM SRC/DST field", geo.NumDIMMs, MaxDIMMs)
 	}
 	l := &Link{
 		eng:     eng,
@@ -233,6 +241,13 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 		groupOf: make([]int, geo.NumDIMMs),
 		nodeOf:  make([]int, geo.NumDIMMs),
 	}
+	l.tx = idc.NewTxCounters(&l.ctrs)
+	l.linkBytes = l.ctrs.Handle(idc.CtrLinkBytes)
+	l.retries = l.ctrs.Handle(idc.CtrRetries)
+	l.proxyRegs = l.ctrs.Handle(idc.CtrProxyRegs)
+	l.cxlBytes = l.ctrs.Handle(idc.CtrCXLBytes)
+	l.interGroup = l.ctrs.Handle(idc.CtrInterGroup)
+	l.fc = newFaultCounters(&l.ctrs)
 	l.flt = fault.NewInjector(cfg.Fault)
 	if l.flt != nil {
 		l.cfg.DLL = l.cfg.DLL.withDefaults()
@@ -261,6 +276,9 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 			l.nodeOf[gr.base+i] = i
 		}
 	}
+	if err := l.checkFaultLinks(cfg.Fault); err != nil {
+		return nil, err
+	}
 	l.ctrl = make([]*Controller, geo.NumDIMMs)
 	for d := range l.ctrl {
 		l.ctrl[d] = NewController(d, cfg.Controller)
@@ -279,7 +297,34 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 	}
 	l.host = host.New(eng, geo, hostCfg, targets)
 	l.host.SetMetrics(cfg.Metrics)
-	return l
+	return l, nil
+}
+
+// checkFaultLinks rejects a fault event on a DIMM pair that is not a
+// link of the built topology: out of range, split across DL groups, or
+// not adjacent within its group. The injector keys events by pair, so
+// such an event would otherwise be inert and the run fault-free.
+func (l *Link) checkFaultLinks(p *fault.Plan) error {
+	if p == nil {
+		return nil
+	}
+	for i, e := range p.Events {
+		if !l.isLink(e.A, e.B) {
+			g := l.groups[0]
+			return fmt.Errorf("core: fault event %d: %d-%d is not a DIMM-Link link (%d DIMMs in %d %s group(s) of %d)",
+				i, e.A, e.B, l.geo.NumDIMMs, len(l.groups), g.net.Topology().Name(), g.size)
+		}
+	}
+	return nil
+}
+
+// isLink reports whether DIMMs a and b are joined by a DL link.
+func (l *Link) isLink(a, b int) bool {
+	n := l.geo.NumDIMMs
+	if a < 0 || b < 0 || a >= n || b >= n || l.groupOf[a] != l.groupOf[b] {
+		return false
+	}
+	return slices.Contains(l.groups[l.groupOf[a]].net.Topology().Neighbors(l.nodeOf[a]), l.nodeOf[b])
 }
 
 // Controllers exposes the per-DIMM structural state (tag/buffer pressure).
@@ -292,7 +337,7 @@ func (l *Link) cxlSend(at sim.Time, srcGroup, dstGroup int, bytes uint32) sim.Ti
 	_, egEnd := l.groups[srcGroup].egress.Reserve(at, dur)
 	arrive := egEnd + l.cfg.CXL.PortLatency + l.cfg.CXL.SwitchLatency
 	_, inEnd := l.groups[dstGroup].ingress.Reserve(arrive, dur)
-	l.ctrs.Add(idc.CtrCXLBytes, uint64(bytes))
+	l.cxlBytes.Add(uint64(bytes))
 	return inEnd + l.cfg.CXL.PortLatency
 }
 
@@ -378,8 +423,8 @@ func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
 			// connected and static routes only walk real links.
 			panic(err)
 		}
-		l.ctrs.Add(idc.CtrLinkBytes, uint64(wireBytes))
-		l.ctrs.Inc(idc.CtrPackets)
+		l.linkBytes.Add(uint64(wireBytes))
+		l.tx.Packets.Inc()
 		l.pktCount++
 		if l.cfg.ErrorEvery == 0 || l.pktCount%l.cfg.ErrorEvery != 0 {
 			if l.cfg.Metrics.Active() {
@@ -390,7 +435,7 @@ func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
 		}
 		// CRC failure at dst: no ACK returns; the source retransmits after
 		// a fixed retry timeout sized to a few worst-case round trips.
-		l.ctrs.Inc(idc.CtrRetries)
+		l.retries.Inc()
 		l.cfg.Metrics.Observe(metrics.HistDLLRetry, retryTimeout)
 		t = arrive + retryTimeout
 	}
@@ -410,9 +455,9 @@ func (l *Link) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write 
 		panic("core: Access called for a local address")
 	}
 	if write {
-		l.ctrs.Inc(idc.CtrRemoteWrites)
+		l.tx.RemoteWrites.Inc()
 	} else {
-		l.ctrs.Inc(idc.CtrRemoteReads)
+		l.tx.RemoteReads.Inc()
 	}
 	var done sim.Time
 	if l.groupOf[srcDIMM] == l.groupOf[dst] {
@@ -487,7 +532,7 @@ func (l *Link) registerAtProxy(at sim.Time, dimm int) sim.Time {
 	if dimm != g.master {
 		t = l.sendPacket(l.packetize(t), dimm, g.master, wireBytesFor(0))
 		t = l.decode(t)
-		l.ctrs.Inc(idc.CtrProxyRegs)
+		l.proxyRegs.Inc()
 	}
 	return l.host.NoticeTime(t, g.master, 1)
 }
@@ -510,8 +555,8 @@ func wireBytesTotal(size uint32) uint32 {
 // packets.
 func (l *Link) interGroupAccess(at sim.Time, src, dst int, addr uint64, size uint32, write bool) sim.Time {
 	pkts := uint64(NumChunks(size))
-	l.ctrs.Add(idc.CtrPackets, pkts)
-	l.ctrs.Inc(idc.CtrInterGroup)
+	l.tx.Packets.Add(pkts)
+	l.interGroup.Inc()
 	if l.cfg.InterGroup == ViaCXL {
 		return l.interBladeAccess(at, src, dst, addr, size, write)
 	}
@@ -575,7 +620,7 @@ func (l *Link) interBladeAccess(at sim.Time, src, dst int, addr uint64, size uin
 
 // Broadcast implements intra- and inter-group broadcast (Figure 5-c/d).
 func (l *Link) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.Time {
-	l.ctrs.Inc(idc.CtrBroadcasts)
+	l.tx.Broadcasts.Inc()
 	srcGroup := l.groupOf[srcDIMM]
 	last := l.broadcastWithin(at, srcDIMM, size)
 	for gi, g := range l.groups {
@@ -620,8 +665,8 @@ func (l *Link) broadcastWithin(at sim.Time, src int, size uint32) sim.Time {
 			// Unreachable without fault injection (connected topology).
 			panic(err)
 		}
-		l.ctrs.Add(idc.CtrLinkBytes, uint64(wire*(g.size-1)))
-		l.ctrs.Inc(idc.CtrPackets)
+		l.linkBytes.Add(uint64(wire * (g.size - 1)))
+		l.tx.Packets.Inc()
 		if d := l.decode(fin); d > last {
 			last = d
 		}
@@ -633,7 +678,7 @@ func (l *Link) broadcastWithin(at sim.Time, src int, size uint32) sim.Time {
 // Barrier implements idc.Interconnect: hierarchical (default) or
 // centralized synchronization over DIMM-Link.
 func (l *Link) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	l.ctrs.Inc(idc.CtrBarriers)
+	l.tx.Barriers.Inc()
 	if l.cfg.Sync == SyncCentralized {
 		return l.centralBarrier(arrivals, threadDIMM)
 	}
@@ -666,7 +711,7 @@ func (l *Link) hierBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 		arrive := t
 		if d != g.master {
 			arrive = l.decode(l.sendPacket(l.packetize(t), d, g.master, syncWire))
-			l.ctrs.Inc(idc.CtrSyncMsgs)
+			l.tx.SyncMsgs.Inc()
 		}
 		if arrive > groupDone[l.groupOf[d]] {
 			groupDone[l.groupOf[d]] = arrive
@@ -692,7 +737,7 @@ func (l *Link) hierBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 			if gi == root || t == 0 {
 				continue
 			}
-			l.ctrs.Inc(idc.CtrSyncMsgs)
+			l.tx.SyncMsgs.Inc()
 			if d := l.interGroupMessage(t, l.groups[gi].master, l.groups[root].master, syncWire); d > global {
 				global = d
 			}
@@ -703,7 +748,7 @@ func (l *Link) hierBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 			if gi == root || t == 0 {
 				continue
 			}
-			l.ctrs.Inc(idc.CtrSyncMsgs)
+			l.tx.SyncMsgs.Inc()
 			if d := l.interGroupMessage(global, l.groups[root].master, l.groups[gi].master, syncWire); d > release {
 				release = d
 			}
@@ -785,7 +830,7 @@ func (l *Link) Distance(j, k int) float64 {
 // syncMessage carries one sync packet between arbitrary DIMMs using the
 // hybrid routing (link when intra-group, host or CXL otherwise).
 func (l *Link) syncMessage(at sim.Time, src, dst int, wire int) sim.Time {
-	l.ctrs.Inc(idc.CtrSyncMsgs)
+	l.tx.SyncMsgs.Inc()
 	if l.groupOf[src] == l.groupOf[dst] {
 		return l.decode(l.sendPacket(l.packetize(at), src, dst, wire))
 	}

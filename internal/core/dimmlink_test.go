@@ -31,7 +31,7 @@ func newTestLink(dimms, channels, groups int, mode host.PollingMode) (*Link, *si
 	hostCfg := host.DefaultConfig()
 	hostCfg.Mode = mode
 	cfg := DefaultConfig(groups)
-	return NewLink(eng, geo, modules, hostCfg, cfg), eng
+	return mustNewLink(eng, geo, modules, hostCfg, cfg), eng
 }
 
 func TestGroupsFor(t *testing.T) {
@@ -225,7 +225,7 @@ func TestErrorInjectionCausesRetries(t *testing.T) {
 	}
 	cfg := DefaultConfig(1)
 	cfg.ErrorEvery = 2 // every 2nd packet is corrupted
-	l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 
 	clean, _ := newTestLink(4, 2, 1, host.BasePolling)
 	cleanDone := clean.Access(0, 0, clean.geo.DIMMBase(1), 64, false)
@@ -248,7 +248,7 @@ func TestTopologyVariants(t *testing.T) {
 		}
 		cfg := DefaultConfig(1)
 		cfg.Topology = topo
-		l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 		done := l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 		if done == 0 {
 			t.Fatalf("%s: zero completion", topo)
@@ -266,7 +266,7 @@ func TestRingShortensWorstCase(t *testing.T) {
 		}
 		cfg := DefaultConfig(1)
 		cfg.Topology = topo
-		l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 		return l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 	}
 	if ring, chain := farAccess(TopoRing), farAccess(TopoChain); ring >= chain {

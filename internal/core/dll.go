@@ -18,7 +18,27 @@ import (
 	"repro/internal/idc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
+
+// faultCounters are the Link's handles to the fault-injection counters,
+// bumped only on the DLL path.
+type faultCounters struct {
+	corrupted, replays, timeouts, linkDown *stats.Counter
+	reroutes, fallback, fallbackBytes      *stats.Counter
+}
+
+func newFaultCounters(c *stats.Counters) faultCounters {
+	return faultCounters{
+		corrupted:     c.Handle(idc.CtrFaultCorrupted),
+		replays:       c.Handle(idc.CtrFaultReplays),
+		timeouts:      c.Handle(idc.CtrFaultTimeouts),
+		linkDown:      c.Handle(idc.CtrFaultLinkDown),
+		reroutes:      c.Handle(idc.CtrFaultReroutes),
+		fallback:      c.Handle(idc.CtrFaultFallback),
+		fallbackBytes: c.Handle(idc.CtrFaultFallbackB),
+	}
+}
 
 // DLLConfig sizes the per-link data-link-layer retry machinery.
 type DLLConfig struct {
@@ -133,17 +153,17 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 			case fault.VerdictCorrupt:
 				// The receiver's CRC check fails and it NAKs; the sender
 				// replays from the buffer as soon as the NAK returns.
-				l.ctrs.Inc(idc.CtrFaultCorrupted)
-				l.ctrs.Inc(idc.CtrFaultReplays)
-				l.ctrs.Inc(idc.CtrRetries)
+				l.fc.corrupted.Inc()
+				l.fc.replays.Inc()
+				l.retries.Inc()
 				stall := hopArrive + l.ackDelay() - t
 				l.cfg.Metrics.Observe(metrics.HistDLLRetry, stall)
 				t = hopArrive + l.ackDelay()
 			case fault.VerdictDrop:
 				// The flits vanished; no NAK ever comes, so the
 				// retransmission timer fires, doubling each attempt.
-				l.ctrs.Inc(idc.CtrFaultTimeouts)
-				l.ctrs.Inc(idc.CtrRetries)
+				l.fc.timeouts.Inc()
+				l.retries.Inc()
 				l.cfg.Metrics.Observe(metrics.HistDLLRetry, l.cfg.DLL.AckTimeout<<uint(attempt))
 				t += l.cfg.DLL.AckTimeout << uint(attempt)
 			}
@@ -151,7 +171,7 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 				// Retry budget exhausted: declare the link dead so the
 				// router stops choosing it, and report failure upward.
 				l.flt.ForceDown(g.base+u, g.base+v, t)
-				l.ctrs.Inc(idc.CtrFaultLinkDown)
+				l.fc.linkDown.Inc()
 				arrive = t
 				ok = false
 				return t
@@ -176,8 +196,8 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 // packet itself.
 func (l *Link) sendPacketFI(at sim.Time, src, dst int, wireBytes int) sim.Time {
 	g := l.groups[l.groupOf[src]]
-	l.ctrs.Add(idc.CtrLinkBytes, uint64(wireBytes))
-	l.ctrs.Inc(idc.CtrPackets)
+	l.linkBytes.Add(uint64(wireBytes))
+	l.tx.Packets.Inc()
 	l.pktCount++
 	t := at
 	cur, target := l.nodeOf[src], l.nodeOf[dst]
@@ -190,7 +210,7 @@ func (l *Link) sendPacketFI(at sim.Time, src, dst int, wireBytes int) sim.Time {
 			return l.hostFallback(t, g.base+cur, dst, wireBytes)
 		}
 		if rerouted {
-			l.ctrs.Inc(idc.CtrFaultReroutes)
+			l.fc.reroutes.Inc()
 		}
 		// Walk the path; a hop that dies mid-walk re-enters the outer
 		// loop to re-route from the stranded node.
@@ -216,8 +236,8 @@ func (l *Link) sendPacketFI(at sim.Time, src, dst int, wireBytes int) sim.Time {
 // inter-group traffic (Section III-C). This is the graceful-degradation
 // path of last resort — slow, but the computation completes.
 func (l *Link) hostFallback(at sim.Time, srcDIMM, dstDIMM int, wire int) sim.Time {
-	l.ctrs.Inc(idc.CtrFaultFallback)
-	l.ctrs.Add(idc.CtrFaultFallbackB, uint64(wire))
+	l.fc.fallback.Inc()
+	l.fc.fallbackBytes.Add(uint64(wire))
 	noticed := l.host.NoticeTime(at, srcDIMM, 1)
 	return l.host.Forward(noticed, srcDIMM, dstDIMM, uint32(wire))
 }
@@ -268,8 +288,8 @@ func (l *Link) broadcastWithinFI(at sim.Time, src int, size uint32) sim.Time {
 				last = arr
 			}
 		}
-		l.ctrs.Add(idc.CtrLinkBytes, uint64(wire*delivered))
-		l.ctrs.Inc(idc.CtrPackets)
+		l.linkBytes.Add(uint64(wire * delivered))
+		l.tx.Packets.Inc()
 		t = sendAt
 	}
 	if d := l.decode(last); d > at {

@@ -1,13 +1,65 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/host"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
+
+// mustNewLink is NewLink for configurations a test knows to be valid.
+func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) *Link {
+	l, err := NewLink(eng, geo, modules, hostCfg, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// TestFaultOnMissingLinkRejected pins that a fault event on a DIMM pair
+// with no DL link between them is a construction error naming the event
+// index and the pair, rather than an inert event that leaves the run
+// fault-free.
+func TestFaultOnMissingLinkRejected(t *testing.T) {
+	build := func(dimms, groups int, topo TopologyKind, spec string) error {
+		plan, err := fault.ParsePlan(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo := geoN(dimms, dimms/2)
+		cfg := DefaultConfig(groups)
+		cfg.Topology = topo
+		cfg.Fault = plan
+		_, err = NewLink(sim.NewEngine(), geo, testModules(geo), host.DefaultConfig(), cfg)
+		return err
+	}
+	for _, tc := range []struct {
+		dimms, groups int
+		topo          TopologyKind
+		spec, want    string // want "" = accepted
+	}{
+		{8, 2, TopoChain, "down=1-2@50us", ""},
+		{8, 2, TopoChain, "ber=1e-7,down=2-1@1us", ""},
+		{8, 2, TopoRing, "down=0-3@1us", ""},              // ring closes 0-3 in a group of 4
+		{8, 2, TopoChain, "down=0-9@1us", "event 0: 0-9"}, // DIMM 9 does not exist
+		{8, 2, TopoChain, "down=0-2@1us", "event 0: 0-2"}, // chain skips a slot
+		{8, 2, TopoChain, "down=3-4@1us", "event 0: 3-4"}, // split across DL groups
+		{8, 2, TopoChain, "down=0-1@1us,stall=1-3@1us+1us", "event 1: 1-3"},
+		{8, 1, TopoMesh, "degrade=0-5@0*0.5", "event 0: 0-5"}, // 4x2 mesh: 0 and 5 are diagonal
+	} {
+		err := build(tc.dimms, tc.groups, tc.topo, tc.spec)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s on %dD %s: rejected a real link: %v", tc.spec, tc.dimms, tc.topo, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s on %dD %s: error %v, want one naming %q", tc.spec, tc.dimms, tc.topo, err, tc.want)
+		}
+	}
+}
 
 // newFaultLink is newTestLink with a fault plan attached.
 func newFaultLink(dimms, channels, groups int, plan *fault.Plan) *Link {
@@ -19,7 +71,7 @@ func newFaultLink(dimms, channels, groups int, plan *fault.Plan) *Link {
 	}
 	cfg := DefaultConfig(groups)
 	cfg.Fault = plan
-	return NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	return mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 }
 
 // TestInactivePlanIsByteIdentical pins the acceptance criterion that a
@@ -90,7 +142,7 @@ func TestRingReroutesAroundDeadLink(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Topology = TopoRing
 	cfg.Fault = plan
-	l := NewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
 
 	// 0 -> 2's static route is clockwise through the dead 0-1 link.
 	done := l.Access(0, 0, l.geo.DIMMBase(2), 256, false)

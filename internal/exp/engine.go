@@ -46,6 +46,12 @@ func (o Options) ctx() context.Context {
 // on a pool worker.
 type canceled struct{ err error }
 
+// buildFailed is the panic payload execute raises when a job's system
+// cannot be built from the options (a fault event on a missing link).
+// runJobs re-raises the lowest-index one on the calling goroutine, and
+// RunContext converts it into the run's error.
+type buildFailed struct{ err error }
+
 // jobSeed derives the RNG seed for job idx from a base seed using a
 // splitmix64 round: deterministic in (base, idx), decorrelated across
 // consecutive indices, and independent of scheduling. Jobs that need
@@ -75,7 +81,8 @@ func jobSeed(base int64, idx int) int64 {
 // canceled panic that RunContext converts to the context's error. A
 // context that is never canceled leaves the dispatch order, the job
 // seeds and therefore the results exactly as before: determinism across
-// -jobs settings is untouched.
+// -jobs settings is untouched. A job that panics with buildFailed stops
+// dispatch the same way, and runJobs re-raises the lowest-index failure.
 func runJobs[T any](o Options, n int, fn func(idx int) T) []T {
 	ctx := o.ctx()
 	out := make([]T, n)
@@ -106,24 +113,48 @@ func runJobs[T any](o Options, n int, fn func(idx int) T) []T {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var stop atomic.Bool
+	failIdx, failure := n, buildFailed{}
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				bf, ok := r.(buildFailed)
+				if !ok {
+					panic(r)
+				}
+				stop.Store(true)
+				mu.Lock()
+				if i < failIdx {
+					failIdx, failure = i, bf
+				}
+				mu.Unlock()
+			}
+		}()
+		out[i] = fn(i)
+		report()
+	}
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || stop.Load() {
 					return
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i] = fn(i)
-				report()
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if failIdx < n {
+		// Jobs are dispatched in index order and in-flight jobs finish,
+		// so every job below failIdx ran: the error matches -jobs 1.
+		panic(failure)
+	}
 	if err := ctx.Err(); err != nil {
 		panic(canceled{err})
 	}

@@ -3,10 +3,13 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestRunJobsOrder checks that results land at their job's index no matter
@@ -150,6 +153,30 @@ func TestRunContext(t *testing.T) {
 	}
 	if tables != nil {
 		t.Fatal("canceled RunContext returned tables")
+	}
+}
+
+// TestRunJobsBuildFailed checks that a job's buildFailed panic reaches
+// the calling goroutine at every pool width, carrying the lowest failing
+// index's error (what a serial run reports), and that RunContext turns it
+// into an error.
+func TestRunJobsBuildFailed(t *testing.T) {
+	for _, jobs := range []int{1, 2, 4, 16} {
+		e := Experiment{ID: "x", Run: func(o Options) []*stats.Table {
+			runJobs(o, 64, func(i int) int {
+				runtime.Gosched()
+				if i%5 == 3 { // jobs 3, 8, 13, ... fail
+					panic(buildFailed{fmt.Errorf("job %d", i)})
+				}
+				return i
+			})
+			t.Error("runJobs returned after a failed job")
+			return nil
+		}}
+		tables, err := RunContext(e, Options{Jobs: jobs})
+		if err == nil || err.Error() != "job 3" || tables != nil {
+			t.Fatalf("jobs=%d: RunContext = %v tables, err %v; want err \"job 3\"", jobs, len(tables), err)
+		}
 	}
 }
 

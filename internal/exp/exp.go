@@ -133,18 +133,21 @@ func All() []Experiment {
 }
 
 // RunContext executes e.Run under o's context and returns the rendered
-// tables, or the context's error if the grid was canceled mid-run. It is
-// the cancellable entry point used by long-running callers (dlserve);
+// tables, or the context's error if the grid was canceled mid-run, or
+// the error of the lowest-index job whose system could not be built. It
+// is the cancellable entry point used by long-running callers (dlserve);
 // with a nil or never-canceled Options.Ctx it behaves exactly like
 // e.Run(o) and the returned tables are byte-identical to a direct call.
 func RunContext(e Experiment, o Options) (tables []*stats.Table, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(canceled)
-			if !ok {
-				panic(r)
-			}
-			tables, err = nil, c.err
+		switch r := recover().(type) {
+		case nil:
+		case canceled:
+			tables, err = nil, r.err
+		case buildFailed:
+			tables, err = nil, r.err
+		default:
+			panic(r)
 		}
 	}()
 	return e.Run(o), nil
@@ -198,7 +201,13 @@ func execute(o Options, w workloads.Workload, mech nmp.Mechanism, cfg sysConfig,
 	if tweak != nil {
 		tweak(&c)
 	}
-	sys := nmp.MustNewSystem(c)
+	sys, err := nmp.NewSystem(c)
+	if err != nil {
+		// Experiments build only valid shapes, so this is a user input
+		// the shape rejects — an Options.Fault event on a DIMM pair with
+		// no DL link. RunContext returns it as the run's error.
+		panic(buildFailed{err})
+	}
 	if c.Metrics != nil && o.SamplePeriod > 0 {
 		sys.StartSampler(o.SamplePeriod)
 	}

@@ -79,8 +79,9 @@ func (p *Plan) Active() bool {
 	return p != nil && (p.BER > 0 || len(p.Events) > 0)
 }
 
-// Validate checks field ranges; it does not know the topology, so
-// whether A-B is a real link is checked at injection time.
+// Validate checks field ranges. It does not know the topology: whether
+// A-B is a real link is checked when the DIMM-Link interconnect is built
+// (core.NewLink), which rejects an event on any other pair.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil

@@ -128,14 +128,17 @@ func (c Config) Validate() error {
 // engine (the paper assumes one polling thread).
 type Host struct {
 	eng      *sim.Engine
-	geo      mem.Geometry
 	cfg      Config
 	channels []*sim.BusyLine
+	chanOf   []int        // DIMM -> channel index, from geo.ChannelOfDIMM
 	fwd      sim.BusyLine // the host forwarding thread
 
 	pollTargets []int // DIMMs scanned by the periodic loop
 	ticker      *sim.Ticker
 	Counters    stats.Counters
+
+	// Handles into Counters for the per-poll and per-transfer bumps.
+	polls, busBytes, forwards, fwdBytes *stats.Counter
 
 	// Observability, attached via SetMetrics; nil records nothing.
 	coll *metrics.Collector
@@ -148,9 +151,17 @@ func New(eng *sim.Engine, geo mem.Geometry, cfg Config, pollTargets []int) *Host
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Host{eng: eng, geo: geo, cfg: cfg, channels: make([]*sim.BusyLine, geo.NumChannels)}
+	h := &Host{eng: eng, cfg: cfg, channels: make([]*sim.BusyLine, geo.NumChannels)}
 	for i := range h.channels {
 		h.channels[i] = &sim.BusyLine{}
+	}
+	h.polls = h.Counters.Handle("host.polls")
+	h.busBytes = h.Counters.Handle("hostbus.bytes")
+	h.forwards = h.Counters.Handle("host.forwards")
+	h.fwdBytes = h.Counters.Handle("fwd.bytes")
+	h.chanOf = make([]int, geo.NumDIMMs)
+	for d := range h.chanOf {
+		h.chanOf[d] = geo.ChannelOfDIMM(d)
 	}
 	h.pollTargets = append(h.pollTargets, pollTargets...)
 	if !cfg.Mode.Interrupting() && len(h.pollTargets) > 0 {
@@ -176,9 +187,9 @@ func (h *Host) SetMetrics(c *metrics.Collector) { h.coll = c }
 // pollOnce scans every poll target, occupying each target's channel bus.
 func (h *Host) pollOnce(now sim.Time) {
 	for _, dimm := range h.pollTargets {
-		ch := h.geo.ChannelOfDIMM(dimm)
+		ch := h.chanOf[dimm]
 		h.channels[ch].Reserve(now, h.cfg.PollCost)
-		h.Counters.Inc("host.polls")
+		h.polls.Inc()
 	}
 }
 
@@ -194,11 +205,11 @@ func (h *Host) NoticeTime(at sim.Time, dimm int, scanDIMMs int) sim.Time {
 			scanDIMMs = 1
 		}
 		t := at + h.cfg.InterruptLatency
-		ch := h.geo.ChannelOfDIMM(dimm)
+		ch := h.chanOf[dimm]
 		var end sim.Time
 		for i := 0; i < scanDIMMs; i++ {
 			_, end = h.channels[ch].Reserve(t, h.cfg.PollCost)
-			h.Counters.Inc("host.polls")
+			h.polls.Inc()
 			t = end
 		}
 		return end
@@ -207,19 +218,19 @@ func (h *Host) NoticeTime(at sim.Time, dimm int, scanDIMMs int) sim.Time {
 	// The tick itself reserves bus time via pollOnce; here we add the cost
 	// of reading out the request descriptors.
 	next := (at/h.cfg.PollInterval + 1) * h.cfg.PollInterval
-	ch := h.geo.ChannelOfDIMM(dimm)
+	ch := h.chanOf[dimm]
 	_, end := h.channels[ch].Reserve(next, h.cfg.PollCost)
-	h.Counters.Inc("host.polls")
+	h.polls.Inc()
 	return end
 }
 
 // transfer reserves the channel bus of the given DIMM for moving size bytes
 // and returns the completion time.
 func (h *Host) transfer(at sim.Time, dimm int, size uint32) sim.Time {
-	ch := h.geo.ChannelOfDIMM(dimm)
+	ch := h.chanOf[dimm]
 	dur := sim.TransferTime(uint64(size), h.cfg.ChannelBytesPerSec)
 	_, end := h.channels[ch].Reserve(at, dur)
-	h.Counters.Add("hostbus.bytes", uint64(size))
+	h.busBytes.Add(uint64(size))
 	return end
 }
 
@@ -252,8 +263,8 @@ func (h *Host) Forward(at sim.Time, src, dst int, size uint32) sim.Time {
 	if slow := start + h.cfg.FwdLatency + copyTime; slow > end {
 		end = slow
 	}
-	h.Counters.Inc("host.forwards")
-	h.Counters.Add("fwd.bytes", uint64(size))
+	h.forwards.Inc()
+	h.fwdBytes.Add(uint64(size))
 	if h.coll.Active() {
 		h.coll.Observe(metrics.HistHostFwd, end-at)
 		h.coll.Packet(at, "hostfwd", src, dst, int(size))
@@ -271,8 +282,8 @@ func (h *Host) ForwardCached(at sim.Time, dst int, size uint32) sim.Time {
 	if slow := start + h.cfg.FwdCPUPerPacket + copyTime; slow > end {
 		end = slow
 	}
-	h.Counters.Inc("host.forwards")
-	h.Counters.Add("fwd.bytes", uint64(size))
+	h.forwards.Inc()
+	h.fwdBytes.Add(uint64(size))
 	return end
 }
 
@@ -280,9 +291,9 @@ func (h *Host) ForwardCached(at sim.Time, dst int, size uint32) sim.Time {
 // DRAM transaction of size bytes and returns the reservation window. Used
 // by the host-baseline memory system and ABC-DIMM's broadcast commands.
 func (h *Host) ChannelAccessStart(at sim.Time, dimm int, size uint32) (start, end sim.Time) {
-	ch := h.geo.ChannelOfDIMM(dimm)
+	ch := h.chanOf[dimm]
 	dur := sim.TransferTime(uint64(size), h.cfg.ChannelBytesPerSec)
-	h.Counters.Add("hostbus.bytes", uint64(size))
+	h.busBytes.Add(uint64(size))
 	return h.channels[ch].Reserve(at, dur)
 }
 

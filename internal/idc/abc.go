@@ -20,6 +20,7 @@ type ABCDIMM struct {
 	dram []*dram.Module
 	host *host.Host
 	ctrs stats.Counters
+	tx   TxCounters
 
 	// firstInCh[c] is the lowest DIMM actually populated on channel c, or
 	// -1 for an empty channel. Derived from the real layout so that a
@@ -47,8 +48,10 @@ func NewABCDIMM(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostC
 			firstInCh[ch] = d
 		}
 	}
-	return &ABCDIMM{geo: geo, dram: modules,
+	b := &ABCDIMM{geo: geo, dram: modules,
 		host: host.New(eng, geo, hostCfg, targets), firstInCh: firstInCh}
+	b.tx = NewTxCounters(&b.ctrs)
+	return b
 }
 
 // Name implements Interconnect.
@@ -75,13 +78,13 @@ func (b *ABCDIMM) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, wri
 		panic("idc: ABCDIMM.Access called for a local address")
 	}
 	noticed := b.notice(at, srcDIMM)
-	b.ctrs.Inc(CtrPackets)
+	b.tx.Packets.Inc()
 	if write {
-		b.ctrs.Inc(CtrRemoteWrites)
+		b.tx.RemoteWrites.Inc()
 		t := b.host.Forward(noticed, srcDIMM, dst, size)
 		return b.dram[dst].Access(t, addr, size, true)
 	}
-	b.ctrs.Inc(CtrRemoteReads)
+	b.tx.RemoteReads.Inc()
 	t := b.dram[dst].Access(noticed, addr, size, false)
 	return b.host.Forward(t, dst, srcDIMM, size)
 }
@@ -91,13 +94,13 @@ func (b *ABCDIMM) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, wri
 // each other channel the host replays the data with one broadcast-write
 // transaction, so the cost scales with #channels rather than #DIMMs.
 func (b *ABCDIMM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.Time {
-	b.ctrs.Inc(CtrBroadcasts)
+	b.tx.Broadcasts.Inc()
 	noticed := b.notice(at, srcDIMM)
 	// Broadcast-read on the source channel: DRAM read plus one channel
 	// transaction seen by every DIMM on the channel (and by the host).
 	t := b.dram[srcDIMM].Access(noticed, addr, size, false)
 	_, chEnd := b.host.ChannelAccessStart(t, srcDIMM, size)
-	b.ctrs.Inc(CtrBcastXfers)
+	b.tx.BcastXfers.Inc()
 	last := chEnd
 	// The host now holds the data; replay one broadcast-write per other
 	// populated channel (all sibling DIMMs receive each replay at once).
@@ -112,7 +115,7 @@ func (b *ABCDIMM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) 
 			continue
 		}
 		fin := b.host.ForwardCached(t, b.firstInCh[ch], size)
-		b.ctrs.Inc(CtrBcastXfers)
+		b.tx.BcastXfers.Inc()
 		if fin > last {
 			last = fin
 		}
@@ -124,10 +127,10 @@ func (b *ABCDIMM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) 
 // (host-forwarded centralized messages); its broadcast commands do not help
 // the gather phase.
 func (b *ABCDIMM) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	b.ctrs.Inc(CtrBarriers)
+	b.tx.Barriers.Inc()
 	return CentralizedBarrier(arrivals, threadDIMM, intraDIMMSyncCost, 0,
 		func(at sim.Time, src, dst int) sim.Time {
-			b.ctrs.Inc(CtrSyncMsgs)
+			b.tx.SyncMsgs.Inc()
 			noticed := b.notice(at, src)
 			return b.host.Forward(noticed, src, dst, syncMsgBytes)
 		})

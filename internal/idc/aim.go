@@ -23,6 +23,9 @@ type AIM struct {
 	cfg  AIMConfig
 	bus  sim.BusyLine
 	ctrs stats.Counters
+	tx   TxCounters
+
+	dedBusBytes *stats.Counter
 }
 
 // AIMConfig parameterizes the dedicated bus.
@@ -49,7 +52,10 @@ func NewAIM(geo mem.Geometry, modules []*dram.Module, cfg AIMConfig) *AIM {
 	if cfg.BusBytesPerSec <= 0 {
 		panic("idc: non-positive AIM bus bandwidth")
 	}
-	return &AIM{geo: geo, dram: modules, cfg: cfg}
+	a := &AIM{geo: geo, dram: modules, cfg: cfg}
+	a.tx = NewTxCounters(&a.ctrs)
+	a.dedBusBytes = a.ctrs.Handle(CtrDedBusBytes)
+	return a
 }
 
 // Name implements Interconnect.
@@ -63,7 +69,7 @@ func (a *AIM) Counters() *stats.Counters { return &a.ctrs }
 func (a *AIM) busTransfer(at sim.Time, size uint32) sim.Time {
 	dur := a.cfg.CmdCost + sim.TransferTime(uint64(size), a.cfg.BusBytesPerSec)
 	_, end := a.bus.Reserve(at, dur)
-	a.ctrs.Add(CtrDedBusBytes, uint64(size))
+	a.dedBusBytes.Add(uint64(size))
 	return end
 }
 
@@ -75,14 +81,14 @@ func (a *AIM) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write b
 	if dst == srcDIMM {
 		panic("idc: AIM.Access called for a local address")
 	}
-	a.ctrs.Inc(CtrPackets)
+	a.tx.Packets.Inc()
 	if write {
-		a.ctrs.Inc(CtrRemoteWrites)
+		a.tx.RemoteWrites.Inc()
 		// Command + data occupy the bus; the owner then commits to DRAM.
 		t := a.busTransfer(at, size)
 		return a.dram[dst].Access(t, addr, size, true)
 	}
-	a.ctrs.Inc(CtrRemoteReads)
+	a.tx.RemoteReads.Inc()
 	// Command phase on the bus, DRAM read at the owner, then the data
 	// occupies the bus on its way back.
 	cmdEnd := a.busTransfer(at, 0)
@@ -94,19 +100,19 @@ func (a *AIM) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write b
 // delivers the payload to every snooping DIMM at once (the idealized
 // behaviour the paper grants AIM in Figure 12).
 func (a *AIM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.Time {
-	a.ctrs.Inc(CtrBroadcasts)
+	a.tx.Broadcasts.Inc()
 	dataAt := a.dram[srcDIMM].Access(at, addr, size, false)
-	a.ctrs.Inc(CtrBcastXfers)
+	a.tx.BcastXfers.Inc()
 	return a.busTransfer(dataAt, size)
 }
 
 // Barrier implements Interconnect: centralized sync with messages carried
 // on the dedicated bus (no host involvement).
 func (a *AIM) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	a.ctrs.Inc(CtrBarriers)
+	a.tx.Barriers.Inc()
 	return CentralizedBarrier(arrivals, threadDIMM, intraDIMMSyncCost, 0,
 		func(at sim.Time, src, dst int) sim.Time {
-			a.ctrs.Inc(CtrSyncMsgs)
+			a.tx.SyncMsgs.Inc()
 			return a.busTransfer(at, syncMsgBytes)
 		})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cores"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // This file adds collective communication (AllReduce / ReduceScatter /
@@ -96,6 +97,9 @@ type Collectives struct {
 	ic  Interconnect
 	geo mem.Geometry
 	cfg CollConfig
+
+	// Handles into ic.Counters().
+	episodes, steps, payload *stats.Counter
 }
 
 // NewCollectives builds a scheduler over ic.
@@ -106,7 +110,12 @@ func NewCollectives(ic Interconnect, geo mem.Geometry, cfg CollConfig) *Collecti
 	if cfg.ReduceBytesPerSec <= 0 {
 		panic("idc: non-positive collective reduction bandwidth")
 	}
-	return &Collectives{ic: ic, geo: geo, cfg: cfg}
+	ctrs := ic.Counters()
+	return &Collectives{ic: ic, geo: geo, cfg: cfg,
+		episodes: ctrs.Handle(CtrCollectives),
+		steps:    ctrs.Handle(CtrCollSteps),
+		payload:  ctrs.Handle(CtrCollBytes),
+	}
 }
 
 // Algo returns the configured schedule (AlgoAuto never; callers resolve
@@ -122,9 +131,8 @@ func (c *Collectives) Algo() CollAlgo { return c.cfg.Algo }
 // distinct DIMMs run the schedule, and the release pays the intra-DIMM
 // hand-off again — mirroring the barrier cost model.
 func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
-	ctrs := c.ic.Counters()
-	ctrs.Inc(CtrCollectives)
-	ctrs.Add(CtrCollBytes, uint64(bytes))
+	c.episodes.Inc()
+	c.payload.Add(uint64(bytes))
 
 	ranks, t := c.rankTimes(arrivals, threadDIMM)
 	n := len(ranks)
@@ -226,7 +234,7 @@ func (c *Collectives) ringPass(t []sim.Time, ranks []int, bytes uint32, reduce b
 	chunk := chunkOf(bytes, n)
 	arrive := make([]sim.Time, n)
 	for s := 0; s < n-1; s++ {
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		for i := 0; i < n; i++ {
 			j := (i + 1) % n
 			done := c.send(t[i], ranks[i], ranks[j], chunk)
@@ -250,7 +258,7 @@ func (c *Collectives) halving(t []sim.Time, ranks []int, bytes uint32) {
 	n := len(ranks)
 	arrive := make([]sim.Time, n)
 	for dist := n >> 1; dist >= 1; dist >>= 1 {
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		vol := bytes / uint32(n/dist)
 		if vol == 0 {
 			vol = 1
@@ -274,7 +282,7 @@ func (c *Collectives) doubling(t []sim.Time, ranks []int, bytes uint32) {
 	n := len(ranks)
 	arrive := make([]sim.Time, n)
 	for dist := 1; dist < n; dist <<= 1 {
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		vol := chunkOf(bytes, n) * uint32(dist)
 		for i := 0; i < n; i++ {
 			p := i ^ dist
@@ -302,7 +310,7 @@ func (c *Collectives) tree(op cores.CollectiveOp, t []sim.Time, ranks []int, byt
 	}
 	in := make([]sim.Time, 0, n-1)
 	for i := 1; i < n; i++ {
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		in = append(in, c.send(t[i], ranks[i], ranks[root], gatherSize))
 	}
 	sort.Slice(in, func(a, b int) bool { return in[a] < in[b] })
@@ -318,13 +326,13 @@ func (c *Collectives) tree(op cores.CollectiveOp, t []sim.Time, ranks []int, byt
 	switch op {
 	case cores.CollReduceScatter:
 		chunk := chunkOf(bytes, n)
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		t[root] = cur
 		for i := 1; i < n; i++ {
 			t[i] = c.send(cur, ranks[root], ranks[i], chunk)
 		}
 	default: // AllReduce, AllGather: one hardware broadcast of the result
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		fin := c.ic.Broadcast(cur, ranks[root], c.geo.DIMMBase(ranks[root]), bytes)
 		for i := range t {
 			t[i] = fin
@@ -339,7 +347,7 @@ func (c *Collectives) pairwise(t []sim.Time, ranks []int, bytes uint32) {
 	chunk := chunkOf(bytes, n)
 	arrive := make([]sim.Time, n)
 	for r := 1; r < n; r++ {
-		c.ic.Counters().Inc(CtrCollSteps)
+		c.steps.Inc()
 		for i := range arrive {
 			arrive[i] = 0
 		}

@@ -92,3 +92,24 @@ const (
 	CtrFaultFallback  = "fault.fallback.packets" // packets forced onto the host-forwarding fallback
 	CtrFaultFallbackB = "fault.fallback.bytes"   // bytes carried by the fallback path
 )
+
+// TxCounters holds handles to the transaction counters every mechanism
+// bumps on its per-access path, registered once at construction so a
+// bump is a pointer increment rather than a name lookup.
+type TxCounters struct {
+	Packets, RemoteReads, RemoteWrites         *stats.Counter
+	Broadcasts, BcastXfers, Barriers, SyncMsgs *stats.Counter
+}
+
+// NewTxCounters registers the TxCounters handles in c.
+func NewTxCounters(c *stats.Counters) TxCounters {
+	return TxCounters{
+		Packets:      c.Handle(CtrPackets),
+		RemoteReads:  c.Handle(CtrRemoteReads),
+		RemoteWrites: c.Handle(CtrRemoteWrites),
+		Broadcasts:   c.Handle(CtrBroadcasts),
+		BcastXfers:   c.Handle(CtrBcastXfers),
+		Barriers:     c.Handle(CtrBarriers),
+		SyncMsgs:     c.Handle(CtrSyncMsgs),
+	}
+}

@@ -27,6 +27,7 @@ type MCN struct {
 	dram []*dram.Module
 	host *host.Host
 	ctrs stats.Counters
+	tx   TxCounters
 }
 
 // NewMCN builds the mechanism and its host model. The host polls every
@@ -39,7 +40,9 @@ func NewMCN(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg h
 	for i := range targets {
 		targets[i] = i
 	}
-	return &MCN{geo: geo, dram: modules, host: host.New(eng, geo, hostCfg, targets)}
+	m := &MCN{geo: geo, dram: modules, host: host.New(eng, geo, hostCfg, targets)}
+	m.tx = NewTxCounters(&m.ctrs)
+	return m
 }
 
 // Name implements Interconnect.
@@ -69,16 +72,16 @@ func (m *MCN) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write b
 		panic("idc: MCN.Access called for a local address")
 	}
 	noticed := m.notice(at, srcDIMM)
-	m.ctrs.Inc(CtrPackets)
+	m.tx.Packets.Inc()
 	if write {
-		m.ctrs.Inc(CtrRemoteWrites)
+		m.tx.RemoteWrites.Inc()
 		// The host CPU copies the payload from the source DIMM's buffer
 		// into the destination DIMM — a forwarding episode on the (single)
 		// host forwarding thread, occupying both channels.
 		t := m.host.Forward(noticed, srcDIMM, dst, size)
 		return m.dram[dst].Access(t, addr, size, true)
 	}
-	m.ctrs.Inc(CtrRemoteReads)
+	m.tx.RemoteReads.Inc()
 	// Host loads from the remote DIMM's DRAM, then stores into the
 	// requester's DIMM through its cache hierarchy.
 	t := m.dram[dst].Access(noticed, addr, size, false)
@@ -89,21 +92,21 @@ func (m *MCN) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write b
 // from the source and writes it to every other DIMM, one channel transfer
 // each.
 func (m *MCN) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.Time {
-	m.ctrs.Inc(CtrBroadcasts)
+	m.tx.Broadcasts.Inc()
 	noticed := m.notice(at, srcDIMM)
 	// The host reads the payload once, then replays it to every other DIMM
 	// — one serialized forwarding episode per destination (MCN-BC's
 	// fundamental cost).
 	t := m.dram[srcDIMM].Access(noticed, addr, size, false)
 	t = m.host.ReadFrom(t, srcDIMM, size)
-	m.ctrs.Inc(CtrBcastXfers)
+	m.tx.BcastXfers.Inc()
 	last := t
 	for d := 0; d < m.geo.NumDIMMs; d++ {
 		if d == srcDIMM {
 			continue
 		}
 		fin := m.host.ForwardCached(t, d, size)
-		m.ctrs.Inc(CtrBcastXfers)
+		m.tx.BcastXfers.Inc()
 		if fin > last {
 			last = fin
 		}
@@ -114,10 +117,10 @@ func (m *MCN) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.
 // Barrier implements Interconnect via host-forwarded centralized sync: each
 // DIMM master's message must be polled and copied by the host.
 func (m *MCN) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	m.ctrs.Inc(CtrBarriers)
+	m.tx.Barriers.Inc()
 	return CentralizedBarrier(arrivals, threadDIMM, intraDIMMSyncCost, 0,
 		func(at sim.Time, src, dst int) sim.Time {
-			m.ctrs.Inc(CtrSyncMsgs)
+			m.tx.SyncMsgs.Inc()
 			noticed := m.notice(at, src)
 			return m.host.Forward(noticed, src, dst, syncMsgBytes)
 		})

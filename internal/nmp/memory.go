@@ -4,6 +4,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cores"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // nmpMemory implements cores.Memory for NMP systems: local accesses go
@@ -16,10 +17,18 @@ type nmpMemory struct {
 	sys *System
 	l1  []*cache.Cache // per global core
 	l2  []*cache.Cache // per DIMM, shared by its cores
+
+	// bytesLocal and bytesRemote are sys.Ctrs' "bytes.local" and
+	// "bytes.remote" cells, bumped on every access.
+	bytesLocal, bytesRemote *stats.Counter
 }
 
 func newNMPMemory(s *System) *nmpMemory {
-	m := &nmpMemory{sys: s}
+	m := &nmpMemory{
+		sys:         s,
+		bytesLocal:  s.Ctrs.Handle("bytes.local"),
+		bytesRemote: s.Ctrs.Handle("bytes.remote"),
+	}
 	nCores := s.Cfg.Geo.NumDIMMs * s.Cfg.CoresPerDIMM
 	m.l1 = make([]*cache.Cache, nCores)
 	for i := range m.l1 {
@@ -37,12 +46,12 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	home := m.sys.coreDIMM(coreID)
 	target := m.sys.Cfg.Geo.DIMMOf(addr)
 	if target != home {
-		m.sys.Ctrs.Add("bytes.remote", uint64(size))
+		m.bytesRemote.Add(uint64(size))
 		m.sys.Traffic.Add(home, target, uint64(size))
 		return m.sys.IC.Access(at, home, addr, size, write), true
 	}
-	m.sys.Ctrs.Add("bytes.local", uint64(size))
-	cfg := m.sys.Cfg
+	m.bytesLocal.Add(uint64(size))
+	cfg := &m.sys.Cfg
 	cacheable := m.sys.Space.AttrOf(addr).Cacheable() && uint64(size) <= cfg.Geo.LineBytes
 
 	if !cacheable {
@@ -64,7 +73,7 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	}
 	t += l2.HitLatency() + cfg.MCLatency
 	// Fill the line from local DRAM (the whole line, not just size bytes).
-	return m.sys.Modules[home].Access(t, m.sys.Cfg.Geo.LineAddr(addr), uint32(cfg.Geo.LineBytes), write), false
+	return m.sys.Modules[home].Access(t, cfg.Geo.LineAddr(addr), uint32(cfg.Geo.LineBytes), write), false
 }
 
 // scatterStride spaces scattered lines one DRAM row plus one line apart,
@@ -81,7 +90,7 @@ func (m *nmpMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, c
 	home := m.sys.coreDIMM(coreID)
 	geo := m.sys.Cfg.Geo
 	if target := geo.DIMMOf(addr); target != home {
-		m.sys.Ctrs.Add("bytes.remote", uint64(count)*geo.LineBytes)
+		m.bytesRemote.Add(uint64(count) * geo.LineBytes)
 		m.sys.Traffic.Add(home, target, uint64(count)*geo.LineBytes)
 		return m.sys.IC.Access(at, home, addr, count*uint32(geo.LineBytes), write), true
 	}
@@ -182,7 +191,7 @@ func newHostMemory(s *System) *hostMemory {
 
 // Access implements cores.Memory.
 func (m *hostMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, write bool) (sim.Time, bool) {
-	cfg := m.sys.Cfg
+	cfg := &m.sys.Cfg
 	// The host is hardware-coherent, so everything is cacheable; only
 	// streaming (multi-line) accesses bypass the caches.
 	cacheable := uint64(size) <= cfg.Geo.LineBytes

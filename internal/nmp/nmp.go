@@ -166,7 +166,10 @@ func NewSystem(cfg Config) (*System, error) {
 	case MechDIMMLink:
 		dl := cfg.DL
 		dl.Metrics = cfg.Metrics
-		l := core.NewLink(eng, cfg.Geo, modules, cfg.Host, dl)
+		l, err := core.NewLink(eng, cfg.Geo, modules, cfg.Host, dl)
+		if err != nil {
+			return nil, err
+		}
 		s.IC, s.Link, s.hostModel = l, l, l.Host()
 	case MechMCN:
 		m := idc.NewMCN(eng, cfg.Geo, modules, cfg.Host)

@@ -335,18 +335,17 @@ func (p *Pool) InUse(at Time) int {
 // with the release time not yet known (the slot stays busy until
 // ReleaseSlot). It returns the slot index and the booked start time.
 func (p *Pool) AcquireSlot(at Time) (slot int, start Time) {
+	// One pass: held slots sit at forever, so the strict f < bestF skips
+	// them and keeps the lowest index among equal free times.
 	const forever = ^Time(0)
-	best := -1
+	best, bestF := -1, forever
 	busy := 0
 	for i, f := range p.freeAt {
 		if f > at {
 			busy++
 		}
-		if f == forever {
-			continue
-		}
-		if best == -1 || f < p.freeAt[best] {
-			best = i
+		if f < bestF {
+			best, bestF = i, f
 		}
 	}
 	if busy > p.HighWater {
@@ -355,12 +354,8 @@ func (p *Pool) AcquireSlot(at Time) (slot int, start Time) {
 	if best == -1 {
 		panic("sim: AcquireSlot with every slot held open")
 	}
-	start = at
-	if p.freeAt[best] > start {
-		start = p.freeAt[best]
-	}
 	p.freeAt[best] = forever
-	return best, start
+	return best, max(at, bestF)
 }
 
 // ReleaseSlot frees a slot previously taken by AcquireSlot at time at.

@@ -437,3 +437,116 @@ func TestPoolEarliestFreeTieBreak(t *testing.T) {
 		t.Fatalf("tie broke to wrong slot: freeAt = %v", p.freeAt)
 	}
 }
+
+// refPool is the reference for Pool.AcquireSlot: the original scan that
+// finds the earliest-free slot and counts busy slots separately, with
+// the lowest index winning ties and held slots skipped.
+type refPool struct {
+	freeAt    []Time
+	HighWater int
+}
+
+func (p *refPool) AcquireSlot(at Time) (slot int, start Time) {
+	const forever = ^Time(0)
+	best := -1
+	busy := 0
+	for i, f := range p.freeAt {
+		if f > at {
+			busy++
+		}
+		if f == forever {
+			continue
+		}
+		if best == -1 || f < p.freeAt[best] {
+			best = i
+		}
+	}
+	if busy > p.HighWater {
+		p.HighWater = busy
+	}
+	if best == -1 {
+		panic("sim: AcquireSlot with every slot held open")
+	}
+	start = at
+	if p.freeAt[best] > start {
+		start = p.freeAt[best]
+	}
+	p.freeAt[best] = forever
+	return best, start
+}
+
+func (p *refPool) ReleaseSlot(slot int, at Time) { p.freeAt[slot] = at }
+
+func (p *refPool) InUse(at Time) int {
+	busy := 0
+	for _, f := range p.freeAt {
+		if f > at {
+			busy++
+		}
+	}
+	return busy
+}
+
+// acquirePanics reports whether acquire panicked, and its result
+// otherwise.
+func acquirePanics(acquire func(Time) (int, Time), at Time) (slot int, start Time, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	slot, start = acquire(at)
+	return slot, start, false
+}
+
+// TestPoolMatchesReference drives Pool and the reference scan through
+// the same seeded acquire/release sequences — repeating request times,
+// slots held open across many steps, and full saturation — and requires
+// the same slot, start, HighWater and InUse after every step, and the
+// same panic when every slot is held.
+func TestPoolMatchesReference(t *testing.T) {
+	for _, size := range []int{1, 2, 7, 64} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(size)))
+			p := NewPool(size)
+			ref := &refPool{freeAt: make([]Time, size)}
+			var held []int
+			var at Time
+			for step := 0; step < 2000; step++ {
+				if rng.Intn(3) == 0 {
+					at += Time(rng.Intn(40)) // often zero: repeated times
+				}
+				if len(held) > 0 && rng.Intn(2) == 0 {
+					k := rng.Intn(len(held))
+					end := at + Time(rng.Intn(200))
+					p.ReleaseSlot(held[k], end)
+					ref.ReleaseSlot(held[k], end)
+					held = append(held[:k], held[k+1:]...)
+				} else {
+					slot, start, panicked := acquirePanics(p.AcquireSlot, at)
+					rslot, rstart, rpanicked := acquirePanics(ref.AcquireSlot, at)
+					if panicked != rpanicked || slot != rslot || start != rstart {
+						t.Fatalf("size %d seed %d step %d at %d: got (%d, %d, panic %v), reference (%d, %d, panic %v)",
+							size, seed, step, at, slot, start, panicked, rslot, rstart, rpanicked)
+					}
+					if panicked != (len(held) == size) {
+						t.Fatalf("size %d seed %d step %d: panic %v with %d of %d slots held", size, seed, step, panicked, len(held), size)
+					}
+					if !panicked {
+						if rng.Intn(4) == 0 {
+							held = append(held, slot) // stays held open
+						} else {
+							end := start + Time(rng.Intn(120))
+							p.ReleaseSlot(slot, end)
+							ref.ReleaseSlot(slot, end)
+						}
+					}
+				}
+				if p.HighWater != ref.HighWater || p.InUse(at) != ref.InUse(at) {
+					t.Fatalf("size %d seed %d step %d: HighWater %d/%d InUse %d/%d (pool/reference)",
+						size, seed, step, p.HighWater, ref.HighWater, p.InUse(at), ref.InUse(at))
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -316,5 +317,29 @@ func TestTrainWorkloadSpec(t *testing.T) {
 	}
 	if _, _, err := w.Run(sys, sys.DefaultPlacement(), false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultOnMissingLinkIsAnError pins that a spec whose fault plan
+// names a DIMM pair with no DL link between them fails with an error
+// naming the event, for a sim-kind spec and for an exp-kind spec at any
+// pool width, instead of running fault-free.
+func TestFaultOnMissingLinkIsAnError(t *testing.T) {
+	const want = "fault event 1: 0-9"
+	var sim Spec
+	if err := json.Unmarshal([]byte(`{"workload":"p2p","fault":"down=0-1@1us,down=0-9@1us"}`), &sim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunSim(SimHooks{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("sim spec: error %v, want one naming %q", err, want)
+	}
+	var ex Spec
+	if err := json.Unmarshal([]byte(`{"kind":"exp","exp":"abl-payload","fault":"down=0-1@1us,down=0-9@1us"}`), &ex); err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 3} {
+		if _, err := ex.RunExp(nil, ExpHooks{Jobs: jobs}, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("exp spec, %d jobs: error %v, want one naming %q", jobs, err, want)
+		}
 	}
 }

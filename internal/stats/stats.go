@@ -11,30 +11,65 @@ import (
 )
 
 // Counters is a named set of monotonically increasing uint64 counters.
-// The zero value is ready to use.
+// A hot-path owner registers a Counter handle once, at construction, and
+// bumps it directly; everyone else uses the name-keyed Add, Inc and Get.
+// Both views share one cell per name. The zero value is ready to use.
 type Counters struct {
-	m map[string]uint64
+	m map[string]*Counter
+}
+
+// Counter is one cell of a Counters set. A counter counts as touched —
+// and is listed by Names — once it has been bumped, even by zero.
+type Counter struct {
+	v       uint64
+	touched bool
+}
+
+// Add increments the counter by v.
+func (k *Counter) Add(v uint64) {
+	k.v += v
+	k.touched = true
+}
+
+// Inc increments the counter by one.
+func (k *Counter) Inc() { k.Add(1) }
+
+// Handle returns the named counter's cell, creating it untouched if it
+// does not exist yet. Registering a handle does not make the name appear
+// in Names; bumping it does.
+func (c *Counters) Handle(name string) *Counter {
+	if k := c.m[name]; k != nil {
+		return k
+	}
+	if c.m == nil {
+		c.m = make(map[string]*Counter)
+	}
+	k := &Counter{}
+	c.m[name] = k
+	return k
 }
 
 // Add increments the named counter by v.
-func (c *Counters) Add(name string, v uint64) {
-	if c.m == nil {
-		c.m = make(map[string]uint64)
-	}
-	c.m[name] += v
-}
+func (c *Counters) Add(name string, v uint64) { c.Handle(name).Add(v) }
 
 // Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
+func (c *Counters) Inc(name string) { c.Handle(name).Inc() }
 
 // Get returns the value of the named counter (zero if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
+func (c *Counters) Get(name string) uint64 {
+	if k := c.m[name]; k != nil {
+		return k.v
+	}
+	return 0
+}
 
-// Names returns all counter names in sorted order.
+// Names returns the names of all touched counters in sorted order.
 func (c *Counters) Names() []string {
 	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
+	for name, k := range c.m {
+		if k.touched {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names

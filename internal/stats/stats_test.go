@@ -20,6 +20,41 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestCounterHandles pins the handle view of Counters against the
+// name-keyed one: shared cells, touched-only sorted Names (a bump by zero
+// counts), a working zero value, and no aliasing across sets.
+func TestCounterHandles(t *testing.T) {
+	var c Counters
+	if got := c.Get("x"); got != 0 || len(c.Names()) != 0 {
+		t.Fatalf("zero Counters: Get = %d, Names = %v", got, c.Names())
+	}
+	zeta := c.Handle("zeta")
+	alpha := c.Handle("alpha")
+	c.Handle("never")
+	if n := c.Names(); len(n) != 0 {
+		t.Fatalf("registered-only handles listed: %v", n)
+	}
+	zeta.Add(0)
+	alpha.Inc()
+	c.Add("alpha", 2)
+	c.Inc("mid")
+	if got := c.Handle("alpha"); got != alpha {
+		t.Fatal("Handle returned a second cell for the same name")
+	}
+	if c.Get("alpha") != 3 || c.Get("zeta") != 0 || c.Get("mid") != 1 || c.Get("never") != 0 {
+		t.Fatalf("Get: alpha=%d zeta=%d mid=%d never=%d", c.Get("alpha"), c.Get("zeta"), c.Get("mid"), c.Get("never"))
+	}
+	if got, want := strings.Join(c.Names(), ","), "alpha,mid,zeta"; got != want {
+		t.Fatalf("Names = %s, want %s", got, want)
+	}
+	var d Counters
+	dAlpha := d.Handle("alpha")
+	dAlpha.Add(10)
+	if dAlpha == alpha || c.Get("alpha") != 3 || d.Get("alpha") != 10 {
+		t.Fatalf("handles alias across sets: c=%d d=%d", c.Get("alpha"), d.Get("alpha"))
+	}
+}
+
 func TestDist(t *testing.T) {
 	var d Dist
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
