@@ -23,7 +23,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
-	opts := exp.DefaultOptions()
+	opts := exp.Options{Quick: true, Seed: 42}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tables := e.Run(opts)
@@ -43,7 +43,7 @@ func runExperiment(b *testing.B, id string) {
 // machine; the rendered output is byte-identical either way (see
 // TestParallelSerialEquivalence and internal/exp's determinism test).
 func benchmarkAllExperiments(b *testing.B, jobs int) {
-	opts := exp.DefaultOptions()
+	opts := exp.Options{Quick: true, Seed: 42}
 	opts.Jobs = jobs
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -35,6 +35,9 @@ go test -run Fuzz ./internal/ingest/
 echo "== go test -run Fuzz ./internal/mem/ (DRAM address decoder vs the division reference)"
 go test -run Fuzz ./internal/mem/
 
+echo "== go test -run Fuzz ./internal/spec/ (spec JSON -> Normalized -> system -> workload fuzz seed corpus)"
+go test -run Fuzz ./internal/spec/
+
 echo "== op-stream handoff and output digests under the race detector"
 GOMAXPROCS=4 go test -race -run 'ChunkedStream|BodiesNeverOverlap|MismatchedRendezvous' ./internal/cores/
 GOMAXPROCS=4 go test -race -run 'ReportDigests|ShardedReportByteIdentity|ParallelModelByteIdentity' ./internal/spec/

@@ -19,16 +19,16 @@ import (
 	"repro/internal/cores"
 	"repro/internal/ingest"
 	"repro/internal/nmp"
+	"repro/internal/spec"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 func main() {
 	var (
-		workload = flag.String("workload", "bfs", "workload: bfs | pr | sssp")
-		scale    = flag.Int("scale", 12, "graph scale")
+		workload = flag.String("workload", "bfs", "workload: bfs | hotspot | kmeans | nw | pr | sssp | spmv | tspow | gemv | histo | train | p2p | sync")
+		scale    = flag.Int("scale", 12, "graph scale (2^scale vertices) / problem size class")
 		ef       = flag.Int("ef", 8, "edge factor")
-		iters    = flag.Int("iters", 2, "iterations (pr)")
+		iters    = flag.Int("iters", 2, "iterations (pr, kmeans, hotspot, spmv)")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		dimms    = flag.Int("dimms", 4, "DIMMs in the recording system")
 		channels = flag.Int("channels", 2, "channels in the recording system")
@@ -44,49 +44,51 @@ func main() {
 	case "binary":
 		enc = ingest.FormatBinary
 	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown format %q (text | binary)\n", *format)
-		os.Exit(1)
+		fatal(fmt.Errorf("unknown format %q (text | binary)", *format))
 	}
 
-	var w workloads.Workload
-	g := workloads.Community(*scale, *ef, *seed)
-	switch *workload {
-	case "bfs":
-		w = workloads.NewBFSFromGraph(g)
-	case "pr":
-		w = workloads.NewPageRankFromGraph(g, *iters)
-	case "sssp":
-		w = workloads.NewSSSPFromGraph(g)
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown workload %q\n", *workload)
-		os.Exit(1)
+	sp := spec.Spec{
+		Kind: spec.KindSim, Workload: *workload, DIMMs: *dimms, Channels: *channels,
+		Scale: *scale, EdgeFactor: *ef, Iters: *iters, Seed: *seed,
 	}
-
-	sys := nmp.MustNewSystem(nmp.DefaultConfig(*dimms, *channels, nmp.MechDIMMLink))
+	cfg, err := sp.Config()
+	if err != nil {
+		fatal(err)
+	}
+	sys, err := nmp.NewSystem(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	w, err := sp.BuildWorkload(sys)
+	if err != nil {
+		fatal(err)
+	}
 	var rec *trace.Recorder
 	sys.InstrumentMemory(func(inner cores.Memory) cores.Memory {
 		rec = trace.NewRecorder(inner, sys.Threads(), sys.Cfg.NMPCore.ClockHz)
 		return rec
 	})
 	if _, _, err := w.Run(sys, sys.DefaultPlacement(), false); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	dst := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		dst = f
 	}
 	if err := ingest.WriteTrace(dst, &rec.Trace, enc); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: %d records from %d threads\n",
 		len(rec.Trace.Records), rec.Trace.Threads)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "tracegen:", err)
+	os.Exit(1)
 }

@@ -46,7 +46,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q not registered", id)
 			}
-			opts := exp.DefaultOptions()
+			opts := exp.Options{Quick: true, Seed: 42}
 			opts.Jobs = jobs
 			for _, tb := range e.Run(opts) {
 				tb.Render(&buf)

@@ -13,7 +13,7 @@ func renderAllReduce(t *testing.T, jobs int) []byte {
 	if !ok {
 		t.Fatal("experiment allreduce not registered")
 	}
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 	o.Jobs = jobs
 	var buf bytes.Buffer
 	for _, tb := range e.Run(o) {

@@ -17,7 +17,7 @@ func renderRegistry(t *testing.T, ids []string, jobs int) []byte {
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		o := DefaultOptions()
+		o := Options{Quick: true, Seed: 42}
 		o.Jobs = jobs
 		for _, tb := range e.Run(o) {
 			tb.Render(&buf)
@@ -60,7 +60,7 @@ func TestDeterministicAggregation(t *testing.T) {
 			t.Skip("fig10 grid (~1 min) skipped in -short mode")
 		}
 		render := func(jobs int) []byte {
-			o := DefaultOptions()
+			o := Options{Quick: true, Seed: 42}
 			o.Jobs = jobs
 			rows := fig10Measure(o, []sysConfig{{"8D-4C", 8, 4}}, nil)
 			tb := stats.NewTable("fig10 grid", "workload",

@@ -23,7 +23,7 @@ func TestDiagnostics(t *testing.T) {
 	if os.Getenv("DLDEBUG") == "" {
 		t.Skip("diagnostic; set DLDEBUG=1 to run")
 	}
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 
 	// BFSBreakdown prints per-mechanism makespans and stall splits plus the
 	// interconnect and host counters for a mid-size BFS.

@@ -60,10 +60,6 @@ type Options struct {
 	SamplePeriod sim.Time
 }
 
-// DefaultOptions returns quick-mode options (seed 42, pool width
-// GOMAXPROCS).
-func DefaultOptions() Options { return Options{Quick: true, Seed: 42} }
-
 // scaleFor returns workload sizing.
 type sizing struct {
 	graphScale int // graph scale (2^scale vertices)

@@ -28,7 +28,7 @@ func TestFig10QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 	rows := fig10Measure(o, []sysConfig{{"8D-4C", 8, 4}}, nil)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6 workloads", len(rows))
@@ -64,7 +64,7 @@ func TestLightExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short mode")
 	}
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 	for _, id := range []string{"fig01", "table1", "table2", "table4", "table5", "abl-payload", "abl-greedy"} {
 		e, ok := ByID(id)
 		if !ok {

@@ -18,7 +18,7 @@ func TestInactiveFaultPlanMatchesNoPlan(t *testing.T) {
 		if !ok {
 			t.Fatal("table1 not registered")
 		}
-		o := DefaultOptions()
+		o := Options{Quick: true, Seed: 42}
 		o.Jobs = 2
 		o.Fault = plan
 		var buf bytes.Buffer
@@ -42,7 +42,7 @@ func TestInactiveFaultPlanMatchesNoPlan(t *testing.T) {
 // per-link stream — never of scheduling.
 func TestFaultGridJobsDeterminism(t *testing.T) {
 	render := func(jobs int) []byte {
-		o := DefaultOptions()
+		o := Options{Quick: true, Seed: 42}
 		o.Jobs = jobs
 		var buf bytes.Buffer
 		resilienceScenarios(o).Render(&buf)
@@ -63,7 +63,7 @@ func TestFaultGridJobsDeterminism(t *testing.T) {
 // the experiment path end-to-end: the run must finish (no hang on a
 // severed route) and report recovery activity in the counters.
 func TestFaultSweepCompletes(t *testing.T) {
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 	o.Jobs = 1
 	plan := &fault.Plan{Seed: jobSeed(o.Seed, 7), BER: 1e-5, Events: []fault.Event{
 		{A: 1, B: 2, Kind: fault.KindDown, At: 50 * sim.Microsecond},

@@ -16,21 +16,22 @@ func init() {
 }
 
 // bcBuilders returns lazy constructors for the three broadcast-manner
-// workloads of Figure 12, in suite order.
+// workloads of Figure 12, in suite order. Unlike the Community graphs of
+// the other grids, their inputs are R-MAT graphs with edge factor 8.
 func bcBuilders(s sizing, seed int64) []func() workloads.Workload {
 	return []func() workloads.Workload{
 		func() workloads.Workload {
-			pr := workloads.NewPageRank(s.graphScale, s.prIters, seed+1)
+			pr := workloads.NewPageRankFromGraph(workloads.RMAT(s.graphScale, 8, seed+1), s.prIters)
 			pr.Broadcast = true
 			return pr
 		},
 		func() workloads.Workload {
-			ss := workloads.NewSSSP(s.graphScale, seed+2)
+			ss := workloads.NewSSSPFromGraph(workloads.RMAT(s.graphScale, 8, seed+2))
 			ss.Broadcast = true
 			return ss
 		},
 		func() workloads.Workload {
-			sp := workloads.NewSpMV(s.graphScale, s.prIters, seed+3)
+			sp := workloads.NewSpMVFromGraph(workloads.RMAT(s.graphScale, 8, seed+3), s.prIters)
 			sp.Broadcast = true
 			return sp
 		},

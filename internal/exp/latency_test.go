@@ -14,7 +14,7 @@ func TestLatencyTablesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency suite (~1 min) skipped in -short mode")
 	}
-	o := DefaultOptions()
+	o := Options{Quick: true, Seed: 42}
 	o.SamplePeriod = 10 * sim.Microsecond
 	outs := runJobs(o, 1, func(int) latOut {
 		return latencyRun(o, p2pBuilders(o.sizes(), o.Seed)[1](), sysConfig{"8D-4C", 8, 4})

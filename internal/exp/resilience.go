@@ -193,7 +193,7 @@ func resilienceLinkDown(o Options) *stats.Table {
 		if i%2 == 1 {
 			plan.Events = []fault.Event{{A: 0, B: 1, Kind: fault.KindDown, At: 0}}
 		}
-		w := workloads.NewPageRank(s.graphScale, s.prIters, o.Seed+3)
+		w := workloads.NewPageRankFromGraph(workloads.RMAT(s.graphScale, 8, o.Seed+3), s.prIters)
 		return faultRun(o, w, cfg, plan, func(c *nmp.Config) { c.DL.Topology = topo })
 	})
 

@@ -193,7 +193,6 @@ func (r *Reader) Next(rec *trace.Record) error {
 		r.done, r.err = true, err
 		return err
 	}
-	rec.Seq = r.records
 	r.records++
 	r.hashRecord(rec)
 	return nil

@@ -18,7 +18,6 @@ func randomTrace(seed int64, threads, n int) *trace.Trace {
 	t := &trace.Trace{Threads: threads}
 	for i := 0; i < n; i++ {
 		t.Records = append(t.Records, trace.Record{
-			Seq:    uint64(i),
 			Thread: rng.Intn(threads),
 			Addr:   rng.Uint64() >> uint(rng.Intn(32)),
 			Size:   uint32(1 + rng.Intn(1<<12)),

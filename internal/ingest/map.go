@@ -25,9 +25,6 @@ const (
 	MapFirstTouch = "first-touch"
 )
 
-// MapPolicies lists the valid policy names.
-var MapPolicies = []string{MapDirect, MapPage, MapFirstTouch}
-
 // Mapper translates one raw trace address into a simulated physical
 // address. homeDIMM is the DIMM of the thread issuing the access (used
 // by first-touch). Mappers are deterministic: the same access sequence

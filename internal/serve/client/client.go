@@ -197,7 +197,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if err != nil {
 		return 0, nil, err
 	}
-	return resp.StatusCode, b, nil
+	// ReadAll's buffer can be nearly twice the body; callers keep result
+	// bodies, so hand them a copy without the growth slack.
+	return resp.StatusCode, bytes.Clone(b), nil
 }
 
 // do runs a bounded JSON request and decodes a 2xx body into out.

@@ -222,6 +222,7 @@ func (s *Server) runJob(j *Job) {
 		outcome = "jobs.failed"
 	}
 	close(j.done)
+	j.cancel() // release the job's context from baseCtx
 	s.mu.Unlock()
 
 	// Spill the finished result to the disk tier outside the lock; a

@@ -229,6 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, st)
 	default:
 		delete(s.jobs, j.ID)
+		j.cancel()
 		s.mu.Unlock()
 		s.count("queue.rejects")
 		http.Error(w, fmt.Sprintf("queue full (%d pending)", cap(s.queue)), http.StatusTooManyRequests)
@@ -270,6 +271,7 @@ func (s *Server) cachedJobLocked(n spec.Spec, hash string, res *Result) JobStatu
 	j.Done, j.Total = 1, 1
 	j.finished = j.submitted
 	close(j.done)
+	j.cancel() // release the job's context from baseCtx
 	return j.statusLocked()
 }
 

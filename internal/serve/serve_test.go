@@ -226,6 +226,73 @@ func TestBadSpec400(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeSizing400 checks that out-of-range workload sizes are
+// rejected at submission with an error naming the field. Each of these
+// specs used to be accepted and then panic the worker, taking the whole
+// process down; the server must still answer /healthz and run jobs.
+func TestOutOfRangeSizing400(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for body, field := range map[string]string{
+		`{"kind":"sim","workload":"bfs","scale":-1}`:    "scale",
+		`{"kind":"sim","workload":"bfs","scale":31}`:    "scale",
+		`{"kind":"sim","workload":"kmeans","scale":3}`:  "scale",
+		`{"kind":"sim","workload":"kmeans","scale":40}`: "scale",
+		`{"kind":"sim","workload":"bfs","ef":-2}`:       "ef",
+		`{"kind":"sim","workload":"bfs","iters":-1}`:    "iters",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), field) {
+			t.Errorf("submit %s: HTTP %d %q, want 400 naming %s", body, resp.StatusCode, msg, field)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped answering after bad specs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz: HTTP %d", resp.StatusCode)
+	}
+	_, st := postSpec(t, ts, smallSim())
+	if got := waitDone(t, ts, st.ID); got.State != JobDone {
+		t.Errorf("job after bad specs: %+v", got)
+	}
+}
+
+// TestTerminalJobReleasesContext checks that a finished job, computed or
+// served from the cache, cancels its context: otherwise every request
+// would leave a child in the server's base context for the life of the
+// process.
+func TestTerminalJobReleasesContext(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, run := postSpec(t, ts, smallSim())
+	waitDone(t, ts, run.ID)
+	_, hit := postSpec(t, ts, smallSim())
+	if !hit.Cached {
+		t.Fatalf("repeat was not a cache hit: %+v", hit)
+	}
+	for _, id := range []string{run.ID, hit.ID} {
+		if j := srv.lookup(id); j.ctx.Err() == nil {
+			t.Errorf("job %s (%s) still holds a live context", id, j.State)
+		}
+	}
+}
+
 // blockingServer installs a stub runner whose jobs block until released,
 // for deterministic queue/cancel/drain tests.
 func blockingServer(cfg Config) (*Server, chan struct{}) {

@@ -24,8 +24,7 @@ func testTrace(t *testing.T, format ingest.Format) []byte {
 	for i := 0; i < 200; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		tr.Records = append(tr.Records, trace.Record{
-			Seq: uint64(i), Thread: i % 4,
-			Addr: rng % (1 << 40), Size: uint32(64 + (rng>>33)%192),
+			Thread: i % 4, Addr: rng % (1 << 40), Size: uint32(64 + (rng>>33)%192),
 			Write: rng&1 == 1, Gap: (rng >> 40) & 255,
 		})
 	}

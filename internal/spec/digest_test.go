@@ -86,7 +86,7 @@ func fig01Digest(t *testing.T) string {
 	if !ok {
 		t.Fatal("experiment fig01 not registered")
 	}
-	o := exp.DefaultOptions()
+	o := exp.Options{Quick: true, Seed: 42}
 	o.Jobs = 2
 	var buf bytes.Buffer
 	for _, tb := range e.Run(o) {

@@ -75,9 +75,9 @@ type Spec struct {
 	DIMMs      int     `json:"dimms,omitempty"`
 	Channels   int     `json:"channels,omitempty"`
 	Workload   string  `json:"workload,omitempty"`
-	Scale      int     `json:"scale,omitempty"`
-	EdgeFactor int     `json:"ef,omitempty"`
-	Iters      int     `json:"iters,omitempty"`
+	Scale      int     `json:"scale,omitempty"` // in [4, 24]: 2^Scale vertices or points (K-Means needs >= 16)
+	EdgeFactor int     `json:"ef,omitempty"`    // in [1, 64]: graph edges per vertex
+	Iters      int     `json:"iters,omitempty"` // at least 1
 	Topology   string  `json:"topology,omitempty"`
 	LinkBW     float64 `json:"linkbw,omitempty"`
 	Polling    string  `json:"polling,omitempty"`
@@ -206,11 +206,20 @@ func (s Spec) Normalized() (Spec, error) {
 		if n.Scale == 0 {
 			n.Scale = DefaultScale
 		}
+		if n.Scale < 4 || n.Scale > 24 {
+			return Spec{}, fmt.Errorf("spec: scale %d out of range [4, 24]", n.Scale)
+		}
 		if n.EdgeFactor == 0 {
 			n.EdgeFactor = DefaultEdgeFactor
 		}
+		if n.EdgeFactor < 1 || n.EdgeFactor > 64 {
+			return Spec{}, fmt.Errorf("spec: ef (edge factor) %d out of range [1, 64]", n.EdgeFactor)
+		}
 		if n.Iters == 0 {
 			n.Iters = DefaultIters
+		}
+		if n.Iters < 1 {
+			return Spec{}, fmt.Errorf("spec: iters %d must be at least 1", n.Iters)
 		}
 		if n.Topology == "" {
 			n.Topology = DefaultTopology

@@ -175,6 +175,50 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 }
 
+// TestNormalizeSizeBounds checks the workload-sizing fields are bounded:
+// an out-of-range value is an error naming the field, the bounds
+// themselves are accepted, and zero still selects the default.
+func TestNormalizeSizeBounds(t *testing.T) {
+	cases := []struct {
+		name  string
+		s     Spec
+		field string // "" = accepted
+	}{
+		{"scale -1", Spec{Scale: -1}, "scale"},
+		{"scale 3", Spec{Scale: 3}, "scale"},
+		{"kmeans scale 3", Spec{Workload: "kmeans", Scale: 3}, "scale"},
+		{"scale 25", Spec{Scale: 25}, "scale"},
+		{"scale 31", Spec{Scale: 31}, "scale"},
+		{"kmeans scale 40", Spec{Workload: "kmeans", Scale: 40}, "scale"},
+		{"ef -2", Spec{EdgeFactor: -2}, "ef"},
+		{"ef 65", Spec{EdgeFactor: 65}, "ef"},
+		{"iters -1", Spec{Iters: -1}, "iters"},
+		{"scale 4", Spec{Scale: 4}, ""},
+		{"kmeans scale 4", Spec{Workload: "kmeans", Scale: 4}, ""},
+		{"scale 24", Spec{Scale: 24}, ""},
+		{"ef 1", Spec{EdgeFactor: 1}, ""},
+		{"ef 64", Spec{EdgeFactor: 64}, ""},
+		{"iters 1", Spec{Iters: 1}, ""},
+		{"zero is default", Spec{}, ""},
+	}
+	for _, c := range cases {
+		c.s.Kind = KindSim
+		_, err := c.s.Normalized()
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.field != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.field != "" && !strings.HasPrefix(err.Error(), "spec: "+c.field+" "):
+			t.Errorf("%s: error %q does not name the %s field", c.name, err, c.field)
+		}
+	}
+	// Trace and exp kinds pin the sizing fields instead of checking them.
+	if _, err := (Spec{Kind: KindExp, Exp: "table1", Scale: -1}).Normalized(); err != nil {
+		t.Errorf("exp kind checked scale: %v", err)
+	}
+}
+
 // TestTargets checks experiment selection resolution.
 func TestTargets(t *testing.T) {
 	all, err := Spec{Kind: KindExp, Exp: "all"}.Targets()

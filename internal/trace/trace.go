@@ -17,7 +17,6 @@ import (
 
 // Record is one traced memory operation.
 type Record struct {
-	Seq    uint64 // per-thread sequence number
 	Thread int
 	Addr   uint64
 	Size   uint32
@@ -55,8 +54,7 @@ func (r *Recorder) record(at sim.Time, core int, addr uint64, size uint32, write
 	}
 	r.lastOp[core] = at
 	r.Trace.Records = append(r.Trace.Records, Record{
-		Seq: uint64(len(r.Trace.Records)), Thread: core,
-		Addr: addr, Size: size, Write: write, Gap: gapCycles,
+		Thread: core, Addr: addr, Size: size, Write: write, Gap: gapCycles,
 	})
 }
 

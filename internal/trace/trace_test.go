@@ -39,7 +39,7 @@ func TestReplayRuns(t *testing.T) {
 	tr := &Trace{Threads: 2}
 	for i := uint64(0); i < 50; i++ {
 		tr.Records = append(tr.Records, Record{
-			Seq: i, Thread: int(i % 2), Addr: seg.Addr(i * 64), Size: 64,
+			Thread: int(i % 2), Addr: seg.Addr(i * 64), Size: 64,
 			Write: i%3 == 0, Gap: 20,
 		})
 	}

@@ -15,7 +15,7 @@ package workloads
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a graph in compressed sparse row form.
@@ -35,6 +35,46 @@ func (g *CSR) Neighbors(v int32) []int32 { return g.Edges[g.Offsets[v]:g.Offsets
 // NumEdges returns the directed edge count.
 func (g *CSR) NumEdges() int { return len(g.Edges) }
 
+// edge is one undirected (u, v) pair as a generator emits it.
+type edge struct{ u, v int32 }
+
+// buildCSR stores each of a generator's undirected edges in both
+// directions, in CSR form ordered by (u, v): degree counts give Offsets,
+// each row is filled in emission order and then sorted by v. Duplicate
+// (u, v) pairs are indistinguishable, so the result equals sorting the
+// whole directed edge list. Weights, uniform in [1, 64), are drawn from
+// seed+1 in final edge order.
+func buildCSR(n int32, edges []edge, seed int64) *CSR {
+	g := &CSR{
+		N:       n,
+		Offsets: make([]int32, n+1),
+		Edges:   make([]int32, 2*len(edges)),
+		Weights: make([]int32, 2*len(edges)),
+	}
+	for _, e := range edges {
+		g.Offsets[e.u+1]++
+		g.Offsets[e.v+1]++
+	}
+	for v := int32(0); v < n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	next := slices.Clone(g.Offsets[:n])
+	for _, e := range edges {
+		g.Edges[next[e.u]] = e.v
+		next[e.u]++
+		g.Edges[next[e.v]] = e.u
+		next[e.v]++
+	}
+	for v := int32(0); v < n; v++ {
+		slices.Sort(g.Neighbors(v))
+	}
+	wrng := rand.New(rand.NewSource(seed + 1))
+	for i := range g.Weights {
+		g.Weights[i] = 1 + int32(wrng.Intn(63))
+	}
+	return g
+}
+
 // RMAT generates a deterministic R-MAT (Kronecker) graph with 2^scale
 // vertices and edgeFactor*2^scale undirected edges (stored in both
 // directions), using the Graph500 parameters a=0.57 b=0.19 c=0.19 d=0.05.
@@ -50,8 +90,7 @@ func RMAT(scale, edgeFactor int, seed int64) *CSR {
 	// low-numbered hub vertices all land in partition 0 and load imbalance
 	// drowns every other effect.
 	perm := rng.Perm(int(n))
-	type edge struct{ u, v int32 }
-	edges := make([]edge, 0, 2*m)
+	edges := make([]edge, 0, m)
 	for i := 0; i < m; i++ {
 		var u, v int32
 		for bit := scale - 1; bit >= 0; bit-- {
@@ -71,30 +110,9 @@ func RMAT(scale, edgeFactor int, seed int64) *CSR {
 			continue
 		}
 		u, v = int32(perm[u]), int32(perm[v])
-		edges = append(edges, edge{u, v}, edge{v, u})
+		edges = append(edges, edge{u, v})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	g := &CSR{
-		N:       n,
-		Offsets: make([]int32, n+1),
-		Edges:   make([]int32, len(edges)),
-		Weights: make([]int32, len(edges)),
-	}
-	wrng := rand.New(rand.NewSource(seed + 1))
-	for i, e := range edges {
-		g.Offsets[e.u+1]++
-		g.Edges[i] = e.v
-		g.Weights[i] = 1 + int32(wrng.Intn(63))
-	}
-	for v := int32(0); v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	return g
+	return buildCSR(n, edges, seed)
 }
 
 // Community generates a modular graph of 2^scale vertices with edgeFactor
@@ -117,9 +135,8 @@ func Community(scale, edgeFactor int, seed int64) *CSR {
 	}
 	blockSize := n / blocks
 	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ u, v int32 }
 	m := int(n) * edgeFactor
-	edges := make([]edge, 0, 2*m)
+	edges := make([]edge, 0, m)
 	for i := 0; i < m; i++ {
 		u := int32(rng.Intn(int(n)))
 		ub := u / blockSize
@@ -144,30 +161,9 @@ func Community(scale, edgeFactor int, seed int64) *CSR {
 		if u == v {
 			continue
 		}
-		edges = append(edges, edge{u, v}, edge{v, u})
+		edges = append(edges, edge{u, v})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	g := &CSR{
-		N:       n,
-		Offsets: make([]int32, n+1),
-		Edges:   make([]int32, len(edges)),
-		Weights: make([]int32, len(edges)),
-	}
-	wrng := rand.New(rand.NewSource(seed + 1))
-	for i, e := range edges {
-		g.Offsets[e.u+1]++
-		g.Edges[i] = e.v
-		g.Weights[i] = 1 + int32(wrng.Intn(63))
-	}
-	for v := int32(0); v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	return g
+	return buildCSR(n, edges, seed)
 }
 
 // MaxDegreeVertex returns the vertex with the largest degree — the

@@ -16,11 +16,6 @@ type PageRank struct {
 	Broadcast bool
 }
 
-// NewPageRank builds PageRank over an R-MAT graph.
-func NewPageRank(scale int, iters int, seed int64) *PageRank {
-	return &PageRank{G: RMAT(scale, 8, seed), Iters: iters}
-}
-
 // NewPageRankFromGraph builds PageRank over an existing graph.
 func NewPageRankFromGraph(g *CSR, iters int) *PageRank {
 	return &PageRank{G: g, Iters: iters}

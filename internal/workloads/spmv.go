@@ -17,11 +17,6 @@ type SpMV struct {
 	Broadcast bool
 }
 
-// NewSpMV builds SpMV over an R-MAT sparsity pattern.
-func NewSpMV(scale, iters int, seed int64) *SpMV {
-	return &SpMV{A: RMAT(scale, 8, seed), Iters: iters}
-}
-
 // NewSpMVFromGraph builds SpMV over an existing sparsity pattern.
 func NewSpMVFromGraph(g *CSR, iters int) *SpMV {
 	return &SpMV{A: g, Iters: iters}
@@ -65,7 +60,6 @@ func (s *SpMV) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelRe
 	body := func(tid int, c *cores.Ctx) {
 		me := tid
 		lo, hi := parts.Range(me)
-		offBase := uint64(a.Offsets[lo])
 		for iter := 0; iter < s.Iters; iter++ {
 			if s.Broadcast {
 				// Publish my x-partition to every DIMM once per iteration.
@@ -110,7 +104,6 @@ func (s *SpMV) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelRe
 			chargeScattered(c, parts, me, parts.Size(me), true)
 			c.Barrier()
 		}
-		_ = offBase
 	}
 	res, err := runPlaced(sys, placement, profile, body)
 	if err != nil {

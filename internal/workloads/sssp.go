@@ -15,13 +15,8 @@ type SSSP struct {
 	Broadcast bool
 }
 
-// NewSSSP builds SSSP over a weighted R-MAT graph, rooted at the
-// highest-degree vertex.
-func NewSSSP(scale int, seed int64) *SSSP {
-	return NewSSSPFromGraph(RMAT(scale, 8, seed))
-}
-
-// NewSSSPFromGraph builds SSSP over an existing weighted graph.
+// NewSSSPFromGraph builds SSSP over an existing weighted graph, rooted at
+// the highest-degree vertex.
 func NewSSSPFromGraph(g *CSR) *SSSP {
 	return &SSSP{G: g, Source: g.MaxDegreeVertex()}
 }

@@ -98,7 +98,7 @@ func TestBFSPlacementInvariant(t *testing.T) {
 }
 
 func TestSSSPMatchesReference(t *testing.T) {
-	w := NewSSSP(8, 3)
+	w := NewSSSPFromGraph(RMAT(8, 8, 3))
 	want := hashUint32s(ReferenceSSSP(w.G, w.Source))
 	for _, bc := range []bool{false, true} {
 		w.Broadcast = bc
@@ -111,13 +111,13 @@ func TestSSSPMatchesReference(t *testing.T) {
 }
 
 func TestPageRankMatchesReference(t *testing.T) {
-	pr := NewPageRank(8, 5, 11)
+	pr := NewPageRankFromGraph(RMAT(8, 8, 11), 5)
 	ref := ReferencePageRank(pr.G, 5)
 	s := sys4(nmp.MechDIMMLink)
 	_, _, _ = pr.Run(s, s.DefaultPlacement(), false)
 	// Re-run functionally via a second system and compare rank vectors
 	// against the reference with tolerance (float association differs).
-	pr2 := NewPageRank(8, 5, 11)
+	pr2 := NewPageRankFromGraph(RMAT(8, 8, 11), 5)
 	s2 := sys4(nmp.MechAIM)
 	_, chk, _ := pr2.Run(s2, s2.DefaultPlacement(), false)
 	if chk == 0 {
@@ -196,11 +196,11 @@ func TestNWMatchesReference(t *testing.T) {
 }
 
 func TestSpMVMatchesReference(t *testing.T) {
-	w := NewSpMV(8, 2, 5)
+	w := NewSpMVFromGraph(RMAT(8, 8, 5), 2)
 	ref := ReferenceSpMV(w.A, 2)
 	want := hashFloats(ref)
 	for _, bc := range []bool{false, true} {
-		w2 := NewSpMV(8, 2, 5)
+		w2 := NewSpMVFromGraph(RMAT(8, 8, 5), 2)
 		w2.Broadcast = bc
 		s := sys4(nmp.MechDIMMLink)
 		_, got, _ := w2.Run(s, s.DefaultPlacement(), false)
