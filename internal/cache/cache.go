@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -59,11 +60,17 @@ type way struct {
 
 // Cache is a single set-associative write-back, write-allocate cache.
 type Cache struct {
-	cfg   Config
-	sets  [][]way
-	setMx uint64 // set index mask
-	tick  uint64
-	Stats Stats
+	cfg Config
+	// ways holds every set's ways, set s at ways[s*Ways:(s+1)*Ways]. It
+	// is allocated by the first Access: many caches of a system are never
+	// touched (a workload with no cacheable data), and until then they
+	// hold nothing.
+	ways      []way
+	nsets     uint64
+	lineShift uint // log2(LineBytes)
+	setShift  uint // log2(nsets): the tag is the line number above it
+	tick      uint64
+	Stats     Stats
 }
 
 // New builds a cache from cfg; invalid configurations panic (they are
@@ -73,29 +80,23 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*uint64(cfg.Ways))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Ways) : (uint64(i)+1)*uint64(cfg.Ways)]
-	}
-	return &Cache{cfg: cfg, sets: sets, setMx: nsets - 1}
+	return &Cache{cfg: cfg, nsets: nsets,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
+		setShift:  uint(bits.TrailingZeros64(nsets))}
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	line := addr / c.cfg.LineBytes
-	return line & c.setMx, line >> uint(popShift(c.setMx))
+	line := addr >> c.lineShift
+	return line & (c.nsets - 1), line >> c.setShift
 }
 
-func popShift(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
+// set returns the ways of set s; the cache must hold its ways.
+func (c *Cache) set(s uint64) []way {
+	w := uint64(c.cfg.Ways)
+	return c.ways[s*w : (s+1)*w]
 }
 
 // Result describes the outcome of an Access.
@@ -109,8 +110,11 @@ type Result struct {
 // whether the access hit and whether a dirty victim was evicted. The caller
 // is responsible for charging miss/write-back traffic to the next level.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	if c.ways == nil {
+		c.ways = make([]way, c.nsets*uint64(c.cfg.Ways))
+	}
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	c.tick++
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -149,8 +153,11 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 
 // Contains reports whether addr is present (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
+	if c.ways == nil {
+		return false
+	}
 	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.set(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -159,21 +166,19 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 func (c *Cache) lineAddr(set, tag uint64) uint64 {
-	return (tag<<uint(popShift(c.setMx)) | set) * c.cfg.LineBytes
+	return (tag<<c.setShift | set) << c.lineShift
 }
 
 // Flush invalidates the entire cache and returns the line addresses of all
 // dirty lines (the write-back traffic at kernel completion).
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.dirty {
-				dirty = append(dirty, c.lineAddr(uint64(set), w.tag))
-			}
-			*w = way{}
+	for i := range c.ways {
+		w := &c.ways[i]
+		if w.valid && w.dirty {
+			dirty = append(dirty, c.lineAddr(uint64(i)/uint64(c.cfg.Ways), w.tag))
 		}
+		*w = way{}
 	}
 	return dirty
 }

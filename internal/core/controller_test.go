@@ -81,9 +81,6 @@ func TestControllerTagExhaustion(t *testing.T) {
 		t.Fatalf("third tag at %d, want 500", t3)
 	}
 	c.ReleaseTag(s2, 900)
-	if c.tags.HighWater == 0 {
-		t.Fatal("tag high-water not tracked")
-	}
 }
 
 func TestTagPressureDelaysTransactions(t *testing.T) {

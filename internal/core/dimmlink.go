@@ -181,6 +181,8 @@ type Link struct {
 	dram []*dram.Module
 	host *host.Host
 
+	ctrlPeriod sim.Time // one DL-Controller cycle (cfg.ControllerHz)
+
 	groups   []*group
 	groupOf  []int // DIMM -> group index
 	nodeOf   []int // DIMM -> node index within its group
@@ -234,12 +236,13 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 		return nil, fmt.Errorf("core: %d DIMMs exceed the %d-DIMM SRC/DST field", geo.NumDIMMs, MaxDIMMs)
 	}
 	l := &Link{
-		eng:     eng,
-		geo:     geo,
-		cfg:     cfg,
-		dram:    modules,
-		groupOf: make([]int, geo.NumDIMMs),
-		nodeOf:  make([]int, geo.NumDIMMs),
+		eng:        eng,
+		geo:        geo,
+		cfg:        cfg,
+		dram:       modules,
+		ctrlPeriod: sim.Period(cfg.ControllerHz),
+		groupOf:    make([]int, geo.NumDIMMs),
+		nodeOf:     make([]int, geo.NumDIMMs),
 	}
 	l.tx = idc.NewTxCounters(&l.ctrs)
 	l.linkBytes = l.ctrs.Handle(idc.CtrLinkBytes)
@@ -391,7 +394,7 @@ func (l *Link) Networks() []*noc.Network {
 func (l *Link) Stop() { l.host.Stop() }
 
 func (l *Link) ctrlCycles(n uint64) sim.Time {
-	return sim.Cycles(n, sim.Period(l.cfg.ControllerHz))
+	return sim.Cycles(n, l.ctrlPeriod)
 }
 
 func (l *Link) packetize(at sim.Time) sim.Time {

@@ -150,9 +150,12 @@ type thread struct {
 	coreID   int
 	time     sim.Time
 	finished bool
-	win      []slot // outstanding ops, issue order
-	stats    ThreadStats
-	resume   func() // the thread's step event, bound once
+	// win is the outstanding-request window, a ring of cfg.Window slots
+	// allocated once: n entries in issue order from win[head].
+	win     []slot
+	head, n int
+	stats   ThreadStats
+	resume  func() // the thread's step event, bound once
 
 	// The op stream. The goroutine appends to buf while the driver waits
 	// on ready; the driver consumes buf[next:] while the goroutine waits
@@ -224,6 +227,7 @@ func (g *Group) Spawn(homeDIMM, coreID int, body func(*Ctx)) *ThreadStats {
 		id:       len(g.threads),
 		homeDIMM: homeDIMM,
 		coreID:   coreID,
+		win:      make([]slot, g.cfg.Window),
 		buf:      make([]op, 0, opChunk),
 		fill:     make(chan struct{}),
 		ready:    make(chan struct{}),
@@ -346,7 +350,7 @@ func (g *Group) step(t *thread) {
 	case opScatter:
 		g.makeRoom(t)
 		done, remote := g.mem.Scatter(t.time, t.coreID, o.addr, o.span, o.size, o.write)
-		t.win = append(t.win, slot{done: done, remote: remote})
+		t.push(slot{done: done, remote: remote})
 		t.stats.Ops++
 		t.stats.BytesTouched += uint64(o.size) * 64
 		if remote {
@@ -387,33 +391,53 @@ func (g *Group) schedule(t *thread) { g.eng.At(t.time, t.resume) }
 func (g *Group) issue(t *thread, o op) {
 	g.makeRoom(t)
 	done, remote := g.access(t, o)
-	t.win = append(t.win, slot{done: done, remote: remote})
+	t.push(slot{done: done, remote: remote})
 	t.time += sim.Cycles(g.cfg.IssueCycles, g.period)
+}
+
+// push appends s to the window; makeRoom has made room for it.
+func (t *thread) push(s slot) {
+	i := t.head + t.n
+	if i >= len(t.win) {
+		i -= len(t.win)
+	}
+	t.win[i] = s
+	t.n++
+}
+
+// pop removes and returns the oldest window entry.
+func (t *thread) pop() slot {
+	s := t.win[t.head]
+	t.head++
+	if t.head == len(t.win) {
+		t.head = 0
+	}
+	t.n--
+	return s
 }
 
 // makeRoom retires the oldest window entry, stalling the thread if it is
 // still outstanding.
 func (g *Group) makeRoom(t *thread) {
-	if len(t.win) < g.cfg.Window {
+	if t.n < len(t.win) {
 		return
 	}
-	head := t.win[0]
-	t.win = t.win[1:]
-	g.accountWait(t, head.done, head.remote)
-	if head.done > t.time {
-		t.time = head.done
+	oldest := t.pop()
+	g.accountWait(t, oldest.done, oldest.remote)
+	if oldest.done > t.time {
+		t.time = oldest.done
 	}
 }
 
 // retireAll drains the window (barrier, broadcast, kernel end).
 func (g *Group) retireAll(t *thread) {
-	for _, s := range t.win {
+	for t.n > 0 {
+		s := t.pop()
 		g.accountWait(t, s.done, s.remote)
 		if s.done > t.time {
 			t.time = s.done
 		}
 	}
-	t.win = t.win[:0]
 }
 
 // accountWait attributes the stall (if any) between the thread's clock and

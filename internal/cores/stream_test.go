@@ -121,3 +121,61 @@ func TestMismatchedRendezvousDeadlocks(t *testing.T) {
 	g.Run()
 	t.Fatal("Run returned on mismatched rendezvous")
 }
+
+// TestWindowRingWraps drives a 3-slot issue window through more than
+// 2×Window memory ops per thread — local and remote loads whose
+// completions arrive out of issue order, stores, scatters, dependent
+// loads and drains — so the ring wraps many times, and checks the
+// makespan and every ThreadStats field against the values the
+// slice-based window produced for the same bodies.
+func TestWindowRingWraps(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Window = 3
+	g := NewGroup(sim.NewEngine(), cfg, newFake())
+	body := func(n int) func(*Ctx) {
+		return func(c *Ctx) {
+			for i := 0; i < n; i++ {
+				addr := uint64(i) * 64
+				switch i % 11 {
+				case 0, 4, 8:
+					c.Load(1<<30+addr, 64) // remote: completes late
+				case 1, 2, 6:
+					c.Load(addr, 8)
+				case 3:
+					c.Store(addr, 8)
+				case 5:
+					c.ScatterLoad(addr, 4096, 2)
+				case 7:
+					c.LoadDep(1<<30+addr, 8)
+				case 9:
+					c.ScatterStore(addr, 4096, 5)
+				case 10:
+					if i%3 == 0 {
+						c.Drain()
+					}
+					c.Compute(uint64(i % 7))
+				}
+			}
+			c.Drain()
+		}
+	}
+	g.Spawn(0, 0, body(100))
+	g.Spawn(1, 1, body(37))
+	if got := g.Run(); got != 15757200 {
+		t.Errorf("makespan %d, want 15757200", got)
+	}
+	want := []ThreadStats{
+		{Finish: 15757200, IDCStall: 15261200, LocalStall: 435600, Ops: 91, RemoteOps: 37, BytesTouched: 6184},
+		{Finish: 5604800, IDCStall: 5388800, LocalStall: 194800, Ops: 34, RemoteOps: 13, BytesTouched: 2128},
+	}
+	for i, st := range g.Stats() {
+		if st != want[i] {
+			t.Errorf("thread %d stats %+v, want %+v", i, st, want[i])
+		}
+	}
+	for i, th := range g.threads {
+		if len(th.win) != cfg.Window || th.n != 0 {
+			t.Errorf("thread %d window: %d slots, %d outstanding after the run, want %d and 0", i, len(th.win), th.n, cfg.Window)
+		}
+	}
+}

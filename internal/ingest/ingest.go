@@ -379,27 +379,40 @@ type Data struct {
 	Format Format
 }
 
+// readChunk is how many records ReadAll decodes into one fixed-size
+// chunk (1 MiB of 32-byte records) before starting the next.
+const readChunk = 32 << 10
+
 // ReadAll streams a whole trace through a Reader, accumulating the
 // decoded records. The parse itself stays incremental (no whole-file
-// slurp); the returned slice is the replay working set.
+// slurp): records are decoded into fixed-size chunks, then copied once
+// into an exact-length slice, the replay working set.
 func ReadAll(r io.Reader) (*Data, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	d := &Data{Threads: rd.Threads(), Format: rd.Format()}
-	var rec trace.Record
+	var chunks [][]trace.Record
+	cur, n := make([]trace.Record, readChunk), 0
 	for {
-		if err := rd.Next(&rec); err != nil {
+		if n == readChunk {
+			chunks = append(chunks, cur)
+			cur, n = make([]trace.Record, readChunk), 0
+		}
+		if err := rd.Next(&cur[n]); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			return nil, err
 		}
-		d.Records = append(d.Records, rec)
+		n++
 	}
-	d.Hash = rd.Sum()
-	return d, nil
+	recs := make([]trace.Record, 0, len(chunks)*readChunk+n)
+	for _, c := range chunks {
+		recs = append(recs, c...)
+	}
+	return &Data{Threads: rd.Threads(), Format: rd.Format(), Hash: rd.Sum(),
+		Records: append(recs, cur[:n]...)}, nil
 }
 
 // Drain streams a whole trace through a Reader without retaining

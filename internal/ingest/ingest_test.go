@@ -5,8 +5,11 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -384,5 +387,89 @@ func TestDrainAllocBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: %.4f allocs/record exceeds the budget %.2f", format, got, budget)
 		}
+	}
+}
+
+// readByNext is the reference for ReadAll: record-by-record Next.
+func readByNext(t *testing.T, b []byte) (*Data, error) {
+	t.Helper()
+	rd, err := NewReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	d := &Data{Threads: rd.Threads(), Format: rd.Format()}
+	for {
+		var rec trace.Record
+		if err := rd.Next(&rec); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			return nil, err
+		}
+		d.Records = append(d.Records, rec)
+	}
+	d.Hash = rd.Sum()
+	return d, nil
+}
+
+// TestReadAllChunkBoundaries checks ReadAll against record-by-record Next
+// at and around its decode-chunk boundaries, in both encodings: the same
+// records, threads, format and hash, an exact-length result, and the
+// same error for a bad record just past a full chunk.
+func TestReadAllChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 2*readChunk + 1} {
+		tr := randomTrace(int64(n), 4, n)
+		for _, f := range []Format{FormatText, FormatBinary} {
+			b := encode(t, tr, f)
+			got, err := ReadAll(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("%d records, %s: %v", n, f, err)
+			}
+			want, err := readByNext(t, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Records, want.Records) || got.Threads != want.Threads ||
+				got.Format != want.Format || got.Hash != want.Hash {
+				t.Fatalf("%d records, %s: ReadAll (%d records, %d threads, %s, %s) differs from Next (%d, %d, %s, %s)",
+					n, f, len(got.Records), got.Threads, got.Format, got.Hash,
+					len(want.Records), want.Threads, want.Format, want.Hash)
+			}
+			if cap(got.Records) != n {
+				t.Fatalf("%d records, %s: result capacity %d", n, f, cap(got.Records))
+			}
+		}
+	}
+	bad := append(encode(t, randomTrace(3, 4, readChunk), FormatText), "9 R 40 64 0\n"...)
+	_, got := ReadAll(bytes.NewReader(bad))
+	_, want := readByNext(t, bad)
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("bad record after a full chunk: ReadAll error %v, Next error %v", got, want)
+	}
+}
+
+// TestReadAllAllocBudget holds ReadAll of N records to at most 2.2 x N
+// record sizes of heap: the decode chunks plus one exact-length copy,
+// with at most one chunk of slack. Measured with go1.24.0 linux/amd64
+// at N = 250,000: 2.06. The test is serial and skipped under -short,
+// where the race detector allocates on its own.
+func TestReadAllAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured without -short and -race")
+	}
+	const n = 250_000
+	b := encode(t, randomTrace(11, 8, n), FormatBinary)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := ReadAll(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(d.Records) != n {
+		t.Fatalf("ReadAll: %d records, %v", len(d.Records), err)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / n / float64(unsafe.Sizeof(trace.Record{}))
+	t.Logf("%.3f record sizes allocated per record (budget 2.2)", perRecord)
+	if perRecord > 2.2 {
+		t.Errorf("ReadAll allocated %.3f record sizes per record, budget 2.2", perRecord)
 	}
 }

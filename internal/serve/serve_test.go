@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,6 +255,61 @@ func TestOutOfRangeSizing400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), field) {
 			t.Errorf("submit %s: HTTP %d %q, want 400 naming %s", body, resp.StatusCode, msg, field)
 		}
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped answering after bad specs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz: HTTP %d", resp.StatusCode)
+	}
+	_, st := postSpec(t, ts, smallSim())
+	if got := waitDone(t, ts, st.ID); got.State != JobDone {
+		t.Errorf("job after bad specs: %+v", got)
+	}
+}
+
+// TestOversizedSystem400 checks that a system shape out of range — more
+// than 64 DIMMs on any mechanism, or more channels than DIMMs — is
+// rejected at submission with an error naming the field, and that the
+// server still answers /healthz and runs jobs. A huge dimms used to be
+// accepted and make the worker allocate until the process died; the
+// runner here never builds a system, so a regression fails the test
+// instead of exhausting memory.
+func TestOversizedSystem400(t *testing.T) {
+	var ran atomic.Int32
+	srv := NewServer(Config{Workers: 1, Runner: func(ctx context.Context, sp spec.Spec, _ func(int, int), _ *metrics.Collector) (*Result, error) {
+		ran.Add(1)
+		if sp.DIMMs > 64 || sp.Channels > sp.DIMMs {
+			t.Errorf("runner got an oversized spec: %+v", sp)
+		}
+		return &Result{Text: []byte("ok\n")}, nil
+	}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for body, field := range map[string]string{
+		`{"kind":"sim","workload":"bfs","mech":"mcn","dimms":1048576}`:                   "dimms",
+		`{"kind":"sim","workload":"bfs","mech":"host-cpu","dimms":1048576,"channels":1}`: "dimms",
+		`{"kind":"sim","workload":"p2p","mech":"aim","dimms":65,"channels":5}`:           "dimms",
+		`{"kind":"sim","workload":"p2p","dimms":4,"channels":8}`:                         "channels",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), field) {
+			t.Errorf("submit %s: HTTP %d %q, want 400 naming %s", body, resp.StatusCode, msg, field)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("runner ran %d rejected specs", n)
 	}
 
 	resp, err := http.Get(ts.URL + "/healthz")

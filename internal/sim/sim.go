@@ -299,20 +299,29 @@ func (b *BusyLine) Utilization(now Time) float64 {
 
 // Pool models a resource with K interchangeable slots served in FIFO order
 // of request: transaction tags, MSHR entries, buffer slots. AcquireSlot
-// books the slot that frees earliest.
+// books the slot that frees earliest, the lowest index among ties.
 type Pool struct {
+	// freeAt is each slot's release time, or forever while AcquireSlot
+	// holds it open.
 	freeAt []Time
-	// HighWater tracks the maximum number of simultaneously busy slots
-	// observed at acquisition time.
-	HighWater int
+	// free is a binary min-heap of the slots not held open, ordered by
+	// (freeAt, index).
+	free []int
 }
+
+// forever marks a slot held open by AcquireSlot.
+const forever = ^Time(0)
 
 // NewPool creates a pool with k slots, all free at time zero.
 func NewPool(k int) *Pool {
 	if k <= 0 {
 		panic(fmt.Sprintf("sim: pool with %d slots", k))
 	}
-	return &Pool{freeAt: make([]Time, k)}
+	p := &Pool{freeAt: make([]Time, k), free: make([]int, k)}
+	for i := range p.free {
+		p.free[i] = i // ascending indices at equal times: already a heap
+	}
+	return p
 }
 
 // Size returns the slot count.
@@ -335,35 +344,61 @@ func (p *Pool) InUse(at Time) int {
 // with the release time not yet known (the slot stays busy until
 // ReleaseSlot). It returns the slot index and the booked start time.
 func (p *Pool) AcquireSlot(at Time) (slot int, start Time) {
-	// One pass: held slots sit at forever, so the strict f < bestF skips
-	// them and keeps the lowest index among equal free times.
-	const forever = ^Time(0)
-	best, bestF := -1, forever
-	busy := 0
-	for i, f := range p.freeAt {
-		if f > at {
-			busy++
-		}
-		if f < bestF {
-			best, bestF = i, f
-		}
-	}
-	if busy > p.HighWater {
-		p.HighWater = busy
-	}
-	if best == -1 {
+	if len(p.free) == 0 {
 		panic("sim: AcquireSlot with every slot held open")
 	}
-	p.freeAt[best] = forever
-	return best, max(at, bestF)
+	slot = p.free[0]
+	last := len(p.free) - 1
+	p.free[0] = p.free[last]
+	p.free = p.free[:last]
+	p.down(0)
+	start = max(at, p.freeAt[slot])
+	p.freeAt[slot] = forever
+	return slot, start
 }
 
 // ReleaseSlot frees a slot previously taken by AcquireSlot at time at.
 func (p *Pool) ReleaseSlot(slot int, at Time) {
-	if p.freeAt[slot] != ^Time(0) {
+	if p.freeAt[slot] != forever {
 		panic("sim: releasing a slot that is not held")
 	}
 	p.freeAt[slot] = at
+	p.free = append(p.free, slot)
+	p.up(len(p.free) - 1)
+}
+
+// less orders free-heap entries i and j by (freeAt, slot index).
+func (p *Pool) less(i, j int) bool {
+	a, b := p.free[i], p.free[j]
+	return p.freeAt[a] < p.freeAt[b] || p.freeAt[a] == p.freeAt[b] && a < b
+}
+
+func (p *Pool) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.less(i, parent) {
+			return
+		}
+		p.free[i], p.free[parent] = p.free[parent], p.free[i]
+		i = parent
+	}
+}
+
+func (p *Pool) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(p.free) {
+			return
+		}
+		if c+1 < len(p.free) && p.less(c+1, c) {
+			c++
+		}
+		if !p.less(c, i) {
+			return
+		}
+		p.free[i], p.free[c] = p.free[c], p.free[i]
+		i = c
+	}
 }
 
 // Ticker invokes a callback periodically. It is used for host polling loops

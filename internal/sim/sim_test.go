@@ -257,8 +257,8 @@ func TestPoolAcquire(t *testing.T) {
 	if s3 != 10 {
 		t.Fatalf("third acquisition at %d, want 10", s3)
 	}
-	if p.HighWater != 2 {
-		t.Fatalf("HighWater = %d", p.HighWater)
+	if got := p.InUse(0); got != 2 {
+		t.Fatalf("InUse(0) = %d, want 2", got)
 	}
 	if p.Size() != 2 {
 		t.Fatalf("Size = %d", p.Size())
@@ -389,24 +389,23 @@ func TestBusyLineFoldExact(t *testing.T) {
 }
 
 func TestPoolHighWaterInterleaved(t *testing.T) {
-	// HighWater counts slots busy at acquisition time, before booking the
-	// new one, across both booked and held-open slots.
+	// The slots busy at each acquisition time, across both booked and
+	// held-open slots, as InUse reports them before the new booking.
 	p := NewPool(3)
-	book(p, 0, 100)              // busy seen: 0
-	slot, _ := p.AcquireSlot(10) // busy seen: 1
-	book(p, 20, 100)             // busy seen: 2
-	if p.HighWater != 2 {
-		t.Fatalf("HighWater = %d, want 2", p.HighWater)
+	acquire := func(at Time, wantBusy int) int {
+		t.Helper()
+		if got := p.InUse(at); got != wantBusy {
+			t.Fatalf("InUse(%d) = %d, want %d", at, got, wantBusy)
+		}
+		slot, _ := p.AcquireSlot(at)
+		return slot
 	}
-	p.ReleaseSlot(slot, 50)
-	book(p, 60, 100) // busy seen: 2 (held slot released, two bookings live)
-	if p.HighWater != 2 {
-		t.Fatalf("HighWater after release = %d, want 2", p.HighWater)
-	}
-	book(p, 70, 100) // busy seen: 3 — every slot occupied
-	if p.HighWater != 3 {
-		t.Fatalf("HighWater at saturation = %d, want 3", p.HighWater)
-	}
+	p.ReleaseSlot(acquire(0, 0), 100) // booked [0, 100)
+	held := acquire(10, 1)            // held open
+	p.ReleaseSlot(acquire(20, 2), 120)
+	p.ReleaseSlot(held, 50)
+	p.ReleaseSlot(acquire(60, 2), 160) // held slot released, two bookings live
+	p.ReleaseSlot(acquire(70, 3), 200) // every slot occupied
 	if got := p.InUse(75); got != 3 {
 		t.Fatalf("InUse(75) = %d, want 3", got)
 	}
@@ -439,30 +438,22 @@ func TestPoolEarliestFreeTieBreak(t *testing.T) {
 }
 
 // refPool is the reference for Pool.AcquireSlot: the original scan that
-// finds the earliest-free slot and counts busy slots separately, with
-// the lowest index winning ties and held slots skipped.
+// finds the earliest-free slot, with the lowest index winning ties and
+// held slots skipped.
 type refPool struct {
-	freeAt    []Time
-	HighWater int
+	freeAt []Time
 }
 
 func (p *refPool) AcquireSlot(at Time) (slot int, start Time) {
 	const forever = ^Time(0)
 	best := -1
-	busy := 0
 	for i, f := range p.freeAt {
-		if f > at {
-			busy++
-		}
 		if f == forever {
 			continue
 		}
 		if best == -1 || f < p.freeAt[best] {
 			best = i
 		}
-	}
-	if busy > p.HighWater {
-		p.HighWater = busy
 	}
 	if best == -1 {
 		panic("sim: AcquireSlot with every slot held open")
@@ -502,7 +493,7 @@ func acquirePanics(acquire func(Time) (int, Time), at Time) (slot int, start Tim
 // TestPoolMatchesReference drives Pool and the reference scan through
 // the same seeded acquire/release sequences — repeating request times,
 // slots held open across many steps, and full saturation — and requires
-// the same slot, start, HighWater and InUse after every step, and the
+// the same slot, start and InUse after every step, and the
 // same panic when every slot is held.
 func TestPoolMatchesReference(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 64} {
@@ -542,9 +533,9 @@ func TestPoolMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				if p.HighWater != ref.HighWater || p.InUse(at) != ref.InUse(at) {
-					t.Fatalf("size %d seed %d step %d: HighWater %d/%d InUse %d/%d (pool/reference)",
-						size, seed, step, p.HighWater, ref.HighWater, p.InUse(at), ref.InUse(at))
+				if p.InUse(at) != ref.InUse(at) {
+					t.Fatalf("size %d seed %d step %d: InUse %d/%d (pool/reference)",
+						size, seed, step, p.InUse(at), ref.InUse(at))
 				}
 			}
 		}

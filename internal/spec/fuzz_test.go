@@ -12,7 +12,9 @@ import (
 // nmp.NewSystem → BuildWorkload, then the run itself for the smallest.
 // Decoding, Normalized and NewSystem may return an error; nothing may
 // panic. The size gates keep each input cheap; they do not hide
-// anything Normalized accepts at those sizes.
+// anything Normalized accepts at those sizes. The DIMM gate is redundant
+// with Normalized's bound, and keeps a regression of that bound from
+// building a huge system inside the test.
 func FuzzSpec(f *testing.F) {
 	for _, seed := range []string{
 		// Specs that crashed a worker before the sizing fields were bounded.
@@ -22,6 +24,12 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"sim","workload":"kmeans","scale":3}`,
 		`{"kind":"sim","workload":"kmeans","scale":40}`,
 		`{"kind":"sim","workload":"bfs","iters":-1}`,
+		// System shapes out of range; before dimms was bounded, a huge one
+		// made a worker allocate until the process died.
+		`{"kind":"sim","workload":"bfs","mech":"mcn","dimms":1048576}`,
+		`{"kind":"sim","workload":"bfs","mech":"host-cpu","dimms":1048576,"channels":1}`,
+		`{"kind":"sim","workload":"p2p","mech":"aim","dimms":65,"channels":5}`,
+		`{"kind":"sim","workload":"p2p","dimms":4,"channels":8}`,
 		// One valid spec per workload.
 		`{"kind":"sim","workload":"bfs","scale":8}`,
 		`{"kind":"sim","workload":"hotspot","scale":8,"iters":2}`,

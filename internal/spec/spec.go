@@ -72,8 +72,8 @@ type Spec struct {
 
 	// Simulation fields (Kind == KindSim).
 	Mech       string  `json:"mech,omitempty"`
-	DIMMs      int     `json:"dimms,omitempty"`
-	Channels   int     `json:"channels,omitempty"`
+	DIMMs      int     `json:"dimms,omitempty"`    // in [1, 64] (core.MaxDIMMs), sim and trace kinds
+	Channels   int     `json:"channels,omitempty"` // in [1, DIMMs]
 	Workload   string  `json:"workload,omitempty"`
 	Scale      int     `json:"scale,omitempty"` // in [4, 24]: 2^Scale vertices or points (K-Means needs >= 16)
 	EdgeFactor int     `json:"ef,omitempty"`    // in [1, 64]: graph edges per vertex
@@ -192,8 +192,8 @@ func (s Spec) Normalized() (Spec, error) {
 		if n.Channels == 0 {
 			n.Channels = DefaultChannels
 		}
-		if n.DIMMs < 0 || n.Channels < 0 {
-			return Spec{}, fmt.Errorf("spec: negative system size %dD-%dC", n.DIMMs, n.Channels)
+		if err := checkSystemSize(n); err != nil {
+			return Spec{}, err
 		}
 		if n.Workload == "" {
 			n.Workload = DefaultWorkload
@@ -268,8 +268,8 @@ func (s Spec) Normalized() (Spec, error) {
 		if n.Channels == 0 {
 			n.Channels = DefaultChannels
 		}
-		if n.DIMMs < 0 || n.Channels < 0 {
-			return Spec{}, fmt.Errorf("spec: negative system size %dD-%dC", n.DIMMs, n.Channels)
+		if err := checkSystemSize(n); err != nil {
+			return Spec{}, err
 		}
 		if n.Topology == "" {
 			n.Topology = DefaultTopology
@@ -323,6 +323,20 @@ func (s Spec) Normalized() (Spec, error) {
 		return Spec{}, fmt.Errorf("spec: unknown kind %q", n.Kind)
 	}
 	return n, nil
+}
+
+// checkSystemSize bounds the system shape of the sim and trace kinds:
+// at most core.MaxDIMMs DIMMs (the DL packet's SRC/DST field, and a
+// bound on what one spec can make a worker allocate) and no more
+// channels than DIMMs.
+func checkSystemSize(n Spec) error {
+	if n.DIMMs < 1 || n.DIMMs > core.MaxDIMMs {
+		return fmt.Errorf("spec: dimms %d out of range [1, %d]", n.DIMMs, core.MaxDIMMs)
+	}
+	if n.Channels < 1 || n.Channels > n.DIMMs {
+		return fmt.Errorf("spec: channels %d out of range [1, dimms %d]", n.Channels, n.DIMMs)
+	}
+	return nil
 }
 
 // Canonical returns the deterministic byte encoding of the normalized

@@ -199,6 +199,16 @@ func TestNormalizeSizeBounds(t *testing.T) {
 		{"ef 1", Spec{EdgeFactor: 1}, ""},
 		{"ef 64", Spec{EdgeFactor: 64}, ""},
 		{"iters 1", Spec{Iters: 1}, ""},
+		{"dimms -1", Spec{DIMMs: -1}, "dimms"},
+		{"dimms 65", Spec{DIMMs: 65, Channels: 1}, "dimms"},
+		{"dimms 2^20", Spec{DIMMs: 1 << 20, Channels: 1}, "dimms"},
+		{"dimms 1", Spec{DIMMs: 1, Channels: 1}, ""},
+		{"dimms 64", Spec{DIMMs: 64, Channels: 8}, ""},
+		{"host-cpu dimms 2^20", Spec{Mech: "host-cpu", DIMMs: 1 << 20, Channels: 1}, "dimms"},
+		{"channels -1", Spec{Channels: -1}, "channels"},
+		{"channels above dimms", Spec{DIMMs: 4, Channels: 8}, "channels"},
+		{"default channels above dimms", Spec{DIMMs: 2}, "channels"},
+		{"channels = dimms", Spec{DIMMs: 4, Channels: 4}, ""},
 		{"zero is default", Spec{}, ""},
 	}
 	for _, c := range cases {
@@ -213,9 +223,24 @@ func TestNormalizeSizeBounds(t *testing.T) {
 			t.Errorf("%s: error %q does not name the %s field", c.name, err, c.field)
 		}
 	}
-	// Trace and exp kinds pin the sizing fields instead of checking them.
+	// Trace and exp kinds pin the sizing fields instead of checking them;
+	// the trace kind bounds its system shape like the sim kind.
 	if _, err := (Spec{Kind: KindExp, Exp: "table1", Scale: -1}).Normalized(); err != nil {
 		t.Errorf("exp kind checked scale: %v", err)
+	}
+	for _, c := range []struct {
+		s     Spec
+		field string
+	}{
+		{Spec{DIMMs: 1 << 20, Channels: 1}, "dimms"},
+		{Spec{DIMMs: 0, Channels: 16}, "channels"},
+		{Spec{DIMMs: 64, Channels: 64}, ""},
+	} {
+		c.s.Kind, c.s.Trace = KindTrace, fakeHash
+		_, err := c.s.Normalized()
+		if c.field == "" && err != nil || c.field != "" && (err == nil || !strings.HasPrefix(err.Error(), "spec: "+c.field+" ")) {
+			t.Errorf("trace kind %dD-%dC: error %v, want one naming %q", c.s.DIMMs, c.s.Channels, err, c.field)
+		}
 	}
 }
 

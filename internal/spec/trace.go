@@ -21,6 +21,10 @@ import (
 // standard kernel path. The ingested trace's canonical hash must match
 // the spec's content address — the caller resolves the hash to bytes
 // (local file, blob store), this function verifies the binding.
+//
+// ReplayTrace consumes td: it maps td.Records in place, so the trace is
+// held once. If it returns an error, td may be partly mapped; ingest a
+// fresh Data to replay the trace again.
 func (s Spec) ReplayTrace(td *ingest.Data, h SimHooks) (*SimRun, error) {
 	n, err := s.Normalized()
 	if err != nil {
@@ -52,22 +56,17 @@ func (s Spec) ReplayTrace(td *ingest.Data, h SimHooks) (*SimRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Map every record up front (the page-table policies are stateful, so
-	// mapping order is trace order, not replay order). The copy leaves the
-	// caller's records untouched — a cached ingest.Data can be replayed
-	// under several specs.
-	mapped := make([]trace.Record, len(td.Records))
+	// Map every record up front, in place (the page-table policies are
+	// stateful, so mapping order is trace order, not replay order).
 	for i := range td.Records {
-		rec := td.Records[i]
-		home := placement[rec.Thread%len(placement)]
-		addr, err := mapper.Map(home, rec.Addr, rec.Size)
+		rec := &td.Records[i]
+		addr, err := mapper.Map(placement[rec.Thread%len(placement)], rec.Addr, rec.Size)
 		if err != nil {
 			return nil, fmt.Errorf("spec: trace record %d (%s mapping): %v", i, n.Map, err)
 		}
 		rec.Addr = addr
-		mapped[i] = rec
 	}
-	rp := &trace.Replay{T: &trace.Trace{Threads: td.Threads, Records: mapped}}
+	rp := &trace.Replay{T: &trace.Trace{Threads: td.Threads, Records: td.Records}}
 	res, _, err := rp.Run(sys, placement, h.Profile)
 	if err != nil {
 		return nil, err

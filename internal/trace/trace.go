@@ -9,6 +9,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cores"
 	"repro/internal/nmp"
@@ -99,16 +101,28 @@ type Replay struct {
 // Name implements the workload naming convention.
 func (r *Replay) Name() string { return "TraceReplay" }
 
-// Run drives the system from the trace. Every record is validated
+// Run drives the system from the trace. One pass validates every record
 // against the system's geometry before any simulated work starts, so a
 // truncated or corrupt trace is an error with the offending record's
-// index — never a mid-kernel panic.
+// index — never a mid-kernel panic. The same pass counts each placement
+// slot's records; a second fills one index array laid out by slot (a
+// counting sort), so each thread replays its records in trace order
+// without a per-thread copy of the trace.
 func (r *Replay) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelResult, uint64, error) {
 	if len(placement) == 0 {
 		return nmp.KernelResult{}, 0, fmt.Errorf("trace: replay needs a non-empty placement")
 	}
+	recs := r.T.Records
+	if len(recs) > math.MaxInt32 {
+		return nmp.KernelResult{}, 0, fmt.Errorf("trace: %d records exceed the replay bound of %d", len(recs), math.MaxInt32)
+	}
 	total := sys.Cfg.Geo.TotalBytes()
-	for i, rec := range r.T.Records {
+	// start[s+1] counts slot s's records; the prefix sum then makes
+	// order[start[s]:start[s+1]] slot s's records, in trace order.
+	slots := len(placement)
+	start := make([]int32, slots+1)
+	for i := range recs {
+		rec := &recs[i]
 		switch {
 		case rec.Thread < 0:
 			return nmp.KernelResult{}, 0, fmt.Errorf("trace: record %d: negative thread %d", i, rec.Thread)
@@ -118,16 +132,23 @@ func (r *Replay) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 			return nmp.KernelResult{}, 0, fmt.Errorf("trace: record %d: addr %#x + size %d beyond system capacity %#x",
 				i, rec.Addr, rec.Size, total)
 		}
+		start[rec.Thread%slots+1]++
 	}
-	perThread := make([][]Record, len(placement))
-	for _, rec := range r.T.Records {
-		slot := rec.Thread % len(placement)
-		perThread[slot] = append(perThread[slot], rec)
+	for s := 1; s <= slots; s++ {
+		start[s] += start[s-1]
+	}
+	order := make([]int32, len(recs))
+	next := slices.Clone(start[:slots])
+	for i := range recs {
+		s := recs[i].Thread % slots
+		order[next[s]] = int32(i)
+		next[s]++
 	}
 	var spawnErr error
 	res := sys.RunKernel(profile, func(g *cores.Group) {
 		spawnErr = sys.SpawnPlaced(g, placement, func(tid int, c *cores.Ctx) {
-			for _, rec := range perThread[tid] {
+			for _, i := range order[start[tid]:start[tid+1]] {
+				rec := &recs[i]
 				c.Compute(rec.Gap)
 				if rec.Write {
 					c.Store(rec.Addr, rec.Size)
@@ -141,5 +162,5 @@ func (r *Replay) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 	if spawnErr != nil {
 		return nmp.KernelResult{}, 0, spawnErr
 	}
-	return res, uint64(len(r.T.Records)), nil
+	return res, uint64(len(recs)), nil
 }
