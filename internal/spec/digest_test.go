@@ -20,9 +20,11 @@ import (
 )
 
 // digestSpecs is the workload table: intra-group traffic, broadcast
-// trees, every mechanism's interconnect, a multi-group topology, and the
+// trees, every mechanism's interconnect, a multi-group topology, the
 // fault layer (DLL retries, reroutes and host fallback all ride the event
-// engine).
+// engine), and each host set-up: ABC-DIMM's channel broadcast on 12D-4C,
+// the host-CPU baseline, base polling of every DIMM, and CXL blades that
+// the host never polls.
 func digestSpecs() []Spec {
 	return []Spec{
 		{Kind: KindSim, Workload: "p2p", DIMMs: 4, Channels: 2},
@@ -34,6 +36,10 @@ func digestSpecs() []Spec {
 		{Kind: KindSim, Workload: "p2p", DIMMs: 16, Channels: 8, Topology: "ring"},
 		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4,
 			Fault: "ber=1e-6,down=0-1@10us,stall=2-3@5us+20us,degrade=1-2@0*0.5"},
+		{Kind: KindSim, Workload: "pr", Scale: 10, Iters: 2, Broadcast: true, DIMMs: 12, Channels: 4, Mech: "abc-dimm"},
+		{Kind: KindSim, Workload: "bfs", Scale: 10, Mech: "host-cpu"},
+		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, Polling: "base"},
+		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, CXL: true},
 	}
 }
 
