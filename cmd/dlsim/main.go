@@ -48,7 +48,7 @@ func main() {
 		seed      = flag.Int64("seed", spec.DefaultSeed, "input generator seed")
 		topology  = flag.String("topology", spec.DefaultTopology, "DIMM-Link topology: chain | ring | mesh | torus")
 		linkbw    = flag.Float64("linkbw", spec.DefaultLinkBW, "DIMM-Link per-link bandwidth (bytes/s)")
-		polling   = flag.String("polling", "", "polling mode override: base | base+itrpt | proxy | proxy+itrpt")
+		polling   = flag.String("polling", "", "polling mode override: base | base+itrpt | proxy | proxy+itrpt (proxy modes need -mech dimm-link)")
 		cxl       = flag.Bool("cxl", false, "disaggregated mode: inter-group traffic over CXL instead of host forwarding")
 		bcast     = flag.Bool("broadcast", false, "use the broadcast formulation (pr, sssp, spmv)")
 		coll      = flag.String("coll", "", "collective algorithm override: ring | hd | tree (default: auto per mechanism/topology)")

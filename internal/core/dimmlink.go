@@ -220,12 +220,43 @@ type group struct {
 	dllCh map[[2]int]*dllChan
 }
 
-// NewLink builds a DIMM-Link interconnect over the system's DIMMs and
-// creates the host model with the polling-proxy targets (the group masters)
-// when hostCfg uses a proxy mode, or all DIMMs otherwise. It rejects a
-// DIMM count the groups or the packet format cannot hold, and a fault
-// event on a DIMM pair that is not a link of the built topology.
-func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) (*Link, error) {
+// groupMaster is the master DIMM of the DL group of per DIMMs starting at
+// base: "we heuristically select the DIMM at the middle of each group as
+// the master" — and the master doubles as the polling proxy.
+func groupMaster(base, per int) int { return base + (per-1)/2 }
+
+// PollTargets returns the DIMMs the host's periodic loop scans on a
+// DIMM-Link system: each group's master in the proxy modes, every DIMM in
+// the base modes, and none with CXL blades (disaggregated blades: the
+// host never polls; inter-blade traffic uses the CXL fabric).
+func PollTargets(numDIMMs int, mode host.PollingMode, cfg Config) []int {
+	if cfg.InterGroup == ViaCXL {
+		return nil
+	}
+	if mode == host.BasePolling || mode == host.BaseInterrupt {
+		all := make([]int, numDIMMs)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	groups := cfg.NumGroups
+	if groups <= 0 {
+		groups = GroupsFor(numDIMMs)
+	}
+	per := numDIMMs / groups
+	proxies := make([]int, groups)
+	for g := range proxies {
+		proxies[g] = groupMaster(g*per, per)
+	}
+	return proxies
+}
+
+// NewLink builds a DIMM-Link interconnect over the system's DIMMs, whose
+// host-forwarded traffic goes through h. It rejects a DIMM count the
+// groups or the packet format cannot hold, and a fault event on a DIMM
+// pair that is not a link of the built topology.
+func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config) (*Link, error) {
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = GroupsFor(geo.NumDIMMs)
 	}
@@ -240,6 +271,7 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 		geo:        geo,
 		cfg:        cfg,
 		dram:       modules,
+		host:       h,
 		ctrlPeriod: sim.Period(cfg.ControllerHz),
 		groupOf:    make([]int, geo.NumDIMMs),
 		nodeOf:     make([]int, geo.NumDIMMs),
@@ -256,7 +288,6 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 		l.cfg.DLL = l.cfg.DLL.withDefaults()
 	}
 	per := geo.NumDIMMs / cfg.NumGroups
-	var proxies []int
 	for g := 0; g < cfg.NumGroups; g++ {
 		gr := &group{base: g * per, size: per}
 		gr.net = noc.NewNetwork(buildTopology(cfg.Topology, per), cfg.Link)
@@ -269,11 +300,8 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 			gr.net.SetFaults(l.flt, gids)
 			gr.dllCh = make(map[[2]int]*dllChan)
 		}
-		// "We heuristically select the DIMM at the middle of each group as
-		// the master" — and the master doubles as the polling proxy.
-		gr.master = gr.base + (per-1)/2
+		gr.master = groupMaster(gr.base, per)
 		l.groups = append(l.groups, gr)
-		proxies = append(proxies, gr.master)
 		for i := 0; i < per; i++ {
 			l.groupOf[gr.base+i] = g
 			l.nodeOf[gr.base+i] = i
@@ -286,20 +314,6 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg 
 	for d := range l.ctrl {
 		l.ctrl[d] = NewController(d, cfg.Controller)
 	}
-	targets := proxies
-	if hostCfg.Mode == host.BasePolling || hostCfg.Mode == host.BaseInterrupt {
-		targets = make([]int, geo.NumDIMMs)
-		for i := range targets {
-			targets[i] = i
-		}
-	}
-	if cfg.InterGroup == ViaCXL {
-		// Disaggregated blades: the host never polls; inter-blade traffic
-		// uses the CXL fabric.
-		targets = nil
-	}
-	l.host = host.New(eng, geo, hostCfg, targets)
-	l.host.SetMetrics(cfg.Metrics)
 	return l, nil
 }
 
@@ -378,9 +392,6 @@ func (l *Link) Name() string { return "dimm-link" }
 // Counters implements idc.Interconnect.
 func (l *Link) Counters() *stats.Counters { return &l.ctrs }
 
-// Host returns the host model (for bus-occupation reporting).
-func (l *Link) Host() *host.Host { return l.host }
-
 // Networks returns the per-group link networks (for utilization reports).
 func (l *Link) Networks() []*noc.Network {
 	nets := make([]*noc.Network, len(l.groups))
@@ -389,9 +400,6 @@ func (l *Link) Networks() []*noc.Network {
 	}
 	return nets
 }
-
-// Stop halts background activity (the host polling loop).
-func (l *Link) Stop() { l.host.Stop() }
 
 func (l *Link) ctrlCycles(n uint64) sim.Time {
 	return sim.Cycles(n, l.ctrlPeriod)

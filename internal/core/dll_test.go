@@ -11,9 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// testHost builds the host a DIMM-Link system with this configuration
+// polls and forwards through.
+func testHost(eng *sim.Engine, geo mem.Geometry, hostCfg host.Config, cfg Config) *host.Host {
+	return host.New(eng, geo, hostCfg, PollTargets(geo.NumDIMMs, hostCfg.Mode, cfg))
+}
+
 // mustNewLink is NewLink for configurations a test knows to be valid.
 func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) *Link {
-	l, err := NewLink(eng, geo, modules, hostCfg, cfg)
+	l, err := NewLink(eng, geo, modules, testHost(eng, geo, hostCfg, cfg), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +40,8 @@ func TestFaultOnMissingLinkRejected(t *testing.T) {
 		cfg := DefaultConfig(groups)
 		cfg.Topology = topo
 		cfg.Fault = plan
-		_, err = NewLink(sim.NewEngine(), geo, testModules(geo), host.DefaultConfig(), cfg)
+		eng := sim.NewEngine()
+		_, err = NewLink(eng, geo, testModules(geo), testHost(eng, geo, host.DefaultConfig(), cfg), cfg)
 		return err
 	}
 	for _, tc := range []struct {

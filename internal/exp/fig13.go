@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"repro/internal/dram"
 	"repro/internal/energy"
 	"repro/internal/stats"
 )
@@ -24,24 +23,8 @@ func runFig13(o Options) []*stats.Table {
 		"workload", "mechanism", "dram", "idc", "cores", "total")
 	// Per-mechanism total energy accumulated across workloads for ratios.
 	totals := map[string]float64{}
-	collect := func(cfg sysConfig, wl, mech string, out runOut) {
-		ds := make([]dram.Stats, len(out.sys.Modules))
-		for i, m := range out.sys.Modules {
-			ds[i] = m.Stats
-		}
-		in := energy.Inputs{
-			Makespan:  out.res.Makespan,
-			NumDIMMs:  cfg.dimms,
-			DRAMStats: ds,
-			IsHostRun: mech == "host-cpu",
-		}
-		if out.sys.IC != nil {
-			in.IC = out.sys.IC.Counters()
-		}
-		if out.sys.Host() != nil {
-			in.Host = &out.sys.Host().Counters
-		}
-		b := energy.Compute(params, in)
+	collect := func(_ sysConfig, wl, mech string, out runOut) {
+		b := energy.Compute(params, out.sys.EnergyInputs(out.res.Makespan))
 		tb.Addf(wl, mech, b.DRAM, b.IDC, b.Cores, b.Total)
 		totals[mech] += b.Total
 	}

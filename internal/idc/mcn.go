@@ -20,8 +20,8 @@ const intraDIMMSyncCost = 20 * sim.Nanosecond
 // requests in memory-mapped registers, the host CPU polls them and copies
 // data between DIMMs through its cache hierarchy (Table I, column 1).
 //
-// BroadcastCapable selects the MCN-BC variant of Figure 12, where the host
-// writes the broadcast payload to every DIMM individually.
+// Its Broadcast is the MCN-BC variant of Figure 12, where the host writes
+// the broadcast payload to every DIMM individually.
 type MCN struct {
 	geo  mem.Geometry
 	dram []*dram.Module
@@ -30,17 +30,10 @@ type MCN struct {
 	tx   TxCounters
 }
 
-// NewMCN builds the mechanism and its host model. The host polls every
-// DIMM (there are no proxies in MCN).
-func NewMCN(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config) *MCN {
-	if hostCfg.Mode == host.ProxyPolling || hostCfg.Mode == host.ProxyInterrupt {
-		panic("idc: MCN has no polling proxies")
-	}
-	targets := make([]int, geo.NumDIMMs)
-	for i := range targets {
-		targets[i] = i
-	}
-	m := &MCN{geo: geo, dram: modules, host: host.New(eng, geo, hostCfg, targets)}
+// NewMCN builds the mechanism over the host h that polls and forwards
+// for it. MCN has no polling proxies, so h polls every DIMM.
+func NewMCN(geo mem.Geometry, modules []*dram.Module, h *host.Host) *MCN {
+	m := &MCN{geo: geo, dram: modules, host: h}
 	m.tx = NewTxCounters(&m.ctrs)
 	return m
 }
@@ -50,12 +43,6 @@ func (m *MCN) Name() string { return "mcn" }
 
 // Counters implements Interconnect.
 func (m *MCN) Counters() *stats.Counters { return &m.ctrs }
-
-// Host returns the host model.
-func (m *MCN) Host() *host.Host { return m.host }
-
-// Stop halts the host polling loop.
-func (m *MCN) Stop() { m.host.Stop() }
 
 // notice is when the host discovers a request registered at dimm. For
 // Base+Itrpt, the host must scan the whole interrupting channel.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cores"
 	"repro/internal/dram"
+	"repro/internal/energy"
 	"repro/internal/host"
 	"repro/internal/idc"
 	"repro/internal/mem"
@@ -162,35 +163,45 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{Cfg: cfg, Eng: eng, Space: space, Modules: modules}
 
+	// One host per system, except on AIM, which never touches it. pollTargets
+	// are the DIMMs its periodic loop scans; the host-CPU baseline needs the
+	// channel buses but no polling loop.
+	var pollTargets []int
+	switch cfg.Mech {
+	case MechDIMMLink:
+		pollTargets = core.PollTargets(cfg.Geo.NumDIMMs, cfg.Host.Mode, cfg.DL)
+	case MechMCN, MechABCDIMM:
+		pollTargets = make([]int, cfg.Geo.NumDIMMs)
+		for i := range pollTargets {
+			pollTargets[i] = i
+		}
+	case MechAIM, MechHostCPU:
+	default:
+		return nil, fmt.Errorf("nmp: unknown mechanism %q", cfg.Mech)
+	}
+	if m := cfg.Host.Mode; (m == host.ProxyPolling || m == host.ProxyInterrupt) && cfg.Mech != MechDIMMLink {
+		return nil, fmt.Errorf("nmp: polling mode %v needs polling proxies, which only %s has, not %s", m, MechDIMMLink, cfg.Mech)
+	}
+	if cfg.Mech != MechAIM {
+		s.hostModel = host.New(eng, cfg.Geo, cfg.Host, pollTargets)
+		s.hostModel.SetMetrics(cfg.Metrics)
+	}
+
 	switch cfg.Mech {
 	case MechDIMMLink:
 		dl := cfg.DL
 		dl.Metrics = cfg.Metrics
-		l, err := core.NewLink(eng, cfg.Geo, modules, cfg.Host, dl)
+		l, err := core.NewLink(eng, cfg.Geo, modules, s.hostModel, dl)
 		if err != nil {
 			return nil, err
 		}
-		s.IC, s.Link, s.hostModel = l, l, l.Host()
+		s.IC, s.Link = l, l
 	case MechMCN:
-		m := idc.NewMCN(eng, cfg.Geo, modules, cfg.Host)
-		s.IC, s.hostModel = m, m.Host()
+		s.IC = idc.NewMCN(cfg.Geo, modules, s.hostModel)
 	case MechAIM:
 		s.IC = idc.NewAIM(cfg.Geo, modules, cfg.AIM)
 	case MechABCDIMM:
-		b := idc.NewABCDIMM(eng, cfg.Geo, modules, cfg.Host)
-		s.IC, s.hostModel = b, b.Host()
-	case MechHostCPU:
-		// The host baseline needs the channel buses but no polling loop.
-		hc := cfg.Host
-		hc.Mode = host.ProxyInterrupt // interrupt modes have no background polls
-		s.hostModel = host.New(eng, cfg.Geo, hc, nil)
-	default:
-		return nil, fmt.Errorf("nmp: unknown mechanism %q", cfg.Mech)
-	}
-	if s.hostModel != nil && cfg.Mech != MechDIMMLink {
-		// MechDIMMLink wires the collector through core.NewLink; the other
-		// host-touching mechanisms attach it here.
-		s.hostModel.SetMetrics(cfg.Metrics)
+		s.IC = idc.NewABCDIMM(cfg.Geo, modules, s.hostModel)
 	}
 
 	if cfg.Mech == MechHostCPU {
@@ -219,6 +230,28 @@ func MustNewSystem(cfg Config) *System {
 
 // Host returns the host model (nil for AIM, which never touches the host).
 func (s *System) Host() *host.Host { return s.hostModel }
+
+// EnergyInputs assembles the energy model's inputs for a run of the given
+// makespan on this system: per-DIMM DRAM stats, the interconnect's
+// counters and the host's.
+func (s *System) EnergyInputs(makespan sim.Time) energy.Inputs {
+	in := energy.Inputs{
+		Makespan:  makespan,
+		NumDIMMs:  s.Cfg.Geo.NumDIMMs,
+		DRAMStats: make([]dram.Stats, len(s.Modules)),
+		IsHostRun: s.Cfg.Mech == MechHostCPU,
+	}
+	for i, m := range s.Modules {
+		in.DRAMStats[i] = m.Stats
+	}
+	if s.IC != nil {
+		in.IC = s.IC.Counters()
+	}
+	if s.hostModel != nil {
+		in.Host = &s.hostModel.Counters
+	}
+	return in
+}
 
 // Memory returns the cores.Memory the system's threads run against.
 func (s *System) Memory() cores.Memory { return s.memory }
@@ -391,9 +424,7 @@ func (s *System) Stop() {
 	if s.sampler != nil {
 		s.sampler.Stop()
 	}
-	if s.Link != nil {
-		s.Link.Stop()
-	} else if s.hostModel != nil {
+	if s.hostModel != nil {
 		s.hostModel.Stop()
 	}
 }

@@ -1,9 +1,11 @@
 package nmp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cores"
+	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -30,6 +32,40 @@ func TestUnknownMechanismRejected(t *testing.T) {
 	cfg := DefaultConfig(4, 2, Mechanism("bogus"))
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("bogus mechanism accepted")
+	}
+}
+
+// TestChannelsMustDivideDIMMs pins that a system whose channels do not
+// divide its DIMMs is a construction error on every mechanism, so
+// ABC-DIMM's broadcast never sees a partly populated channel.
+func TestChannelsMustDivideDIMMs(t *testing.T) {
+	for _, mech := range []Mechanism{MechDIMMLink, MechMCN, MechAIM, MechABCDIMM, MechHostCPU} {
+		_, err := NewSystem(DefaultConfig(6, 4, mech))
+		if err == nil || !strings.Contains(err.Error(), "NumChannels 4 must divide NumDIMMs 6") {
+			t.Errorf("%s on 6D-4C: err = %v, want the channel-count error", mech, err)
+		}
+	}
+}
+
+// TestProxyPollingNeedsProxies pins that a proxy polling mode is an error
+// on every mechanism but DIMM-Link, the only one with polling proxies,
+// and that the base modes build everywhere.
+func TestProxyPollingNeedsProxies(t *testing.T) {
+	for _, mech := range []Mechanism{MechDIMMLink, MechMCN, MechAIM, MechABCDIMM, MechHostCPU} {
+		for _, mode := range []host.PollingMode{host.BasePolling, host.BaseInterrupt, host.ProxyPolling, host.ProxyInterrupt} {
+			cfg := DefaultConfig(8, 4, mech)
+			cfg.Host.Mode = mode
+			_, err := NewSystem(cfg)
+			proxy := mode == host.ProxyPolling || mode == host.ProxyInterrupt
+			switch {
+			case proxy && mech != MechDIMMLink:
+				if err == nil || !strings.Contains(err.Error(), "polling mode "+mode.String()) {
+					t.Errorf("%s with %v: err = %v, want a polling-mode error", mech, mode, err)
+				}
+			case err != nil:
+				t.Errorf("%s with %v: %v", mech, mode, err)
+			}
+		}
 	}
 }
 

@@ -271,6 +271,47 @@ func TestOutOfRangeSizing400(t *testing.T) {
 	}
 }
 
+// TestProxyPollingWithoutProxies400 checks that a proxy polling mode on a
+// mechanism with no polling proxies is rejected at submission with an
+// error naming the field. The mcn spec used to panic the worker inside
+// the system build, taking the whole process down; the server must still
+// answer /healthz and run jobs.
+func TestProxyPollingWithoutProxies400(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"kind":"sim","workload":"p2p","mech":"mcn","polling":"proxy"}`,
+		`{"kind":"sim","workload":"p2p","mech":"abc-dimm","polling":"proxy+itrpt"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "polling") {
+			t.Errorf("submit %s: HTTP %d %q, want 400 naming polling", body, resp.StatusCode, msg)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped answering after bad specs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz: HTTP %d", resp.StatusCode)
+	}
+	_, st := postSpec(t, ts, smallSim())
+	if got := waitDone(t, ts, st.ID); got.State != JobDone {
+		t.Errorf("job after bad specs: %+v", got)
+	}
+}
+
 // TestOversizedSystem400 checks that a system shape out of range — more
 // than 64 DIMMs on any mechanism, or more channels than DIMMs — is
 // rejected at submission with an error naming the field, and that the

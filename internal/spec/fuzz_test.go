@@ -45,6 +45,10 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"sim","workload":"histo","scale":6,"mech":"host-cpu"}`,
 		`{"kind":"sim","workload":"train","scale":8,"coll":"ring"}`,
 		`{"kind":"exp","exp":"table1"}`,
+		// Proxy polling on mechanisms with no polling proxies: the mcn one
+		// panicked inside NewSystem, killing a dlserve worker.
+		`{"kind":"sim","workload":"p2p","mech":"mcn","polling":"proxy","scale":8}`,
+		`{"kind":"sim","workload":"p2p","mech":"abc-dimm","polling":"proxy+itrpt","scale":8}`,
 	} {
 		f.Add([]byte(seed))
 	}

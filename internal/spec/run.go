@@ -73,31 +73,14 @@ func (s Spec) RunSim(h SimHooks) (*SimRun, error) {
 	return &SimRun{Spec: n, Sys: sys, W: w, Res: res, Checksum: checksum}, nil
 }
 
-// dramTotals sums the per-module DRAM stats.
-func (r *SimRun) dramTotals() (ds []dram.Stats, reads, writes, acts uint64) {
-	ds = make([]dram.Stats, len(r.Sys.Modules))
-	for i, m := range r.Sys.Modules {
-		ds[i] = m.Stats
-		reads += m.Stats.Reads
-		writes += m.Stats.Writes
-		acts += m.Stats.Activations
+// dramTotals sums per-module DRAM stats.
+func dramTotals(ds []dram.Stats) (reads, writes, acts uint64) {
+	for _, d := range ds {
+		reads += d.Reads
+		writes += d.Writes
+		acts += d.Activations
 	}
-	return ds, reads, writes, acts
-}
-
-// energyInputs assembles the energy-model inputs for this run.
-func (r *SimRun) energyInputs(ds []dram.Stats) energy.Inputs {
-	in := energy.Inputs{
-		Makespan: r.Res.Makespan, NumDIMMs: r.Spec.DIMMs, DRAMStats: ds,
-		IsHostRun: nmp.Mechanism(r.Spec.Mech) == nmp.MechHostCPU,
-	}
-	if r.Sys.IC != nil {
-		in.IC = r.Sys.IC.Counters()
-	}
-	if r.Sys.Host() != nil {
-		in.Host = &r.Sys.Host().Counters
-	}
-	return in
+	return reads, writes, acts
 }
 
 // Report renders the canonical simulation report — byte-identical to
@@ -112,10 +95,10 @@ func (r *SimRun) Report(w io.Writer) {
 	fmt.Fprintf(w, "idc-stall  %.1f%% (non-overlapped IDC cycle ratio)\n", 100*r.Res.IDCStallRatio())
 	fmt.Fprintf(w, "checksum   %#x\n", r.Checksum)
 
-	ds, reads, writes, acts := r.dramTotals()
+	in := r.Sys.EnergyInputs(r.Res.Makespan)
+	reads, writes, acts := dramTotals(in.DRAMStats)
 	fmt.Fprintf(w, "dram       %d reads, %d writes, %d activations\n", reads, writes, acts)
 
-	in := r.energyInputs(ds)
 	if r.Sys.IC != nil {
 		tb := stats.NewTable("interconnect counters", "counter", "value")
 		c := r.Sys.IC.Counters()
@@ -148,7 +131,8 @@ type simJSON struct {
 // JSON renders the structured result body. Map keys are sorted by
 // encoding/json, so the bytes are deterministic for a given run.
 func (r *SimRun) JSON() ([]byte, error) {
-	ds, reads, writes, acts := r.dramTotals()
+	in := r.Sys.EnergyInputs(r.Res.Makespan)
+	reads, writes, acts := dramTotals(in.DRAMStats)
 	out := simJSON{
 		Spec:       r.Spec,
 		MakespanPS: r.Res.Makespan,
@@ -156,7 +140,6 @@ func (r *SimRun) JSON() ([]byte, error) {
 		Checksum:   fmt.Sprintf("%#x", r.Checksum),
 		DRAM:       map[string]uint64{"reads": reads, "writes": writes, "activations": acts},
 	}
-	in := r.energyInputs(ds)
 	if r.Sys.IC != nil {
 		c := r.Sys.IC.Counters()
 		out.IC = make(map[string]uint64)

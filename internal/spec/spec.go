@@ -178,21 +178,7 @@ func (s Spec) Normalized() (Spec, error) {
 	case KindSim:
 		n.Exp, n.Full = "", false
 		n.Trace, n.Map, n.PageBytes = "", "", 0
-		if n.Mech == "" {
-			n.Mech = DefaultMech
-		}
-		switch nmp.Mechanism(n.Mech) {
-		case nmp.MechDIMMLink, nmp.MechMCN, nmp.MechAIM, nmp.MechABCDIMM, nmp.MechHostCPU:
-		default:
-			return Spec{}, fmt.Errorf("spec: unknown mechanism %q", n.Mech)
-		}
-		if n.DIMMs == 0 {
-			n.DIMMs = DefaultDIMMs
-		}
-		if n.Channels == 0 {
-			n.Channels = DefaultChannels
-		}
-		if err := checkSystemSize(n); err != nil {
+		if err := n.normalizeSystem(); err != nil {
 			return Spec{}, err
 		}
 		if n.Workload == "" {
@@ -221,25 +207,6 @@ func (s Spec) Normalized() (Spec, error) {
 		if n.Iters < 1 {
 			return Spec{}, fmt.Errorf("spec: iters %d must be at least 1", n.Iters)
 		}
-		if n.Topology == "" {
-			n.Topology = DefaultTopology
-		}
-		switch core.TopologyKind(n.Topology) {
-		case core.TopoChain, core.TopoRing, core.TopoMesh, core.TopoTorus:
-		default:
-			return Spec{}, fmt.Errorf("spec: unknown topology %q", n.Topology)
-		}
-		if n.LinkBW == 0 {
-			n.LinkBW = DefaultLinkBW
-		}
-		if n.LinkBW < 0 {
-			return Spec{}, fmt.Errorf("spec: negative link bandwidth %g", n.LinkBW)
-		}
-		if n.Polling != "" {
-			if _, err := ParsePolling(n.Polling); err != nil {
-				return Spec{}, err
-			}
-		}
 		if !idc.ValidAlgo(n.Coll) {
 			return Spec{}, fmt.Errorf("spec: unknown collective algorithm %q", n.Coll)
 		}
@@ -252,43 +219,11 @@ func (s Spec) Normalized() (Spec, error) {
 		n.Workload, n.Scale, n.EdgeFactor, n.Iters = "", 0, 0, 0
 		n.Broadcast, n.Coll = false, ""
 		n.Seed = DefaultSeed
-		if n.Mech == "" {
-			n.Mech = DefaultMech
-		}
-		switch nmp.Mechanism(n.Mech) {
-		case nmp.MechDIMMLink, nmp.MechMCN, nmp.MechAIM, nmp.MechABCDIMM:
-		case nmp.MechHostCPU:
+		if nmp.Mechanism(n.Mech) == nmp.MechHostCPU {
 			return Spec{}, fmt.Errorf("spec: trace replay drives NMP cores; the host-cpu baseline has none")
-		default:
-			return Spec{}, fmt.Errorf("spec: unknown mechanism %q", n.Mech)
 		}
-		if n.DIMMs == 0 {
-			n.DIMMs = DefaultDIMMs
-		}
-		if n.Channels == 0 {
-			n.Channels = DefaultChannels
-		}
-		if err := checkSystemSize(n); err != nil {
+		if err := n.normalizeSystem(); err != nil {
 			return Spec{}, err
-		}
-		if n.Topology == "" {
-			n.Topology = DefaultTopology
-		}
-		switch core.TopologyKind(n.Topology) {
-		case core.TopoChain, core.TopoRing, core.TopoMesh, core.TopoTorus:
-		default:
-			return Spec{}, fmt.Errorf("spec: unknown topology %q", n.Topology)
-		}
-		if n.LinkBW == 0 {
-			n.LinkBW = DefaultLinkBW
-		}
-		if n.LinkBW < 0 {
-			return Spec{}, fmt.Errorf("spec: negative link bandwidth %g", n.LinkBW)
-		}
-		if n.Polling != "" {
-			if _, err := ParsePolling(n.Polling); err != nil {
-				return Spec{}, err
-			}
 		}
 		if !isTraceHash(n.Trace) {
 			return Spec{}, fmt.Errorf("spec: trace %q is not a canonical sha256 (64 lowercase hex chars)", n.Trace)
@@ -325,16 +260,57 @@ func (s Spec) Normalized() (Spec, error) {
 	return n, nil
 }
 
-// checkSystemSize bounds the system shape of the sim and trace kinds:
-// at most core.MaxDIMMs DIMMs (the DL packet's SRC/DST field, and a
-// bound on what one spec can make a worker allocate) and no more
-// channels than DIMMs.
-func checkSystemSize(n Spec) error {
+// normalizeSystem resolves the defaults of, and validates, the system
+// shape the sim and trace kinds share: the mechanism; at most
+// core.MaxDIMMs DIMMs (the DL packet's SRC/DST field, and a bound on what
+// one spec can make a worker allocate) and no more channels than DIMMs;
+// the DL topology and link bandwidth; and the polling mode, whose proxy
+// modes need DIMM-Link's polling proxies (Section IV-A).
+func (n *Spec) normalizeSystem() error {
+	if n.Mech == "" {
+		n.Mech = DefaultMech
+	}
+	switch nmp.Mechanism(n.Mech) {
+	case nmp.MechDIMMLink, nmp.MechMCN, nmp.MechAIM, nmp.MechABCDIMM, nmp.MechHostCPU:
+	default:
+		return fmt.Errorf("spec: unknown mechanism %q", n.Mech)
+	}
+	if n.DIMMs == 0 {
+		n.DIMMs = DefaultDIMMs
+	}
+	if n.Channels == 0 {
+		n.Channels = DefaultChannels
+	}
 	if n.DIMMs < 1 || n.DIMMs > core.MaxDIMMs {
 		return fmt.Errorf("spec: dimms %d out of range [1, %d]", n.DIMMs, core.MaxDIMMs)
 	}
 	if n.Channels < 1 || n.Channels > n.DIMMs {
 		return fmt.Errorf("spec: channels %d out of range [1, dimms %d]", n.Channels, n.DIMMs)
+	}
+	if n.Topology == "" {
+		n.Topology = DefaultTopology
+	}
+	switch core.TopologyKind(n.Topology) {
+	case core.TopoChain, core.TopoRing, core.TopoMesh, core.TopoTorus:
+	default:
+		return fmt.Errorf("spec: unknown topology %q", n.Topology)
+	}
+	if n.LinkBW == 0 {
+		n.LinkBW = DefaultLinkBW
+	}
+	if n.LinkBW < 0 {
+		return fmt.Errorf("spec: negative link bandwidth %g", n.LinkBW)
+	}
+	if n.Polling == "" {
+		return nil
+	}
+	mode, err := ParsePolling(n.Polling)
+	if err != nil {
+		return err
+	}
+	if (mode == host.ProxyPolling || mode == host.ProxyInterrupt) && nmp.Mechanism(n.Mech) != nmp.MechDIMMLink {
+		return fmt.Errorf("spec: polling %q needs the polling proxies only mech %q has; mech %q has none",
+			n.Polling, nmp.MechDIMMLink, n.Mech)
 	}
 	return nil
 }

@@ -175,6 +175,46 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 }
 
+// TestPollingNeedsProxies checks, for the sim and trace kinds, that a
+// proxy polling mode is an error naming the polling field and the
+// mechanism on every mechanism but dimm-link, and that the base modes are
+// accepted everywhere.
+func TestPollingNeedsProxies(t *testing.T) {
+	const trace = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	for _, kind := range []Kind{KindSim, KindTrace} {
+		for _, mech := range []string{"dimm-link", "mcn", "aim", "abc-dimm", "host-cpu"} {
+			if kind == KindTrace && mech == "host-cpu" {
+				continue // rejected for having no NMP cores
+			}
+			for _, polling := range []string{"base", "base+itrpt", "proxy", "proxy+itrpt"} {
+				s := Spec{Kind: kind, Mech: mech, Polling: polling}
+				if kind == KindTrace {
+					s.Trace = trace
+				}
+				_, err := s.Normalized()
+				if strings.HasPrefix(polling, "proxy") && mech != "dimm-link" {
+					if err == nil || !strings.Contains(err.Error(), `polling "`+polling+`"`) ||
+						!strings.Contains(err.Error(), `mech "`+mech+`"`) {
+						t.Errorf("%s %s %s: err = %v, want one naming polling and the mechanism", kind, mech, polling, err)
+					}
+				} else if err != nil {
+					t.Errorf("%s %s %s: %v", kind, mech, polling, err)
+				}
+			}
+		}
+	}
+}
+
+// TestChannelsMustDivideDIMMs checks that a spec whose channels do not
+// divide its DIMMs is an error from RunSim, not a run on a partly
+// populated channel.
+func TestChannelsMustDivideDIMMs(t *testing.T) {
+	s := Spec{Kind: KindSim, Workload: "p2p", Mech: "abc-dimm", DIMMs: 6, Channels: 4}
+	if _, err := s.RunSim(SimHooks{}); err == nil || !strings.Contains(err.Error(), "NumChannels 4 must divide NumDIMMs 6") {
+		t.Fatalf("6D-4C abc-dimm: err = %v, want the channel-count error", err)
+	}
+}
+
 // TestNormalizeSizeBounds checks the workload-sizing fields are bounded:
 // an out-of-range value is an error naming the field, the bounds
 // themselves are accepted, and zero still selects the default.
