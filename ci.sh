@@ -46,13 +46,18 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== go test ./..."
 	go test ./...
 
-	echo "== dlbench fault smoke (lossy run with a dead link must complete)"
-	go run ./cmd/dlbench -exp table1 -q -fault 'ber=1e-7,down=1-2@50us' >/dev/null
+	echo "== dlbench fault smoke (lossy run whose pairs lose link 0-1 must complete)"
+	go run ./cmd/dlbench -exp table1 -q -fault 'ber=1e-7,down=0-1@10us' >/dev/null
 
-	echo "== dlsim trace smoke (tracing must not change stdout)"
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/dlsim" ./cmd/dlsim
+
+	echo "== dlsim fault smoke (the severed chain must send packets over the host fallback)"
+	"$tmp/dlsim" -workload p2p -fault 'ber=1e-7,down=0-1@10us' >"$tmp/fault.txt"
+	grep -Eq '^fault\.fallback\.packets +[1-9]' "$tmp/fault.txt"
+
+	echo "== dlsim trace smoke (tracing must not change stdout)"
 	"$tmp/dlsim" -workload p2p -metrics -sample 10000 >"$tmp/plain.txt"
 	"$tmp/dlsim" -workload p2p -metrics -sample 10000 -trace "$tmp/trace.jsonl" \
 		>"$tmp/traced.txt" 2>/dev/null

@@ -104,16 +104,17 @@ type Config struct {
 	IntraDIMMSyncCost sim.Time
 
 	// ErrorEvery injects a CRC error (and thus a DLL retry) on every Nth
-	// packet; zero disables injection. Used by the DLL-layer ablation.
+	// packet, with or without a fault plan; zero disables injection. Used
+	// by the DLL-layer ablation.
 	ErrorEvery uint64
 
 	// Fault optionally injects link faults (bit errors, stalls, permanent
-	// link-down, degraded lanes; see internal/fault). A nil or inactive
-	// plan leaves the simulator on the exact perfect-link code path, so
-	// its output stays byte-identical to a run without fault support.
-	// When the plan is active the DL-Controllers run the full DLL of
-	// dll.go (replay buffer, ACK/NAK, sequence window), whose cost lands
-	// in the timeline even for crossings that never fault.
+	// link-down, degraded lanes; see internal/fault). Packets take the
+	// same hop-by-hop path with or without a plan. Under a nil or
+	// inactive plan every hop skips the DLL, so the output equals a run
+	// without fault support. When the plan is active every hop runs the
+	// full DLL of dll.go (replay buffer, ACK/NAK, sequence window), whose
+	// cost lands in the timeline even for crossings that never fault.
 	Fault *fault.Plan
 
 	// DLL sizes the per-link retry/replay machinery exercised when Fault
@@ -158,9 +159,9 @@ func GroupsFor(numDIMMs int) int {
 	return 2
 }
 
-// arrivalScratch is the reusable arrival buffer of the fault-path
-// broadcast flood. It grows to the largest group ever flooded and is
-// reused across chunks and calls.
+// arrivalScratch is the reusable arrival buffer of the broadcast flood.
+// It grows to the largest group ever flooded and is reused across chunks
+// and calls.
 type arrivalScratch []sim.Time
 
 // zeroed returns the buffer resliced to n entries, all zero.
@@ -196,10 +197,10 @@ type Link struct {
 	fc                                                  faultCounters
 
 	// flt is the per-run fault state; nil means the perfect physical
-	// layer (the fast path through sendPacket/broadcastWithin).
+	// layer, whose hops skip the DLL.
 	flt *fault.Injector
 
-	// bcScratch is the fault path's broadcast arrival buffer.
+	// bcScratch is the broadcast flood's arrival buffer.
 	bcScratch arrivalScratch
 }
 
@@ -419,24 +420,17 @@ func (l *Link) decode(at sim.Time) sim.Time {
 const retryTimeout = 200 * sim.Nanosecond
 
 // sendPacket moves one packet of wire size bytes between two DIMMs of the
-// same group, including deterministic CRC-error retries when configured.
-// It returns the arrival time of the (good) packet at dst.
+// same group and returns the arrival time of the (good) packet at dst.
+// Each attempt walks the packet's route; with ErrorEvery set, every Nth
+// attempt fails its CRC check at dst and is sent again after a retry
+// timeout.
 func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
-	if l.flt != nil {
-		return l.sendPacketFI(at, src, dst, wireBytes)
-	}
-	g := l.groups[l.groupOf[src]]
 	t := at
 	for {
-		arrive, _, err := g.net.Send(t, l.nodeOf[src], l.nodeOf[dst], wireBytes)
-		if err != nil {
-			// Unreachable without fault injection: shipped topologies are
-			// connected and static routes only walk real links.
-			panic(err)
-		}
 		l.linkBytes.Add(uint64(wireBytes))
 		l.tx.Packets.Inc()
 		l.pktCount++
+		arrive := l.walk(t, src, dst, wireBytes)
 		if l.cfg.ErrorEvery == 0 || l.pktCount%l.cfg.ErrorEvery != 0 {
 			if l.cfg.Metrics.Active() {
 				l.cfg.Metrics.Observe(metrics.HistPacketLat, arrive-at)
@@ -450,6 +444,53 @@ func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
 		l.cfg.Metrics.Observe(metrics.HistDLLRetry, retryTimeout)
 		t = arrive + retryTimeout
 	}
+}
+
+// walk carries one packet from src to dst hop by hop along the group
+// network's route. A hop that fails (its link died, or the DLL gave it
+// up) re-routes from the node the packet reached; a partitioned group
+// hands the packet to the host (hostFallback).
+func (l *Link) walk(at sim.Time, src, dst int, wireBytes int) sim.Time {
+	g := l.groups[l.groupOf[src]]
+	t := at
+	cur, target := l.nodeOf[src], l.nodeOf[dst]
+	// Each failed hop permanently removes a link, so the reroute loop
+	// terminates; the bound is pure defense in depth.
+	for tries := 0; cur != target; tries++ {
+		path, rerouted, err := g.net.RouteAt(t, cur, target)
+		if err != nil || tries > 4*g.size {
+			return l.hostFallback(t, g.base+cur, dst, wireBytes)
+		}
+		if rerouted {
+			l.fc.reroutes.Inc()
+		}
+		for i := 0; i+1 < len(path); i++ {
+			arr, ok := l.hop(g, path[i], path[i+1], t, wireBytes)
+			t = arr
+			if !ok {
+				break
+			}
+			cur = path[i+1]
+		}
+	}
+	return t
+}
+
+// hop carries one packet across the local link u->v of group g and
+// returns its arrival time at v and true, or the time the sender gave up
+// and false. With an active fault plan the crossing runs under the DLL;
+// otherwise it is one bare crossing, which cannot fail on a route the
+// network returned.
+func (l *Link) hop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool) {
+	if l.flt != nil {
+		return l.dllHop(g, u, v, at, wire)
+	}
+	arrive, _, err := g.net.HopCrossing(u, v, at, wire)
+	if err != nil {
+		// Unreachable without fault injection: routes only walk real links.
+		panic(err)
+	}
+	return arrive, true
 }
 
 // wireBytesFor returns the on-wire size of a packet carrying payload
@@ -657,33 +698,47 @@ func (l *Link) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim
 }
 
 // broadcastWithin floods size bytes from src to every DIMM of its group and
-// returns the time the last DIMM has decoded the final chunk.
+// returns the time the last DIMM has decoded the final chunk. Chunks
+// flood a spanning tree over links alive at injection time, one hop per
+// tree edge; nodes severed from the source (or stranded by a link dying
+// mid-broadcast) receive their copy over the host fallback instead.
 func (l *Link) broadcastWithin(at sim.Time, src int, size uint32) sim.Time {
-	if l.flt != nil {
-		return l.broadcastWithinFI(at, src, size)
-	}
 	g := l.groups[l.groupOf[src]]
 	if g.size == 1 {
 		return at
 	}
+	srcNode := l.nodeOf[src]
 	t := at
 	var last sim.Time
-	for i, nc := 0, NumChunks(size); i < nc; i++ {
+	for ci, nc := 0, NumChunks(size); ci < nc; ci++ {
 		sendAt := l.packetize(t)
-		wire := wireBytesFor(ChunkAt(size, i))
-		_, fin, err := g.net.Broadcast(sendAt, l.nodeOf[src], wire)
-		if err != nil {
-			// Unreachable without fault injection (connected topology).
-			panic(err)
+		wire := wireBytesFor(ChunkAt(size, ci))
+		parent, order, unreachable := g.net.BroadcastPlanAt(sendAt, srcNode)
+		// The scratch slice never escapes this loop body.
+		arrivals := l.bcScratch.zeroed(g.size)
+		arrivals[srcNode] = sendAt
+		delivered := 0
+		for _, node := range order[1:] {
+			arr, ok := l.hop(g, parent[node], node, arrivals[parent[node]], wire)
+			if !ok {
+				// The tree edge died mid-broadcast; this node still gets
+				// its copy, via the host. Its subtree keeps flooding from
+				// here over surviving links.
+				arr = l.hostFallback(arr, g.base+parent[node], g.base+node, wire)
+			} else {
+				delivered++
+			}
+			arrivals[node] = arr
+			last = max(last, arr)
 		}
-		l.linkBytes.Add(uint64(wire * (g.size - 1)))
+		for _, node := range unreachable {
+			last = max(last, l.hostFallback(sendAt, src, g.base+node, wire))
+		}
+		l.linkBytes.Add(uint64(wire * delivered))
 		l.tx.Packets.Inc()
-		if d := l.decode(fin); d > last {
-			last = d
-		}
 		t = sendAt
 	}
-	return last
+	return l.decode(last)
 }
 
 // Barrier implements idc.Interconnect: hierarchical (default) or

@@ -9,8 +9,10 @@
 // router degrades: rings reverse direction, mesh/torus route around the
 // dead edge, and a severed chain falls back to host CPU forwarding.
 //
-// None of this code runs without an active fault plan, so the perfect
-// physical layer stays on the exact pre-fault fast path.
+// Packets take one transport path with or without a plan: sendPacket and
+// broadcastWithin walk the group network's routes and trees hop by hop.
+// Without an active plan a hop skips the DLL and is one bare link
+// crossing; there is no separate fast path.
 package core
 
 import (
@@ -190,46 +192,6 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 	return arrive, true
 }
 
-// sendPacketFI is sendPacket with the fault layer on: hops run under the
-// DLL, dead links trigger rerouting, and a partitioned group falls back
-// to host CPU forwarding. Replays are counted separately from the
-// packet itself.
-func (l *Link) sendPacketFI(at sim.Time, src, dst int, wireBytes int) sim.Time {
-	g := l.groups[l.groupOf[src]]
-	l.linkBytes.Add(uint64(wireBytes))
-	l.tx.Packets.Inc()
-	l.pktCount++
-	t := at
-	cur, target := l.nodeOf[src], l.nodeOf[dst]
-	// Each failed attempt permanently removes a link, so the reroute
-	// loop terminates; the bound is pure defense in depth.
-	for tries := 0; cur != target; tries++ {
-		path, rerouted, err := g.net.RouteAt(t, cur, target)
-		if err != nil || tries > 4*g.size {
-			// Partitioned: leave the DL fabric and ride the host.
-			return l.hostFallback(t, g.base+cur, dst, wireBytes)
-		}
-		if rerouted {
-			l.fc.reroutes.Inc()
-		}
-		// Walk the path; a hop that dies mid-walk re-enters the outer
-		// loop to re-route from the stranded node.
-		for i := 0; i+1 < len(path); i++ {
-			arr, ok := l.dllHop(g, path[i], path[i+1], t, wireBytes)
-			t = arr
-			if !ok {
-				break
-			}
-			cur = path[i+1]
-		}
-	}
-	if l.cfg.Metrics.Active() {
-		l.cfg.Metrics.Observe(metrics.HistPacketLat, t-at)
-		l.cfg.Metrics.Packet(at, "pkt", src, dst, wireBytes)
-	}
-	return t
-}
-
 // hostFallback delivers a packet between DIMMs whose DL path is severed:
 // the stranded controller registers a forwarding request and the host
 // CPU moves the packet over the memory channels, exactly like
@@ -240,60 +202,4 @@ func (l *Link) hostFallback(at sim.Time, srcDIMM, dstDIMM int, wire int) sim.Tim
 	l.fc.fallbackBytes.Add(uint64(wire))
 	noticed := l.host.NoticeTime(at, srcDIMM, 1)
 	return l.host.Forward(noticed, srcDIMM, dstDIMM, uint32(wire))
-}
-
-// broadcastWithinFI is broadcastWithin with the fault layer on: chunks
-// flood a spanning tree over links alive at injection time, each edge
-// crosses under the DLL, and nodes severed from the source (or stranded
-// by a link dying mid-broadcast) receive their copy over the host
-// fallback instead.
-func (l *Link) broadcastWithinFI(at sim.Time, src int, size uint32) sim.Time {
-	g := l.groups[l.groupOf[src]]
-	if g.size == 1 {
-		return at
-	}
-	srcNode := l.nodeOf[src]
-	t := at
-	var last sim.Time
-	for ci, nc := 0, NumChunks(size); ci < nc; ci++ {
-		sendAt := l.packetize(t)
-		wire := wireBytesFor(ChunkAt(size, ci))
-		parent, order, unreachable := g.net.BroadcastPlanAt(sendAt, srcNode)
-		// The scratch slice never escapes this loop body.
-		arrivals := l.bcScratch.zeroed(g.size)
-		arrivals[srcNode] = sendAt
-		delivered := 0
-		for _, node := range order {
-			if node == srcNode {
-				continue
-			}
-			arr, ok := l.dllHop(g, parent[node], node, arrivals[parent[node]], wire)
-			if !ok {
-				// The tree edge died mid-broadcast; this node still gets
-				// its copy, via the host. Its subtree keeps flooding from
-				// here over surviving links.
-				arr = l.hostFallback(arr, g.base+parent[node], g.base+node, wire)
-			} else {
-				delivered++
-			}
-			arrivals[node] = arr
-			if arr > last {
-				last = arr
-			}
-		}
-		for _, node := range unreachable {
-			arr := l.hostFallback(sendAt, src, g.base+node, wire)
-			arrivals[node] = arr
-			if arr > last {
-				last = arr
-			}
-		}
-		l.linkBytes.Add(uint64(wire * delivered))
-		l.tx.Packets.Inc()
-		t = sendAt
-	}
-	if d := l.decode(last); d > at {
-		return d
-	}
-	return at
 }

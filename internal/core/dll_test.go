@@ -289,3 +289,32 @@ func TestDegradedLinkSlowsTransfers(t *testing.T) {
 		t.Fatalf("half-bandwidth link not slower: %d vs %d", degraded, healthy)
 	}
 }
+
+// TestErrorInjectionUnderActivePlan pins that ErrorEvery's CRC-error
+// retries apply on the one transport path an active plan also takes: an
+// inert plan plus ErrorEvery retries and finishes later than the plan
+// alone.
+func TestErrorInjectionUnderActivePlan(t *testing.T) {
+	run := func(errorEvery uint64) (sim.Time, uint64) {
+		eng := sim.NewEngine()
+		geo := geoN(4, 2)
+		modules := make([]*dram.Module, 4)
+		for i := range modules {
+			modules[i] = dram.New(geo, dram.DDR4_3200(), i)
+		}
+		cfg := DefaultConfig(1)
+		cfg.Fault = &fault.Plan{Seed: 1, BER: 1e-18}
+		cfg.ErrorEvery = errorEvery
+		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		done := l.Access(0, 0, l.geo.DIMMBase(1), 64, false)
+		return done, l.Counters().Get("link.retries")
+	}
+	clean, _ := run(0)
+	done, retries := run(2)
+	if retries == 0 {
+		t.Fatal("no retries with error injection under an active plan")
+	}
+	if done <= clean {
+		t.Fatalf("retries should add latency: %d vs clean %d", done, clean)
+	}
+}

@@ -13,7 +13,7 @@ import (
 const (
 	HistPacketLat = "pkt.lat"      // per-packet link latency (send to arrival), ps
 	HistAccessLat = "access.lat"   // per-transaction remote access latency, ps
-	HistQueue     = "lat.queue"    // per-hop credit/bus queueing wait, ps
+	HistQueue     = "lat.queue"    // per-hop stall, credit and bus queueing wait, ps
 	HistSerDes    = "lat.serdes"   // per-hop SerDes serialization time, ps
 	HistRelay     = "lat.relay"    // per-hop wire + router pipeline time, ps
 	HistHostFwd   = "lat.hostfwd"  // per-episode host forwarding latency, ps

@@ -6,20 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkNetworkSendHop measures the per-packet NoC cost — dense link
-// lookup, credit acquisition, bus reservation and stats — on the default
-// 8-node chain with the cached static route.
+// BenchmarkNetworkSendHop measures the per-packet NoC cost — cached route
+// lookup, dense link lookup, credit acquisition and bus reservation — on
+// the default 8-node chain.
 func BenchmarkNetworkSendHop(b *testing.B) {
 	n := NewNetwork(NewChain(8), GRSLink())
 	var t sim.Time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		end, _, err := n.Send(t, i%7, i%7+1, 272)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t = end
+		t, _ = send(b, n, t, i%7, i%7+1, 272)
 	}
 }
 
@@ -31,11 +27,7 @@ func BenchmarkNetworkSendRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		end, _, err := n.Send(t, 0, 7, 272)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t = end
+		t, _ = send(b, n, t, 0, 7, 272)
 	}
 }
 
@@ -45,8 +37,7 @@ func BenchmarkLinkUtilizationSample(b *testing.B) {
 	n := NewNetwork(NewChain(8), GRSLink())
 	var t sim.Time
 	for i := 0; i < 1000; i++ {
-		end, _, _ := n.Send(t, i%7, i%7+1, 272)
-		t = end
+		t, _ = send(b, n, t, i%7, i%7+1, 272)
 	}
 	links := len(n.LinkKeys())
 	var sum float64

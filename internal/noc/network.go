@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // LinkConfig describes the physical links of the network. The defaults the
@@ -67,18 +66,6 @@ func (l *link) creditAcquire(at sim.Time, ret sim.Time) sim.Time {
 	return at
 }
 
-// Stats aggregates network activity.
-type Stats struct {
-	Packets   uint64
-	Bytes     uint64
-	Hops      stats.Dist
-	LatencyPs stats.Dist
-	// Corrupted and Dropped count fault-injected crossings: flits that
-	// arrived CRC-broken, and flits that never arrived at all.
-	Corrupted uint64
-	Dropped   uint64
-}
-
 // Network simulates packet transport over a Topology. It is not
 // goroutine-safe; the single-threaded simulation engine serializes access.
 type Network struct {
@@ -98,33 +85,21 @@ type Network struct {
 	sortedKeys  []string
 	sortedLinks []*link
 
-	Stats Stats
-
 	// Fault injection, attached via SetFaults. inj==nil is the perfect
 	// physical layer; gid maps local node index to the global DIMM id
 	// fault plans are written in.
 	inj *fault.Injector
 	gid []int
 
-	// Topology-only caches, filled at most once per (src,dst)/src for the
-	// network's lifetime: static routes do not depend on link state, so
-	// the common no-fault run computes each route, spanning tree and BFS
-	// order exactly once. Cached slices are shared with callers, which
-	// treat paths as read-only.
-	staticRoutes [][]int // src*n+dst -> path (nil = not computed)
-	trees        [][]int // src -> spanning-tree parent (nil = not computed)
-	orders       [][]int // src -> BFS delivery order for broadcast
-
-	// Fault-aware caches, valid for the injector epoch cacheEpoch: a
-	// fault-plan link-state transition (or a DLL ForceDown) bumps the
-	// injector epoch and flushes them. With no injector the epoch is
-	// constant zero and these are never touched.
-	cacheEpoch uint64
-	fstatus    []uint8 // src*n+dst -> route status at this epoch
-	froutes    [][]int // src*n+dst -> path for routeStatic/routeDetour
-	ftrees     [][]int // src -> live spanning-tree parent (nil = not computed)
-	fmiss      [][]int // src -> unreachable nodes under that tree
-	forders    [][]int // src -> BFS delivery order under that tree
+	// Route and broadcast-tree caches, valid for the injector epoch held
+	// in epoch: a fault-plan link-state transition (or a DLL ForceDown)
+	// bumps the injector epoch and clears them. With no injector the
+	// epoch is constant zero, so each route and tree is computed once
+	// for the network's lifetime. Cached slices are shared with callers,
+	// which treat them as read-only.
+	epoch  uint64
+	routes []route    // src*n+dst -> route at this epoch
+	trees  []treePlan // src -> broadcast tree at this epoch
 
 	// Observability, attached via SetMetrics. coll==nil records nothing;
 	// observation is passive and never changes any reservation, so an
@@ -159,43 +134,9 @@ func NewNetwork(topo Topology, cfg LinkConfig) *Network {
 	for i, k := range n.sortedKeys {
 		n.sortedLinks[i] = byKey[k]
 	}
-	n.staticRoutes = make([][]int, nn*nn)
-	n.trees = make([][]int, nn)
-	n.orders = make([][]int, nn)
-	n.resetFaultCaches()
+	n.routes = make([]route, nn*nn)
+	n.trees = make([]treePlan, nn)
 	return n
-}
-
-// resetFaultCaches (re)allocates the epoch-keyed caches empty. The
-// topology-only caches survive: a static route is valid in every epoch.
-func (n *Network) resetFaultCaches() {
-	n.fstatus = make([]uint8, n.n*n.n)
-	n.froutes = make([][]int, n.n*n.n)
-	n.ftrees = make([][]int, n.n)
-	n.fmiss = make([][]int, n.n)
-	n.forders = make([][]int, n.n)
-}
-
-// syncEpoch flushes the fault-aware caches if the injector's link state
-// has transitioned since they were filled. With no injector the epoch is
-// constant zero and this is one predictable branch.
-func (n *Network) syncEpoch(at sim.Time) {
-	if ep := n.inj.EpochAt(at); ep != n.cacheEpoch {
-		n.resetFaultCaches()
-		n.cacheEpoch = ep
-	}
-}
-
-// staticRoute returns the topology's route src->dst, computed at most
-// once per pair.
-func (n *Network) staticRoute(src, dst int) []int {
-	idx := src*n.n + dst
-	p := n.staticRoutes[idx]
-	if p == nil {
-		p = n.topo.Route(src, dst)
-		n.staticRoutes[idx] = p
-	}
-	return p
 }
 
 // Topology returns the network's topology.
@@ -227,112 +168,70 @@ func (n *Network) serTime(size int) sim.Time {
 	return sim.TransferTime(uint64(flits*n.cfg.FlitBytes), n.cfg.BytesPerSec)
 }
 
-// sendHop moves a packet across one link. headAt is when the packet's head
-// is ready at u; the return value is when the full packet has arrived at v.
-func (n *Network) sendHop(u, v int, headAt sim.Time, size int) (sim.Time, error) {
+// SetFaults attaches a fault injector to the network. gid maps each
+// local node index to the global DIMM id fault plans are written in
+// (group networks are numbered 0..per-1 locally but plans name DIMMs
+// system-wide).
+func (n *Network) SetFaults(inj *fault.Injector, gid []int) {
+	if len(gid) != n.n {
+		panic(fmt.Sprintf("noc: SetFaults gid has %d entries for %d nodes", len(gid), n.n))
+	}
+	n.inj = inj
+	n.gid = gid
+}
+
+// HopCrossing moves one packet of size bytes across the link u->v. headAt
+// is when the packet's head is ready at u; the return value is when the
+// full packet has arrived at v, with the crossing's fault verdict.
+// Transport is virtual cut-through at packet granularity: credit for the
+// whole packet must be available before injection, then the link
+// serializes packets FIFO, and each hop charges serialization plus wire
+// and router pipeline latency. DL packets are at most 32 flits (256 B +
+// header), so packet-granularity timing differs from flit-level wormhole
+// by less than one packet serialization per hop.
+//
+// With an injector attached the crossing also honors stall windows (the
+// head waits for the link to wake up) and degraded-lane bandwidth (a
+// lane failure narrows the cable, stretching serialization by
+// 1/factor), fails when the link is permanently down at headAt, and
+// draws the crossing's deterministic verdict. Bus occupancy and per-link
+// byte counters are charged even for corrupted or dropped crossings —
+// the flits did occupy the wire; only the delivery failed. Down-ness is
+// checked at headAt only: flits already injected when a link dies still
+// complete their crossing, and the next injection attempt observes the
+// dead link.
+func (n *Network) HopCrossing(u, v int, headAt sim.Time, size int) (sim.Time, fault.Verdict, error) {
 	l, err := n.link(u, v)
 	if err != nil {
-		return 0, err
+		return 0, fault.VerdictOK, err
 	}
 	ser := n.serTime(size)
-	// Credit for the whole packet must be available before injection
-	// (virtual cut-through: a packet only advances when the next buffer can
-	// hold it), then the link serializes packets FIFO.
-	start := l.creditAcquire(headAt, headAt+ser+n.cfg.WireLatency+n.cfg.RouterLatency)
+	ready, verdict := headAt, fault.VerdictOK
+	if n.inj != nil {
+		gu, gv := n.gid[u], n.gid[v]
+		if n.inj.Down(gu, gv, headAt) {
+			return 0, fault.VerdictOK, fmt.Errorf("noc: link %d-%d down at t=%dps", gu, gv, headAt)
+		}
+		ready = n.inj.StallClear(gu, gv, headAt)
+		if f := n.inj.Factor(gu, gv, ready); f > 0 && f < 1 {
+			ser = sim.Time(float64(ser)/f + 0.5)
+		}
+		verdict = n.inj.Verdict(gu, gv, l.packets+1, size)
+	}
+	relay := n.cfg.WireLatency + n.cfg.RouterLatency
+	start := l.creditAcquire(ready, ready+ser+relay)
 	start, end := l.bus.Reserve(start, ser)
 	l.bytes += uint64(size)
 	l.packets++
 	if n.coll.Active() {
-		// Per-hop latency breakdown: credit/bus queueing ahead of the
-		// head, serialization, then the fixed wire+router relay pipeline.
+		// Per-hop latency breakdown: stall, credit and bus queueing ahead
+		// of the head, serialization, then the fixed wire+router relay.
 		n.coll.Observe(metrics.HistQueue, start-headAt)
 		n.coll.Observe(metrics.HistSerDes, ser)
-		n.coll.Observe(metrics.HistRelay, n.cfg.WireLatency+n.cfg.RouterLatency)
+		n.coll.Observe(metrics.HistRelay, relay)
 		n.coll.Packet(start, "hop", u, v, size)
 	}
-	return end + n.cfg.WireLatency + n.cfg.RouterLatency, nil
-}
-
-// Send transports one packet of size bytes from src to dst, starting no
-// earlier than at. It returns the arrival time of the full packet at dst
-// and the number of hops taken. Transport is virtual cut-through at packet
-// granularity: a packet advances to the next link only once that link's
-// buffer has a full-packet credit, and each hop charges serialization plus
-// wire and router pipeline latency. DL packets are at most 32 flits
-// (256 B + header), so packet-granularity timing differs from flit-level
-// wormhole by less than one packet serialization per hop.
-func (n *Network) Send(at sim.Time, src, dst int, size int) (sim.Time, int, error) {
-	if src == dst {
-		return at, 0, nil
-	}
-	path := n.staticRoute(src, dst)
-	t := at
-	for i := 0; i+1 < len(path); i++ {
-		var err error
-		t, err = n.sendHop(path[i], path[i+1], t, size)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	hops := len(path) - 1
-	n.Stats.Packets++
-	n.Stats.Bytes += uint64(size)
-	n.Stats.Hops.Observe(float64(hops))
-	n.Stats.LatencyPs.Observe(float64(t - at))
-	return t, hops, nil
-}
-
-// Broadcast floods one packet from src to every other node along the BFS
-// spanning tree. It returns the arrival time at each node (src maps to at)
-// and the time the last node received the packet.
-func (n *Network) Broadcast(at sim.Time, src int, size int) (arrivals []sim.Time, last sim.Time, err error) {
-	parent := n.trees[src]
-	if parent == nil {
-		parent, err = SpanningTree(n.topo, src)
-		if err != nil {
-			return nil, 0, err
-		}
-		n.trees[src] = parent
-		n.orders[src] = BFSOrder(parent, src)
-	}
-	arrivals = make([]sim.Time, n.n)
-	order := n.orders[src]
-	arrivals[src] = at
-	last = at
-	for _, node := range order {
-		if node == src {
-			continue
-		}
-		t, err := n.sendHop(parent[node], node, arrivals[parent[node]], size)
-		if err != nil {
-			return nil, 0, err
-		}
-		arrivals[node] = t
-		if t > last {
-			last = t
-		}
-	}
-	n.Stats.Packets++
-	n.Stats.Bytes += uint64(size)
-	n.Stats.LatencyPs.Observe(float64(last - at))
-	return arrivals, last, nil
-}
-
-// BFSOrder returns nodes in an order where parents precede children.
-// parent entries < 0 that are not the src are treated as absent (an
-// unreachable node in a fault-partitioned tree).
-func BFSOrder(parent []int, src int) []int {
-	children := make([][]int, len(parent))
-	for node, p := range parent {
-		if p >= 0 {
-			children[p] = append(children[p], node)
-		}
-	}
-	order := []int{src}
-	for i := 0; i < len(order); i++ {
-		order = append(order, children[order[i]]...)
-	}
-	return order
+	return end + relay, verdict, nil
 }
 
 // SetMetrics attaches an observability collector. A nil collector (the

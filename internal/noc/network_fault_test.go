@@ -82,7 +82,7 @@ func TestHopCrossingDownAndDegrade(t *testing.T) {
 	}
 	// Half bandwidth doubles serialization relative to a healthy link.
 	healthy := NewNetwork(Chain{N: 4}, GRSLink())
-	hArr, err := healthy.sendHop(2, 3, 0, 256)
+	hArr, _, err := healthy.HopCrossing(2, 3, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,21 @@ func TestHopCrossingStall(t *testing.T) {
 func TestHopCrossingVerdictCounts(t *testing.T) {
 	// A brutal BER makes essentially every crossing corrupt or drop.
 	n := faultNet(t, Chain{N: 2}, &fault.Plan{Seed: 3, BER: 0.01})
+	var corrupted, dropped int
 	for i := 0; i < 200; i++ {
-		if _, _, err := n.HopCrossing(0, 1, sim.Time(i)*1000, 256); err != nil {
+		_, verdict, err := n.HopCrossing(0, 1, sim.Time(i)*1000, 256)
+		if err != nil {
 			t.Fatal(err)
 		}
+		switch verdict {
+		case fault.VerdictCorrupt:
+			corrupted++
+		case fault.VerdictDrop:
+			dropped++
+		}
 	}
-	if n.Stats.Corrupted == 0 || n.Stats.Dropped == 0 {
-		t.Fatalf("verdicts not observed: corrupted=%d dropped=%d", n.Stats.Corrupted, n.Stats.Dropped)
+	if corrupted == 0 || dropped == 0 {
+		t.Fatalf("verdicts not observed: corrupted=%d dropped=%d", corrupted, dropped)
 	}
 }
 
@@ -136,15 +144,14 @@ func TestSpanningTreeAtPartition(t *testing.T) {
 	// unreachable and must be reported, not panicked over.
 	n := faultNet(t, Chain{N: 4}, &fault.Plan{Seed: 1,
 		Events: []fault.Event{{A: 1, B: 2, Kind: fault.KindDown, At: 0}}})
-	parent, unreachable := n.SpanningTreeAt(0, 0)
+	parent, order, unreachable := n.BroadcastPlanAt(0, 0)
 	if parent[1] != 0 {
 		t.Fatalf("parent[1] = %d", parent[1])
 	}
 	if len(unreachable) != 2 || unreachable[0] != 2 || unreachable[1] != 3 {
 		t.Fatalf("unreachable = %v, want [2 3]", unreachable)
 	}
-	// BFSOrder must skip the unreachable side.
-	order := BFSOrder(parent, 0)
+	// The delivery order must skip the unreachable side.
 	if len(order) != 2 {
 		t.Fatalf("order = %v, want [0 1]", order)
 	}
@@ -157,7 +164,7 @@ func TestForcedDownTriggersReroute(t *testing.T) {
 	if _, rr, _ := n.RouteAt(0, 0, 1); rr {
 		t.Fatal("healthy ring rerouted")
 	}
-	n.Injector().ForceDown(0, 1, 500)
+	n.inj.ForceDown(0, 1, 500)
 	path, rr, err := n.RouteAt(500, 0, 1)
 	if err != nil || !rr {
 		t.Fatalf("forced-down link not rerouted: %v", err)

@@ -17,10 +17,50 @@ func testLink() LinkConfig {
 	}
 }
 
+// send walks one packet of size bytes from src to dst the way the DL
+// fabric does: RouteAt's path, one HopCrossing per link. It returns the
+// arrival time at dst and the hop count.
+func send(tb testing.TB, n *Network, at sim.Time, src, dst, size int) (sim.Time, int) {
+	tb.Helper()
+	path, _, err := n.RouteAt(at, src, dst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i+1 < len(path); i++ {
+		if at, _, err = n.HopCrossing(path[i], path[i+1], at, size); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return at, len(path) - 1
+}
+
+// broadcast floods one packet from src down BroadcastPlanAt's tree, one
+// HopCrossing per tree edge. It returns the arrival time at each node
+// (src maps to at) and the time the last node received the packet.
+func broadcast(tb testing.TB, n *Network, at sim.Time, src, size int) ([]sim.Time, sim.Time) {
+	tb.Helper()
+	parent, order, unreachable := n.BroadcastPlanAt(at, src)
+	if len(unreachable) != 0 {
+		tb.Fatalf("unreachable nodes %v", unreachable)
+	}
+	arrivals := make([]sim.Time, len(parent))
+	arrivals[src] = at
+	last := at
+	for _, node := range order[1:] {
+		t, _, err := n.HopCrossing(parent[node], node, arrivals[parent[node]], size)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		arrivals[node] = t
+		last = max(last, t)
+	}
+	return arrivals, last
+}
+
 func TestSendSingleHopLatency(t *testing.T) {
 	n := NewNetwork(NewChain(4), testLink())
 	// 256 B at 25 GB/s = 10.24 ns serialization + 1 ns wire + 0.8 ns router.
-	arrive, hops, _ := n.Send(0, 0, 1, 256)
+	arrive, hops := send(t, n, 0, 0, 1, 256)
 	if hops != 1 {
 		t.Fatalf("hops = %d", hops)
 	}
@@ -32,9 +72,9 @@ func TestSendSingleHopLatency(t *testing.T) {
 
 func TestSendLatencyScalesWithHops(t *testing.T) {
 	n := NewNetwork(NewChain(8), testLink())
-	one, _, _ := n.Send(0, 0, 1, 128)
+	one, _ := send(t, n, 0, 0, 1, 128)
 	n2 := NewNetwork(NewChain(8), testLink())
-	three, hops, _ := n2.Send(0, 0, 3, 128)
+	three, hops := send(t, n2, 0, 0, 3, 128)
 	if hops != 3 {
 		t.Fatalf("hops = %d", hops)
 	}
@@ -45,7 +85,7 @@ func TestSendLatencyScalesWithHops(t *testing.T) {
 
 func TestSendToSelf(t *testing.T) {
 	n := NewNetwork(NewChain(4), testLink())
-	arrive, hops, _ := n.Send(42, 2, 2, 64)
+	arrive, hops := send(t, n, 42, 2, 2, 64)
 	if arrive != 42 || hops != 0 {
 		t.Fatalf("self-send = (%d, %d)", arrive, hops)
 	}
@@ -54,9 +94,9 @@ func TestSendToSelf(t *testing.T) {
 func TestFlitRounding(t *testing.T) {
 	n := NewNetwork(NewChain(2), testLink())
 	// 1 byte still occupies one 16-byte flit.
-	a1, _, _ := n.Send(0, 0, 1, 1)
+	a1, _ := send(t, n, 0, 0, 1, 1)
 	n2 := NewNetwork(NewChain(2), testLink())
-	a16, _, _ := n2.Send(0, 0, 1, 16)
+	a16, _ := send(t, n2, 0, 0, 1, 16)
 	if a1 != a16 {
 		t.Fatalf("sub-flit packet not rounded up: %d vs %d", a1, a16)
 	}
@@ -64,8 +104,8 @@ func TestFlitRounding(t *testing.T) {
 
 func TestLinkContentionSerializes(t *testing.T) {
 	n := NewNetwork(NewChain(2), testLink())
-	a, _, _ := n.Send(0, 0, 1, 256)
-	b, _, _ := n.Send(0, 0, 1, 256)
+	a, _ := send(t, n, 0, 0, 1, 256)
+	b, _ := send(t, n, 0, 0, 1, 256)
 	ser := sim.TransferTime(256, 25e9)
 	if b != a+ser {
 		t.Fatalf("second packet arrives %d, want %d", b, a+ser)
@@ -74,8 +114,8 @@ func TestLinkContentionSerializes(t *testing.T) {
 
 func TestOppositeDirectionsDontContend(t *testing.T) {
 	n := NewNetwork(NewChain(2), testLink())
-	a, _, _ := n.Send(0, 0, 1, 256)
-	b, _, _ := n.Send(0, 1, 0, 256)
+	a, _ := send(t, n, 0, 0, 1, 256)
+	b, _ := send(t, n, 0, 1, 0, 256)
 	if a != b {
 		t.Fatalf("bidirectional links should be independent: %d vs %d", a, b)
 	}
@@ -84,8 +124,8 @@ func TestOppositeDirectionsDontContend(t *testing.T) {
 func TestDisjointLinksConcurrent(t *testing.T) {
 	// Packets 0->1 and 2->3 use different links and finish simultaneously.
 	n := NewNetwork(NewChain(4), testLink())
-	a, _, _ := n.Send(0, 0, 1, 256)
-	b, _, _ := n.Send(0, 2, 3, 256)
+	a, _ := send(t, n, 0, 0, 1, 256)
+	b, _ := send(t, n, 0, 2, 3, 256)
 	if a != b {
 		t.Fatalf("disjoint transfers interfere: %d vs %d", a, b)
 	}
@@ -95,8 +135,8 @@ func TestCreditBackpressure(t *testing.T) {
 	cfg := testLink()
 	cfg.Credits = 1 // one packet in flight per link
 	n := NewNetwork(NewChain(2), cfg)
-	a, _, _ := n.Send(0, 0, 1, 64)
-	b, _, _ := n.Send(0, 0, 1, 64)
+	a, _ := send(t, n, 0, 0, 1, 64)
+	b, _ := send(t, n, 0, 0, 1, 64)
 	// With a single credit, the second packet cannot inject until the
 	// first's credit returns (after full delivery), so the gap must exceed
 	// pure serialization.
@@ -106,8 +146,8 @@ func TestCreditBackpressure(t *testing.T) {
 	}
 
 	deep := NewNetwork(NewChain(2), testLink())
-	c, _, _ := deep.Send(0, 0, 1, 64)
-	d, _, _ := deep.Send(0, 0, 1, 64)
+	c, _ := send(t, deep, 0, 0, 1, 64)
+	d, _ := send(t, deep, 0, 0, 1, 64)
 	if d-c != ser {
 		t.Fatalf("deep credits should be bus-limited: gap %d", d-c)
 	}
@@ -119,7 +159,7 @@ func TestBandwidthSaturation(t *testing.T) {
 	const packets = 1000
 	var last sim.Time
 	for i := 0; i < packets; i++ {
-		last, _, _ = n.Send(0, 0, 1, 256)
+		last, _ = send(t, n, 0, 0, 1, 256)
 	}
 	gbps := float64(packets*256) / (float64(last) / 1e12) / 1e9
 	if gbps < 23 || gbps > 25.1 {
@@ -129,7 +169,7 @@ func TestBandwidthSaturation(t *testing.T) {
 
 func TestBroadcastChain(t *testing.T) {
 	n := NewNetwork(NewChain(4), testLink())
-	arr, last, _ := n.Broadcast(0, 1, 128)
+	arr, last := broadcast(t, n, 0, 1, 128)
 	// Node 1 is the source; 0 and 2 are one hop, 3 is two hops.
 	if arr[1] != 0 {
 		t.Fatalf("source arrival %d", arr[1])
@@ -148,7 +188,7 @@ func TestBroadcastChain(t *testing.T) {
 func TestBroadcastReachesAllOnAllTopologies(t *testing.T) {
 	for _, topo := range allTopologies() {
 		n := NewNetwork(topo, testLink())
-		arr, last, _ := n.Broadcast(0, 0, 64)
+		arr, last := broadcast(t, n, 0, 0, 64)
 		for node, a := range arr {
 			if node != 0 && (a == 0 || a > last) {
 				t.Fatalf("%s: node %d arrival %d (last %d)", topo.Name(), node, a, last)
@@ -159,13 +199,10 @@ func TestBroadcastReachesAllOnAllTopologies(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	n := NewNetwork(NewChain(4), testLink())
-	n.Send(0, 0, 3, 256)
-	n.Send(0, 1, 2, 64)
-	if n.Stats.Packets != 2 || n.Stats.Bytes != 320 {
-		t.Fatalf("stats %+v", n.Stats)
-	}
-	if n.Stats.Hops.Mean() != 2 {
-		t.Fatalf("mean hops %v", n.Stats.Hops.Mean())
+	_, h1 := send(t, n, 0, 0, 3, 256)
+	_, h2 := send(t, n, 0, 1, 2, 64)
+	if h1 != 3 || h2 != 1 {
+		t.Fatalf("hops %d and %d, want 3 and 1", h1, h2)
 	}
 	var total uint64
 	u := map[string]float64{}
@@ -195,7 +232,7 @@ func BenchmarkSend16Chain(b *testing.B) {
 	n := NewNetwork(NewChain(16), testLink())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n.Send(sim.Time(i)*100, i%16, (i+5)%16, 256)
+		send(b, n, sim.Time(i)*100, i%16, (i+5)%16, 256)
 	}
 }
 
@@ -209,10 +246,7 @@ func TestConcurrentUtilizationSnapshots(t *testing.T) {
 	load := func(n *Network) {
 		var at sim.Time
 		for p := 0; p < 32; p++ {
-			end, _, err := n.Send(at, p%8, (p+3)%8, 256)
-			if err != nil {
-				t.Fatalf("send: %v", err)
-			}
+			end, _ := send(t, n, at, p%8, (p+3)%8, 256)
 			at = end / 2
 		}
 	}

@@ -271,12 +271,12 @@ func checkNodes(t Topology, src, dst int) {
 	}
 }
 
-// SpanningTree returns, for each node, its parent in a BFS tree rooted at
-// src (parent[src] = -1). Broadcasts flood along this tree. An unreachable
-// node is reported as an error, not a panic: every shipped topology is
-// connected, but a fault plan severing links can legitimately partition
-// the reachable graph, and callers degrade gracefully instead of crashing.
-func SpanningTree(t Topology, src int) ([]int, error) {
+// bfsTree returns, for each node, its parent in the BFS tree rooted at
+// src over the links for which alive returns true (every link when alive
+// is nil): parent[src] = -1, and a node src cannot reach has parent -2.
+// Broadcasts flood along this tree; every shipped topology is connected,
+// so only a fault plan severing links leaves a node unreachable.
+func bfsTree(t Topology, src int, alive func(u, v int) bool) []int {
 	parent := make([]int, t.Nodes())
 	for i := range parent {
 		parent[i] = -2 // unvisited
@@ -284,19 +284,14 @@ func SpanningTree(t Topology, src int) ([]int, error) {
 	parent[src] = -1
 	queue := []int{src}
 	for len(queue) > 0 {
-		n := queue[0]
+		u := queue[0]
 		queue = queue[1:]
-		for _, nb := range t.Neighbors(n) {
-			if parent[nb] == -2 {
-				parent[nb] = n
-				queue = append(queue, nb)
+		for _, v := range t.Neighbors(u) {
+			if parent[v] == -2 && (alive == nil || alive(u, v)) {
+				parent[v] = u
+				queue = append(queue, v)
 			}
 		}
 	}
-	for i, p := range parent {
-		if p == -2 {
-			return nil, fmt.Errorf("noc: node %d unreachable from %d in %s", i, src, t.Name())
-		}
-	}
-	return parent, nil
+	return parent
 }

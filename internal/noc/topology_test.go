@@ -140,16 +140,16 @@ func TestRouteMinimalProperty(t *testing.T) {
 func TestSpanningTree(t *testing.T) {
 	for _, topo := range allTopologies() {
 		for src := 0; src < topo.Nodes(); src++ {
-			parent, err := SpanningTree(topo, src)
-			if err != nil {
-				t.Fatalf("%s: %v", topo.Name(), err)
-			}
+			parent := bfsTree(topo, src, nil)
 			if parent[src] != -1 {
 				t.Fatalf("%s: root parent = %d", topo.Name(), parent[src])
 			}
 			for n := 0; n < topo.Nodes(); n++ {
 				if n == src {
 					continue
+				}
+				if parent[n] == -2 {
+					t.Fatalf("%s: node %d unreachable from %d", topo.Name(), n, src)
 				}
 				// Walk to the root; must terminate and use edges.
 				steps := 0

@@ -78,13 +78,15 @@ func allocTrace(t *testing.T, records int) *ingest.Data {
 // under a budget on four fixed suites: the canonical p2p transfer, the
 // Table IV workloads, AllReduce training under every IDC mechanism, and
 // a generated trace replayed through ReplayTrace with page mapping.
-// Allocation counts are deterministic, so a rise past the budget is a
+// Allocation counts move by about 1% run to run at most (p2p read 0.0244
+// in 9 and 0.0246 in 1 of 10 runs), so a rise past the budget is a
 // regression, not noise.
 //
-// Measured with go1.24.0 linux/amd64 (allocs/event): p2p 0.0253,
-// table4 0.4056, train 0.1939, replay 0.0059. Each budget is
-// 1.10*measured, relative only: an additive floor would dominate the
-// small counts and let p2p or replay rise several times over unseen.
+// Measured with go1.24.0 linux/amd64 (allocs/event, the highest of 10
+// runs): p2p 0.0246, table4 0.3993, train 0.1934, replay 0.0059. Each
+// budget is 1.10*measured, relative only: an additive floor would
+// dominate the small counts and let p2p or replay rise several times
+// over unseen.
 //
 // The test is serial and skipped under -short: the race detector adds
 // allocations of its own.
@@ -106,9 +108,9 @@ func TestAllocBudget(t *testing.T) {
 		sps      []Spec
 		measured float64
 	}{
-		{"p2p", []Spec{{Kind: KindSim, Workload: "p2p"}}, 0.0253},
-		{"table4", table4, 0.4056},
-		{"train", train, 0.1939},
+		{"p2p", []Spec{{Kind: KindSim, Workload: "p2p"}}, 0.0246},
+		{"table4", table4, 0.3993},
+		{"train", train, 0.1934},
 		{"replay", replay, 0.0059},
 	} {
 		t.Run(c.name, func(t *testing.T) {

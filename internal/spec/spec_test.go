@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/idc"
+	"repro/internal/metrics"
 	"repro/internal/nmp"
 )
 
@@ -449,6 +450,56 @@ func TestFaultOnMissingLinkIsAnError(t *testing.T) {
 	for _, jobs := range []int{1, 3} {
 		if _, err := ex.RunExp(nil, ExpHooks{Jobs: jobs}, nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("exp spec, %d jobs: error %v, want one naming %q", jobs, err, want)
+		}
+	}
+}
+
+// runWithMetrics runs a sim spec with a collector attached and returns
+// the run and the collector.
+func runWithMetrics(t *testing.T, s Spec) (*SimRun, *metrics.Collector) {
+	t.Helper()
+	coll := metrics.NewCollector()
+	run, err := s.RunSim(SimHooks{Metrics: coll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run, coll
+}
+
+// TestFallbackPacketsCountInPacketLatency is the packet conservation law
+// under a severed chain: every packet sendPacket delivers lands in
+// pkt.lat, whether it crossed the DL links or fell back to the host. A
+// dead link 1-2 from t=0 strands the 16D-8C p2p transfer's packets on
+// the host path, and pkt.lat must count exactly as many packets as the
+// healthy run does.
+func TestFallbackPacketsCountInPacketLatency(t *testing.T) {
+	base := Spec{Workload: "p2p", DIMMs: 16, Channels: 8}
+	_, healthy := runWithMetrics(t, base)
+	severed := base
+	severed.Fault = "down=1-2@0"
+	run, faulty := runWithMetrics(t, severed)
+	if fb := run.Sys.IC.Counters().Get(idc.CtrFaultFallback); fb == 0 {
+		t.Fatal("the severed chain sent no packet over the host fallback")
+	}
+	want := healthy.Reg.Hist(metrics.HistPacketLat).Count()
+	if got := faulty.Reg.Hist(metrics.HistPacketLat).Count(); want == 0 || got != want {
+		t.Fatalf("pkt.lat counts %d packets under down=1-2@0, %d without a plan", got, want)
+	}
+}
+
+// TestHopBreakdownUnderInertPlan pins that an active fault plan keeps the
+// per-hop latency breakdown: with a bit-error rate too small to inject
+// anything, lat.relay counts exactly the hops of the fault-free run.
+func TestHopBreakdownUnderInertPlan(t *testing.T) {
+	base := Spec{Workload: "p2p"}
+	_, healthy := runWithMetrics(t, base)
+	inert := base
+	inert.Fault = "ber=1e-18"
+	_, faulty := runWithMetrics(t, inert)
+	for _, name := range []string{metrics.HistRelay, metrics.HistSerDes, metrics.HistQueue} {
+		want := healthy.Reg.Hist(name).Count()
+		if got := faulty.Reg.Hist(name).Count(); want == 0 || got != want {
+			t.Fatalf("%s counts %d hops under ber=1e-18, %d without a plan", name, got, want)
 		}
 	}
 }

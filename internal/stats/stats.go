@@ -1,4 +1,4 @@
-// Package stats provides the counters, distributions and table rendering
+// Package stats provides the counters, geometric mean and table rendering
 // used by every timing model and by the experiment harness.
 package stats
 
@@ -73,42 +73,6 @@ func (c *Counters) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Dist accumulates a distribution of sample values (latencies, hop counts):
-// count, minimum, maximum and a running mean updated incrementally (the
-// Welford mean step), which keeps its precision when the mean dwarfs the
-// spread. The zero value is ready to use.
-type Dist struct {
-	N    uint64
-	MinV float64
-	MaxV float64
-	mean float64
-}
-
-// Observe adds one sample.
-func (d *Dist) Observe(v float64) {
-	if d.N == 0 || v < d.MinV {
-		d.MinV = v
-	}
-	if d.N == 0 || v > d.MaxV {
-		d.MaxV = v
-	}
-	d.N++
-	delta := v - d.mean
-	d.mean += delta / float64(d.N)
-}
-
-// Mean returns the sample mean, or zero when empty.
-func (d *Dist) Mean() float64 {
-	if d.N == 0 {
-		return 0
-	}
-	return d.mean
-}
-
-func (d *Dist) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.0f max=%.0f", d.N, d.Mean(), d.MinV, d.MaxV)
 }
 
 // GeoMean returns the geometric mean of vs. All values must be positive:

@@ -55,34 +55,6 @@ func TestCounterHandles(t *testing.T) {
 	}
 }
 
-func TestDist(t *testing.T) {
-	var d Dist
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		d.Observe(v)
-	}
-	if d.N != 8 || d.Mean() != 5 {
-		t.Fatalf("N=%d mean=%v", d.N, d.Mean())
-	}
-	if d.MinV != 2 || d.MaxV != 9 {
-		t.Fatalf("min=%v max=%v", d.MinV, d.MaxV)
-	}
-}
-
-// TestDistWelfordLargeOffset pins the incremental mean on samples with a
-// huge mean and a tiny spread, exactly the shape of picosecond latency
-// samples deep into a run.
-func TestDistWelfordLargeOffset(t *testing.T) {
-	const offset = 1e12 // ~1 second in picoseconds
-	var d Dist
-	for _, v := range []float64{offset + 2, offset + 4, offset + 4, offset + 4,
-		offset + 5, offset + 5, offset + 7, offset + 9} {
-		d.Observe(v)
-	}
-	if got := d.Mean(); math.Abs(got-(offset+5)) > 1e-3 {
-		t.Fatalf("Mean = %v, want %v", got, offset+5)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	got, err := GeoMean([]float64{1, 4, 16})
 	if err != nil || math.Abs(got-4) > 1e-9 {
