@@ -1,6 +1,6 @@
 // digest_test.go pins the model's output bytes for one captured spec per
 // distinct code path the event kernel drives. The sha256 of each rendered
-// report and JSON body, and of the fig01 quick-mode tables, is committed
+// report and JSON body, and of the fig01 and fig14 quick-mode tables, is committed
 // under testdata/report_digests.txt: a change that keeps every digest
 // preserves the model's behaviour by construction, whatever it does to
 // how the model executes.
@@ -23,8 +23,9 @@ import (
 // trees, every mechanism's interconnect, a multi-group topology, the
 // fault layer (DLL retries, reroutes and host fallback all ride the event
 // engine), and each host set-up: ABC-DIMM's channel broadcast on 12D-4C,
-// the host-CPU baseline, base polling of every DIMM, and CXL blades that
-// the host never polls.
+// the host-CPU baseline, base polling of every DIMM, CXL blades that the
+// host never polls, and the two interrupt modes (the only readers of the
+// interrupt latency): a proxy raising ALERT_N, and MCN's channel scan.
 func digestSpecs() []Spec {
 	return []Spec{
 		{Kind: KindSim, Workload: "p2p", DIMMs: 4, Channels: 2},
@@ -40,6 +41,8 @@ func digestSpecs() []Spec {
 		{Kind: KindSim, Workload: "bfs", Scale: 10, Mech: "host-cpu"},
 		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, Polling: "base"},
 		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, CXL: true},
+		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, Polling: "proxy+itrpt"},
+		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4, Mech: "mcn", Polling: "base+itrpt"},
 	}
 }
 
@@ -85,12 +88,12 @@ func renderDigests(sp Spec) (text, js string, err error) {
 	return digest(buf.Bytes()), digest(body), nil
 }
 
-// fig01Digest renders the fig01 quick tables and returns their sha256.
-func fig01Digest(t *testing.T) string {
+// expDigest renders experiment id's quick tables and returns their sha256.
+func expDigest(t *testing.T, id string) string {
 	t.Helper()
-	e, ok := exp.ByID("fig01")
+	e, ok := exp.ByID(id)
 	if !ok {
-		t.Fatal("experiment fig01 not registered")
+		t.Fatalf("experiment %s not registered", id)
 	}
 	o := exp.Options{Quick: true, Seed: 42}
 	o.Jobs = 2
@@ -128,8 +131,13 @@ func readDigests(t *testing.T) map[string]string {
 	return want
 }
 
+// digestExps are the experiments whose quick tables are pinned: fig01's
+// host-forwarding calibration and fig14's barrier comparison, the only
+// run of centralized DIMM-Link synchronization.
+var digestExps = []string{"fig01", "fig14"}
+
 // TestReportDigests checks every spec class, one subtest each, and the
-// fig01 tables against the committed file. On a mismatch it prints the
+// digestExps tables against the committed file. On a mismatch it prints the
 // full replacement file, so a deliberate model change can re-record it
 // in one step.
 func TestReportDigests(t *testing.T) {
@@ -149,8 +157,10 @@ func TestReportDigests(t *testing.T) {
 			check(t, fmt.Sprintf("spec%d.json", i), js)
 		})
 	}
-	t.Run("fig01", func(t *testing.T) { check(t, "fig01.tables", fig01Digest(t)) })
-	if n := 2*len(specs) + 1; len(want) != n {
+	for _, id := range digestExps {
+		t.Run(id, func(t *testing.T) { check(t, id+".tables", expDigest(t, id)) })
+	}
+	if n := 2*len(specs) + len(digestExps); len(want) != n {
 		t.Errorf("committed file has %d digests, want %d", len(want), n)
 	}
 	if t.Failed() {
