@@ -56,6 +56,10 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== dlsim fault smoke (the severed chain must send packets over the host fallback)"
 	"$tmp/dlsim" -workload p2p -fault 'ber=1e-7,down=0-1@10us' >"$tmp/fault.txt"
 	grep -Eq '^fault\.fallback\.packets +[1-9]' "$tmp/fault.txt"
+	echo "== dlsim fault byte conservation (link.bytes + fault.fallback.bytes == the healthy link.bytes)"
+	got=$(awk '$1 == "link.bytes" || $1 == "fault.fallback.bytes" { s += $2 } END { print s + 0 }' "$tmp/fault.txt")
+	want=$(awk '$1 == "link.bytes" { print $2 }' testdata/golden_dlsim_p2p.txt)
+	test -n "$want" && test "$got" -eq "$want"
 
 	echo "== dlsim trace smoke (tracing must not change stdout)"
 	"$tmp/dlsim" -workload p2p -metrics -sample 10000 >"$tmp/plain.txt"

@@ -487,6 +487,33 @@ func TestFallbackPacketsCountInPacketLatency(t *testing.T) {
 	}
 }
 
+// TestFallbackBytesLeaveLinkBytes is the byte conservation law under
+// faults: a packet crosses either the DL links or the host fallback, so
+// link.bytes plus fault.fallback.bytes equals the healthy run's
+// link.bytes, for a chain cut from the start and for the digest fault
+// plan (bit errors, a link dying mid-run, a stall and a degraded lane).
+func TestFallbackBytesLeaveLinkBytes(t *testing.T) {
+	base := Spec{Workload: "p2p", DIMMs: 8, Channels: 4}
+	healthy, err := base.RunSim(SimHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := healthy.Sys.IC.Counters().Get(idc.CtrLinkBytes)
+	for _, plan := range []string{"down=0-1@0", "ber=1e-6,down=0-1@10us,stall=2-3@5us+20us,degrade=1-2@0*0.5"} {
+		faulty := base
+		faulty.Fault = plan
+		run, err := faulty.RunSim(SimHooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := run.Sys.IC.Counters()
+		link, fb := c.Get(idc.CtrLinkBytes), c.Get(idc.CtrFaultFallbackB)
+		if fb == 0 || link+fb != want {
+			t.Errorf("%s: link.bytes %d + fault.fallback.bytes %d, healthy link.bytes %d", plan, link, fb, want)
+		}
+	}
+}
+
 // TestHopBreakdownUnderInertPlan pins that an active fault plan keeps the
 // per-hop latency breakdown: with a bit-error rate too small to inject
 // anything, lat.relay counts exactly the hops of the fault-free run.
