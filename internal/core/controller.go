@@ -13,24 +13,16 @@ import (
 	"repro/internal/sim"
 )
 
-// ControllerConfig sizes one DL-Controller's resources.
-type ControllerConfig struct {
-	// Tags bounds concurrently outstanding DL transactions per DIMM
-	// (hardware: the TAG field, at most MaxTag).
-	Tags int
-	// DataBufBytes is the SRAM Data Buffer for received requests (❻ in
+// A DL-Controller's buffers are sized like a modest buffer-chip SRAM; it
+// has all MaxTag transaction tags.
+const (
+	// dataBufBytes is the SRAM Data Buffer for received requests (❻ in
 	// Figure 6).
-	DataBufBytes int
-	// PacketBufBytes is the SRAM Packet Buffer for host-forwarded packets
+	dataBufBytes = 32 << 10
+	// packetBufBytes is the SRAM Packet Buffer for host-forwarded packets
 	// (❼ in Figure 6).
-	PacketBufBytes int
-}
-
-// DefaultControllerConfig sizes the buffers like a modest buffer-chip SRAM:
-// all 64 tags, 32 KiB data buffer, 32 KiB packet buffer.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{Tags: MaxTag, DataBufBytes: 32 << 10, PacketBufBytes: 32 << 10}
-}
+	packetBufBytes = 32 << 10
+)
 
 // Controller is the per-DIMM structural state.
 type Controller struct {
@@ -45,15 +37,16 @@ type Controller struct {
 }
 
 // NewController builds the controller for one DIMM.
-func NewController(dimm int, cfg ControllerConfig) *Controller {
-	if cfg.Tags <= 0 || cfg.Tags > MaxTag {
-		cfg.Tags = MaxTag
-	}
+func NewController(dimm int) *Controller { return newController(dimm, MaxTag) }
+
+// newController builds a controller with tags transaction tags (tests
+// shrink the table to provoke tag pressure).
+func newController(dimm, tags int) *Controller {
 	return &Controller{
 		DIMM:    dimm,
-		tags:    sim.NewPool(cfg.Tags),
-		dataBuf: newByteBuffer(cfg.DataBufBytes),
-		pktBuf:  newByteBuffer(cfg.PacketBufBytes),
+		tags:    sim.NewPool(tags),
+		dataBuf: newByteBuffer(dataBufBytes),
+		pktBuf:  newByteBuffer(packetBufBytes),
 	}
 }
 
@@ -100,12 +93,7 @@ type bufHold struct {
 	bytes  int
 }
 
-func newByteBuffer(capBytes int) *byteBuffer {
-	if capBytes <= 0 {
-		capBytes = 1 << 20
-	}
-	return &byteBuffer{cap: capBytes}
-}
+func newByteBuffer(capBytes int) *byteBuffer { return &byteBuffer{cap: capBytes} }
 
 // release frees every hold expiring at or before t.
 func (b *byteBuffer) release(t sim.Time) {

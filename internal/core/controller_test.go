@@ -68,7 +68,7 @@ func TestByteBufferOversizeEntryCutsThrough(t *testing.T) {
 }
 
 func TestControllerTagExhaustion(t *testing.T) {
-	c := NewController(0, ControllerConfig{Tags: 2, DataBufBytes: 1 << 20, PacketBufBytes: 1 << 20})
+	c := newController(0, 2)
 	s1, t1 := c.AcquireTag(0)
 	s2, t2 := c.AcquireTag(0)
 	if t1 != 0 || t2 != 0 {
@@ -89,9 +89,10 @@ func TestTagPressureDelaysTransactions(t *testing.T) {
 		eng := sim.NewEngine()
 		geo := geoN(4, 2)
 		modules := testModules(geo)
-		cfg := DefaultConfig(1)
-		cfg.Controller.Tags = tags
-		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.BasePolling, DefaultConfig(1))
+		for d := range l.ctrl {
+			l.ctrl[d] = newController(d, tags)
+		}
 		var last sim.Time
 		for i := 0; i < 8; i++ {
 			if done := l.Access(0, 0, l.geo.DIMMBase(1)+uint64(i)*4096, 64, false); done > last {
@@ -113,7 +114,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 	modules := testModules(geo)
 	cfg := DefaultConfig(2)
 	cfg.InterGroup = ViaCXL
-	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 	done := l.Access(0, 0, l.geo.DIMMBase(6), 4096, false) // cross-blade read
 	if l.host.Counters.Get("host.forwards") != 0 || l.host.Counters.Get("host.polls") != 0 {
 		t.Fatal("CXL transport used the host")
@@ -123,7 +124,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 	}
 	// No polling interval in the path: far faster than the host route.
 	hostCfg := DefaultConfig(2)
-	lh := mustNewLink(sim.NewEngine(), geo, testModules(geo), host.DefaultConfig(), hostCfg)
+	lh := mustNewLink(sim.NewEngine(), geo, testModules(geo), host.BasePolling, hostCfg)
 	hostDone := lh.Access(0, 0, lh.geo.DIMMBase(6), 4096, false)
 	if done >= hostDone {
 		t.Fatalf("CXL cross-blade read (%d) should beat host forwarding (%d)", done, hostDone)
@@ -141,7 +142,7 @@ func TestCXLBroadcastAndBarrier(t *testing.T) {
 	modules := testModules(geo)
 	cfg := DefaultConfig(2)
 	cfg.InterGroup = ViaCXL
-	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 	if done := l.Broadcast(0, 0, l.geo.DIMMBase(0), 1024); done == 0 {
 		t.Fatal("broadcast returned zero")
 	}

@@ -28,10 +28,8 @@ func newTestLink(dimms, channels, groups int, mode host.PollingMode) (*Link, *si
 	for i := range modules {
 		modules[i] = dram.New(geo, dram.DDR4_3200(), i)
 	}
-	hostCfg := host.DefaultConfig()
-	hostCfg.Mode = mode
 	cfg := DefaultConfig(groups)
-	return mustNewLink(eng, geo, modules, hostCfg, cfg), eng
+	return mustNewLink(eng, geo, modules, mode, cfg), eng
 }
 
 func TestGroupsFor(t *testing.T) {
@@ -225,7 +223,7 @@ func TestErrorInjectionCausesRetries(t *testing.T) {
 	}
 	cfg := DefaultConfig(1)
 	cfg.ErrorEvery = 2 // every 2nd packet is corrupted
-	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 
 	clean, _ := newTestLink(4, 2, 1, host.BasePolling)
 	cleanDone := clean.Access(0, 0, clean.geo.DIMMBase(1), 64, false)
@@ -248,7 +246,7 @@ func TestTopologyVariants(t *testing.T) {
 		}
 		cfg := DefaultConfig(1)
 		cfg.Topology = topo
-		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 		done := l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 		if done == 0 {
 			t.Fatalf("%s: zero completion", topo)
@@ -266,7 +264,7 @@ func TestRingShortensWorstCase(t *testing.T) {
 		}
 		cfg := DefaultConfig(1)
 		cfg.Topology = topo
-		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 		return l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 	}
 	if ring, chain := farAccess(TopoRing), farAccess(TopoChain); ring >= chain {

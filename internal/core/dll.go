@@ -42,53 +42,23 @@ func newFaultCounters(c *stats.Counters) faultCounters {
 	}
 }
 
-// DLLConfig sizes the per-link data-link-layer retry machinery.
-type DLLConfig struct {
-	// ReplayBufBytes is the per-link replay buffer: a packet occupies it
-	// from injection until its ACK returns, so buffer pressure throttles
-	// a lossy link.
-	ReplayBufBytes int
-	// Window bounds unacknowledged packets in flight per link (the
+// The per-link DLL retry machinery, sized like a modest buffer-chip SRAM
+// block.
+const (
+	// replayBufBytes is the per-link replay buffer: a packet occupies it
+	// from injection until its ACK returns, so buffer pressure throttles a
+	// lossy link.
+	replayBufBytes = 4 << 10
+	// dllWindow bounds unacknowledged packets in flight per link (the
 	// retired-sequence window the DLL word's 16-bit SEQ field tracks).
-	Window int
-	// AckTimeout is the base retransmission timer; it doubles on every
-	// retry (exponential backoff).
-	AckTimeout sim.Time
-	// MaxRetries is the attempt budget before the link is declared
+	dllWindow = 16
+	// ackTimeout is the base retransmission timer, the same retry timeout
+	// as ErrorEvery's; it doubles on every retry (exponential backoff).
+	ackTimeout = retryTimeout
+	// maxRetries is the attempt budget before the link is declared
 	// permanently dead and handed to the router to route around.
-	MaxRetries int
-}
-
-// DefaultDLLConfig sizes the DLL like a modest buffer-chip SRAM block:
-// a 4 KiB replay buffer, 16-packet window, the legacy 200 ns retry
-// timer, and 6 attempts before giving a link up for dead.
-func DefaultDLLConfig() DLLConfig {
-	return DLLConfig{
-		ReplayBufBytes: 4 << 10,
-		Window:         16,
-		AckTimeout:     retryTimeout,
-		MaxRetries:     6,
-	}
-}
-
-// withDefaults fills zero fields, so a hand-built Config with an active
-// fault plan still gets a working DLL.
-func (c DLLConfig) withDefaults() DLLConfig {
-	d := DefaultDLLConfig()
-	if c.ReplayBufBytes <= 0 {
-		c.ReplayBufBytes = d.ReplayBufBytes
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = d.AckTimeout
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	return c
-}
+	maxRetries = 6
+)
 
 // dllChan is the sender-side DLL state of one directed link.
 type dllChan struct {
@@ -100,13 +70,13 @@ type dllChan struct {
 }
 
 // dll returns (building on first use) the DLL channel for local link u->v.
-func (g *group) dll(u, v int, cfg DLLConfig) *dllChan {
+func (g *group) dll(u, v int) *dllChan {
 	k := [2]int{u, v}
 	ch := g.dllCh[k]
 	if ch == nil {
 		ch = &dllChan{
-			replay: newByteBuffer(cfg.ReplayBufBytes),
-			ackAt:  make([]sim.Time, cfg.Window),
+			replay: newByteBuffer(replayBufBytes),
+			ackAt:  make([]sim.Time, dllWindow),
 		}
 		g.dllCh[k] = ch
 	}
@@ -118,7 +88,7 @@ func (g *group) dll(u, v int, cfg DLLConfig) *dllChan {
 // the DLL word of reverse traffic (Figure 3), so they do not reserve
 // reverse-link bus time.
 func (l *Link) ackDelay() sim.Time {
-	ser := sim.TransferTime(uint64(l.cfg.Link.FlitBytes), l.cfg.Link.BytesPerSec)
+	ser := sim.TransferTime(FlitBytes, l.cfg.Link.BytesPerSec)
 	return ser + l.cfg.Link.WireLatency + l.cfg.Link.RouterLatency
 }
 
@@ -127,11 +97,11 @@ func (l *Link) ackDelay() sim.Time {
 // wire, and retires when its ACK returns. A corrupted crossing is NAKed
 // by the receiver's CRC check and replayed from the buffer; a dropped
 // crossing waits out the retransmission timer with exponential backoff.
-// MaxRetries failures declare the link dead. Returns the packet's
+// maxRetries failures declare the link dead. Returns the packet's
 // arrival time at v and true, or the time the sender gave up and false.
 func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool) {
-	ch := g.dll(u, v, l.cfg.DLL)
-	// Sequence window: the slot Window packets back must have retired.
+	ch := g.dll(u, v)
+	// Sequence window: the slot dllWindow packets back must have retired.
 	start := at
 	if w := ch.ackAt[ch.wIdx]; w > start {
 		start = w
@@ -166,10 +136,10 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 				// retransmission timer fires, doubling each attempt.
 				l.fc.timeouts.Inc()
 				l.retries.Inc()
-				l.cfg.Metrics.Observe(metrics.HistDLLRetry, l.cfg.DLL.AckTimeout<<uint(attempt))
-				t += l.cfg.DLL.AckTimeout << uint(attempt)
+				l.cfg.Metrics.Observe(metrics.HistDLLRetry, ackTimeout<<uint(attempt))
+				t += ackTimeout << uint(attempt)
 			}
-			if attempt+1 >= l.cfg.DLL.MaxRetries {
+			if attempt+1 >= maxRetries {
 				// Retry budget exhausted: declare the link dead so the
 				// router stops choosing it, and report failure upward.
 				l.flt.ForceDown(g.base+u, g.base+v, t)

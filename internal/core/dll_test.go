@@ -12,14 +12,14 @@ import (
 )
 
 // testHost builds the host a DIMM-Link system with this configuration
-// polls and forwards through.
-func testHost(eng *sim.Engine, geo mem.Geometry, hostCfg host.Config, cfg Config) *host.Host {
-	return host.New(eng, geo, hostCfg, PollTargets(geo.NumDIMMs, hostCfg.Mode, cfg))
+// polls and forwards through in the given mode.
+func testHost(eng *sim.Engine, geo mem.Geometry, mode host.PollingMode, cfg Config) *host.Host {
+	return host.New(eng, geo, mode, PollTargets(geo.NumDIMMs, mode, cfg))
 }
 
 // mustNewLink is NewLink for configurations a test knows to be valid.
-func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, hostCfg host.Config, cfg Config) *Link {
-	l, err := NewLink(eng, geo, modules, testHost(eng, geo, hostCfg, cfg), cfg)
+func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, mode host.PollingMode, cfg Config) *Link {
+	l, err := NewLink(eng, geo, modules, testHost(eng, geo, mode, cfg), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func TestFaultOnMissingLinkRejected(t *testing.T) {
 		cfg.Topology = topo
 		cfg.Fault = plan
 		eng := sim.NewEngine()
-		_, err = NewLink(eng, geo, testModules(geo), testHost(eng, geo, host.DefaultConfig(), cfg), cfg)
+		_, err = NewLink(eng, geo, testModules(geo), testHost(eng, geo, host.BasePolling, cfg), cfg)
 		return err
 	}
 	for _, tc := range []struct {
@@ -78,7 +78,7 @@ func newFaultLink(dimms, channels, groups int, plan *fault.Plan) *Link {
 	}
 	cfg := DefaultConfig(groups)
 	cfg.Fault = plan
-	return mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	return mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 }
 
 // TestInactivePlanIsByteIdentical pins the acceptance criterion that a
@@ -149,7 +149,7 @@ func TestRingReroutesAroundDeadLink(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Topology = TopoRing
 	cfg.Fault = plan
-	l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 
 	// 0 -> 2's static route is clockwise through the dead 0-1 link.
 	done := l.Access(0, 0, l.geo.DIMMBase(2), 256, false)
@@ -197,7 +197,7 @@ func TestBERCausesReplaysAndCompletes(t *testing.T) {
 }
 
 // TestRetryExhaustionKillsLink: a link so broken that every crossing
-// fails gets declared dead after MaxRetries and traffic completes some
+// fails gets declared dead after maxRetries and traffic completes some
 // other way (reroute or host fallback).
 func TestRetryExhaustionKillsLink(t *testing.T) {
 	// BER high enough that per-crossing hit probability is ~1 for a
@@ -305,7 +305,7 @@ func TestErrorInjectionUnderActivePlan(t *testing.T) {
 		cfg := DefaultConfig(1)
 		cfg.Fault = &fault.Plan{Seed: 1, BER: 1e-18}
 		cfg.ErrorEvery = errorEvery
-		l := mustNewLink(eng, geo, modules, host.DefaultConfig(), cfg)
+		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 		done := l.Access(0, 0, l.geo.DIMMBase(1), 64, false)
 		return done, l.Counters().Get("link.retries")
 	}

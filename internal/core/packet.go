@@ -14,10 +14,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/noc"
 )
 
-// FlitBytes is the size of one DL flit: 128 bits.
-const FlitBytes = 16
+// FlitBytes is the size of one DL flit: 128 bits, the flit the links
+// serialize.
+const FlitBytes = noc.FlitBytes
 
 // MaxPayload is the largest payload one DL packet carries (32 flits total,
 // 256 bytes of payload).

@@ -186,11 +186,10 @@ func TestCmdStrings(t *testing.T) {
 // packet generation/decoding completes in ~18 controller cycles without the
 // CRC stage (our ASIC configuration budgets 20 cycles with it).
 func TestPrototypePacketizationCycles(t *testing.T) {
-	cfg := DefaultConfig(1)
-	if cfg.PacketizeCycles < 18 || cfg.PacketizeCycles > 24 {
-		t.Fatalf("packetize budget %d cycles, prototype measured 18 + CRC", cfg.PacketizeCycles)
+	if packetizeCycles < 18 || packetizeCycles > 24 {
+		t.Fatalf("packetize budget %d cycles, prototype measured 18 + CRC", packetizeCycles)
 	}
-	if cfg.DecodeCycles < 18 || cfg.DecodeCycles > 24 {
-		t.Fatalf("decode budget %d cycles", cfg.DecodeCycles)
+	if decodeCycles < 18 || decodeCycles > 24 {
+		t.Fatalf("decode budget %d cycles", decodeCycles)
 	}
 }

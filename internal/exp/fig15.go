@@ -42,7 +42,7 @@ func runFig15(o Options) []*stats.Table {
 		w := builders[i/nM]()
 		mode := modes[i%nM].mode
 		out := execute(o, w, nmp.MechDIMMLink, cfg,
-			func(c *nmp.Config) { c.Host.Mode = mode }, nil, false)
+			func(c *nmp.Config) { c.Host = mode }, nil, false)
 		return fig15Out{
 			name:       w.Name(),
 			makespan:   out.res.Makespan,

@@ -95,6 +95,6 @@ func runTable5(o Options) []*stats.Table {
 	tb.AddRow("channels", fmt.Sprintf("%d x 25.6 GB/s", c.Geo.NumChannels))
 	tb.AddRow("DIMM-Link", fmt.Sprintf("GRS %.0f GB/s per link, %s topology, %d groups",
 		c.DL.Link.BytesPerSec/1e9, string(c.DL.Topology)+"", c.DL.NumGroups))
-	tb.AddRow("polling", c.Host.Mode.String())
+	tb.AddRow("polling", c.Host.String())
 	return []*stats.Table{tb}
 }

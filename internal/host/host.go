@@ -4,7 +4,8 @@
 //
 // The paper treats the host as "a routing node that takes certain cycles to
 // forward a packet" (Section V-B), with the forwarding latency profiled in
-// gem5; we expose that latency as a parameter. On top of it the package
+// gem5; the package fixes that latency, and the other host timings, as
+// constants calibrated against Figures 1 and 15. On top of them it
 // implements the four polling strategies of Table III:
 //
 //	Base        — the host scans every registered DIMM each polling interval.
@@ -62,65 +63,37 @@ func (m PollingMode) Interrupting() bool {
 	return m == BaseInterrupt || m == ProxyInterrupt
 }
 
-// Config parameterizes the host model.
-type Config struct {
-	Mode PollingMode
-
+// The host timings of the evaluation: a 100 ns busy-polling loop whose
+// per-DIMM register read occupies the bus for 16 ns (32% occupation at
+// 2 DPC, matching Figure 15's Base bar), a 1.5 us interrupt entry, a
+// 300 ns forwarding pipeline, and a DDR4-3200 channel.
+const (
 	// PollInterval is the period of the host's polling loop.
-	PollInterval sim.Time
-	// PollCost is the channel-bus occupancy of reading one DIMM's polling
+	PollInterval = 100 * sim.Nanosecond
+	// pollCost is the channel-bus occupancy of reading one DIMM's polling
 	// register (command, burst, bus turnaround).
-	PollCost sim.Time
+	pollCost = 16 * sim.Nanosecond
 	// InterruptLatency is the cost of taking the ALERT_N interrupt and
 	// entering the handler (context switch), before any register reads.
-	InterruptLatency sim.Time
+	InterruptLatency = 1500 * sim.Nanosecond
 	// FwdLatency is the end-to-end pipeline latency of one forwarding
 	// episode through the host CPU (load into the cache hierarchy, decode,
 	// store), from gem5 profiling. The forwarding loop is pipelined: this
 	// latency is paid once per episode, while the forwarding thread is
-	// occupied for FwdCPUPerPacket plus the copy time.
-	FwdLatency sim.Time
-	// FwdCPUPerPacket is the per-episode bookkeeping time on the (single)
+	// occupied for fwdCPUPerPacket plus the copy time.
+	FwdLatency = 300 * sim.Nanosecond
+	// fwdCPUPerPacket is the per-episode bookkeeping time on the (single)
 	// forwarding thread: queue pop, header decode, descriptor update.
-	FwdCPUPerPacket sim.Time
-	// FwdBytesPerSec is the forwarding thread's sustainable copy
+	fwdCPUPerPacket = 50 * sim.Nanosecond
+	// fwdBytesPerSec is the forwarding thread's sustainable copy
 	// throughput: the load-through-cache-then-store path is far slower than
 	// raw channel bandwidth (the paper's Figure 1 measures ~3.14 GB/s P2P
 	// IDC on real UPMEM hardware; 6 GB/s of one-way copy throughput
 	// reproduces that).
-	FwdBytesPerSec float64
+	fwdBytesPerSec = 6e9
 	// ChannelBytesPerSec is the host memory channel bandwidth.
-	ChannelBytesPerSec float64
-}
-
-// DefaultConfig returns the values used throughout the evaluation: a
-// 100 ns busy-polling loop whose per-DIMM register read occupies the bus
-// for 16 ns (32% occupation at 2 DPC, matching Figure 15's Base bar), a
-// 1.5 us interrupt entry, a 300 ns per-packet forwarding cost, and a
-// DDR4-3200 channel.
-func DefaultConfig() Config {
-	return Config{
-		Mode:               BasePolling,
-		PollInterval:       100 * sim.Nanosecond,
-		PollCost:           16 * sim.Nanosecond,
-		InterruptLatency:   1500 * sim.Nanosecond,
-		FwdLatency:         300 * sim.Nanosecond,
-		FwdCPUPerPacket:    50 * sim.Nanosecond,
-		FwdBytesPerSec:     6e9,
-		ChannelBytesPerSec: 25.6e9,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.PollInterval == 0 && !c.Mode.Interrupting() {
-		return fmt.Errorf("host: zero poll interval with periodic mode %v", c.Mode)
-	}
-	if c.ChannelBytesPerSec <= 0 {
-		return fmt.Errorf("host: non-positive channel bandwidth")
-	}
-	return nil
-}
+	ChannelBytesPerSec = 25.6e9
+)
 
 // Host is the host-CPU model. It owns the per-channel memory buses (in NMP
 // mode the host only touches DIMM buffer SRAM over them, so they are
@@ -128,7 +101,7 @@ func (c Config) Validate() error {
 // engine (the paper assumes one polling thread).
 type Host struct {
 	eng      *sim.Engine
-	cfg      Config
+	mode     PollingMode
 	channels []*sim.BusyLine
 	chanOf   []int        // DIMM -> channel index, from geo.ChannelOfDIMM
 	fwd      sim.BusyLine // the host forwarding thread
@@ -144,14 +117,12 @@ type Host struct {
 	coll *metrics.Collector
 }
 
-// New builds a host over the geometry. pollTargets lists the DIMMs the
-// periodic polling loop scans (for proxy modes, one proxy per DL group);
-// it is ignored in interrupt modes.
-func New(eng *sim.Engine, geo mem.Geometry, cfg Config, pollTargets []int) *Host {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	h := &Host{eng: eng, cfg: cfg, channels: make([]*sim.BusyLine, geo.NumChannels)}
+// New builds a host over the geometry that notices forwarding requests in
+// the given polling mode. pollTargets lists the DIMMs the periodic polling
+// loop scans (for proxy modes, one proxy per DL group); it is ignored in
+// interrupt modes.
+func New(eng *sim.Engine, geo mem.Geometry, mode PollingMode, pollTargets []int) *Host {
+	h := &Host{eng: eng, mode: mode, channels: make([]*sim.BusyLine, geo.NumChannels)}
 	for i := range h.channels {
 		h.channels[i] = &sim.BusyLine{}
 	}
@@ -164,8 +135,8 @@ func New(eng *sim.Engine, geo mem.Geometry, cfg Config, pollTargets []int) *Host
 		h.chanOf[d] = geo.ChannelOfDIMM(d)
 	}
 	h.pollTargets = append(h.pollTargets, pollTargets...)
-	if !cfg.Mode.Interrupting() && len(h.pollTargets) > 0 {
-		h.ticker = sim.NewTicker(eng, cfg.PollInterval, h.pollOnce)
+	if !mode.Interrupting() && len(h.pollTargets) > 0 {
+		h.ticker = sim.NewTicker(eng, PollInterval, h.pollOnce)
 	}
 	return h
 }
@@ -177,8 +148,8 @@ func (h *Host) Stop() {
 	}
 }
 
-// Config returns the host configuration.
-func (h *Host) Config() Config { return h.cfg }
+// Mode returns the host's polling mode.
+func (h *Host) Mode() PollingMode { return h.mode }
 
 // SetMetrics attaches an observability collector. Observation is passive:
 // it never reserves bus time, so instrumented runs are timing-identical.
@@ -188,7 +159,7 @@ func (h *Host) SetMetrics(c *metrics.Collector) { h.coll = c }
 func (h *Host) pollOnce(now sim.Time) {
 	for _, dimm := range h.pollTargets {
 		ch := h.chanOf[dimm]
-		h.channels[ch].Reserve(now, h.cfg.PollCost)
+		h.channels[ch].Reserve(now, pollCost)
 		h.polls.Inc()
 	}
 }
@@ -200,15 +171,15 @@ func (h *Host) pollOnce(now sim.Time) {
 // interrupt entry plus a scan of the candidate DIMMs (scanDIMMs — the
 // interrupting channel's DPC for Base+Itrpt, 1 for Proxy+Itrpt).
 func (h *Host) NoticeTime(at sim.Time, dimm int, scanDIMMs int) sim.Time {
-	if h.cfg.Mode.Interrupting() {
+	if h.mode.Interrupting() {
 		if scanDIMMs < 1 {
 			scanDIMMs = 1
 		}
-		t := at + h.cfg.InterruptLatency
+		t := at + InterruptLatency
 		ch := h.chanOf[dimm]
 		var end sim.Time
 		for i := 0; i < scanDIMMs; i++ {
-			_, end = h.channels[ch].Reserve(t, h.cfg.PollCost)
+			_, end = h.channels[ch].Reserve(t, pollCost)
 			h.polls.Inc()
 			t = end
 		}
@@ -217,9 +188,9 @@ func (h *Host) NoticeTime(at sim.Time, dimm int, scanDIMMs int) sim.Time {
 	// Periodic: the request is visible at the first tick strictly after at.
 	// The tick itself reserves bus time via pollOnce; here we add the cost
 	// of reading out the request descriptors.
-	next := (at/h.cfg.PollInterval + 1) * h.cfg.PollInterval
+	next := (at/PollInterval + 1) * PollInterval
 	ch := h.chanOf[dimm]
-	_, end := h.channels[ch].Reserve(next, h.cfg.PollCost)
+	_, end := h.channels[ch].Reserve(next, pollCost)
 	h.polls.Inc()
 	return end
 }
@@ -228,7 +199,7 @@ func (h *Host) NoticeTime(at sim.Time, dimm int, scanDIMMs int) sim.Time {
 // and returns the completion time.
 func (h *Host) transfer(at sim.Time, dimm int, size uint32) sim.Time {
 	ch := h.chanOf[dimm]
-	dur := sim.TransferTime(uint64(size), h.cfg.ChannelBytesPerSec)
+	dur := sim.TransferTime(uint64(size), ChannelBytesPerSec)
 	_, end := h.channels[ch].Reserve(at, dur)
 	h.busBytes.Add(uint64(size))
 	return end
@@ -253,14 +224,14 @@ func (h *Host) WriteTo(at sim.Time, dimm int, size uint32) sim.Time {
 // trails by the fixed pipeline latency. The returned time is when the
 // payload is fully written to dst.
 func (h *Host) Forward(at sim.Time, src, dst int, size uint32) sim.Time {
-	copyTime := sim.TransferTime(uint64(size), h.cfg.FwdBytesPerSec)
-	start, _ := h.fwd.Reserve(at, h.cfg.FwdCPUPerPacket+copyTime)
+	copyTime := sim.TransferTime(uint64(size), fwdBytesPerSec)
+	start, _ := h.fwd.Reserve(at, fwdCPUPerPacket+copyTime)
 	h.ReadFrom(start, src, size)
 	// The store stream trails the load stream by the pipeline latency; the
 	// copy itself runs at the forwarding thread's cache-hierarchy
 	// throughput, not raw channel speed.
-	end := h.WriteTo(start+h.cfg.FwdLatency, dst, size)
-	if slow := start + h.cfg.FwdLatency + copyTime; slow > end {
+	end := h.WriteTo(start+FwdLatency, dst, size)
+	if slow := start + FwdLatency + copyTime; slow > end {
 		end = slow
 	}
 	h.forwards.Inc()
@@ -276,10 +247,10 @@ func (h *Host) Forward(at sim.Time, src, dst int, size uint32) sim.Time {
 // hierarchy to dst (the tail of a one-read, many-write broadcast): a
 // forwarding-thread slot plus the destination channel transfer only.
 func (h *Host) ForwardCached(at sim.Time, dst int, size uint32) sim.Time {
-	copyTime := sim.TransferTime(uint64(size), h.cfg.FwdBytesPerSec)
-	start, _ := h.fwd.Reserve(at, h.cfg.FwdCPUPerPacket+copyTime)
-	end := h.WriteTo(start+h.cfg.FwdCPUPerPacket, dst, size)
-	if slow := start + h.cfg.FwdCPUPerPacket + copyTime; slow > end {
+	copyTime := sim.TransferTime(uint64(size), fwdBytesPerSec)
+	start, _ := h.fwd.Reserve(at, fwdCPUPerPacket+copyTime)
+	end := h.WriteTo(start+fwdCPUPerPacket, dst, size)
+	if slow := start + fwdCPUPerPacket + copyTime; slow > end {
 		end = slow
 	}
 	h.forwards.Inc()
@@ -292,7 +263,7 @@ func (h *Host) ForwardCached(at sim.Time, dst int, size uint32) sim.Time {
 // by the host-baseline memory system and ABC-DIMM's broadcast commands.
 func (h *Host) ChannelAccessStart(at sim.Time, dimm int, size uint32) (start, end sim.Time) {
 	ch := h.chanOf[dimm]
-	dur := sim.TransferTime(uint64(size), h.cfg.ChannelBytesPerSec)
+	dur := sim.TransferTime(uint64(size), ChannelBytesPerSec)
 	h.busBytes.Add(uint64(size))
 	return h.channels[ch].Reserve(at, dur)
 }

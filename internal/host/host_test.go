@@ -36,26 +36,11 @@ func TestPollingModeStrings(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultConfig()
-	bad.PollInterval = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero interval with periodic mode accepted")
-	}
-	bad.Mode = BaseInterrupt
-	if err := bad.Validate(); err != nil {
-		t.Fatalf("interrupt mode should allow zero interval: %v", err)
-	}
-}
-
 func TestBasePollingBusOccupation(t *testing.T) {
 	// 2 DPC, 16 ns poll per DIMM, 100 ns interval -> 32% occupation, the
 	// Figure 15(b) Base bar.
 	eng := sim.NewEngine()
-	h := New(eng, geo16(), DefaultConfig(), allDIMMs(16))
+	h := New(eng, geo16(), BasePolling, allDIMMs(16))
 	eng.RunUntil(1 * sim.Millisecond)
 	occ := h.BusOccupation(eng.Now())
 	if occ < 0.31 || occ > 0.33 {
@@ -67,9 +52,7 @@ func TestProxyPollingBusOccupation(t *testing.T) {
 	// Two proxies (one per group) -> only 2 of 8 channels polled, 16 ns per
 	// 100 ns each: mean occupation = 2/8 * 0.16 = 4%.
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = ProxyPolling
-	h := New(eng, geo16(), cfg, []int{3, 11})
+	h := New(eng, geo16(), ProxyPolling, []int{3, 11})
 	eng.RunUntil(1 * sim.Millisecond)
 	occ := h.BusOccupation(eng.Now())
 	if occ < 0.035 || occ > 0.045 {
@@ -79,9 +62,7 @@ func TestProxyPollingBusOccupation(t *testing.T) {
 
 func TestInterruptModeIdleBusIsFree(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = ProxyInterrupt
-	h := New(eng, geo16(), cfg, nil)
+	h := New(eng, geo16(), ProxyInterrupt, nil)
 	eng.RunUntil(1 * sim.Millisecond)
 	if occ := h.BusOccupation(eng.Now()); occ != 0 {
 		t.Fatalf("interrupt-mode idle occupation = %v, want 0", occ)
@@ -90,12 +71,11 @@ func TestInterruptModeIdleBusIsFree(t *testing.T) {
 
 func TestNoticeTimePeriodic(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	h := New(eng, geo16(), cfg, allDIMMs(16))
+	h := New(eng, geo16(), BasePolling, allDIMMs(16))
 	// A request registered at 250 ns is noticed at the 300 ns tick (plus
 	// the readout cost).
 	n := h.NoticeTime(250*sim.Nanosecond, 0, 1)
-	if n < 300*sim.Nanosecond || n > 300*sim.Nanosecond+2*cfg.PollCost {
+	if n < 300*sim.Nanosecond || n > 300*sim.Nanosecond+2*pollCost {
 		t.Fatalf("notice at %d, want just after 300ns", n)
 	}
 	// A request registered exactly on a tick waits for the next tick.
@@ -107,35 +87,29 @@ func TestNoticeTimePeriodic(t *testing.T) {
 
 func TestNoticeTimeInterrupt(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = BaseInterrupt
-	h := New(eng, geo16(), cfg, nil)
+	h := New(eng, geo16(), BaseInterrupt, nil)
 	// Base+Itrpt scans both DIMMs of the interrupting channel.
 	n := h.NoticeTime(0, 0, 2)
-	want := cfg.InterruptLatency + 2*cfg.PollCost
+	want := InterruptLatency + 2*pollCost
 	if n != want {
 		t.Fatalf("interrupt notice at %d, want %d", n, want)
 	}
 	// Proxy+Itrpt reads a single register.
-	cfgP := DefaultConfig()
-	cfgP.Mode = ProxyInterrupt
-	hp := New(sim.NewEngine(), geo16(), cfgP, nil)
+	hp := New(sim.NewEngine(), geo16(), ProxyInterrupt, nil)
 	np := hp.NoticeTime(0, 3, 1)
-	if np != cfgP.InterruptLatency+cfgP.PollCost {
+	if np != InterruptLatency+pollCost {
 		t.Fatalf("proxy interrupt notice at %d", np)
 	}
 }
 
 func TestForwardOccupiesBothChannels(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = ProxyInterrupt // no background polling noise
-	h := New(eng, geo16(), cfg, nil)
+	h := New(eng, geo16(), ProxyInterrupt, nil) // no background polling noise
 	// DIMM 0 is on channel 0; DIMM 15 on channel 7. The store stream
 	// trails the load stream by the pipeline latency, and the copy runs at
 	// the forwarding thread's cache-hierarchy throughput.
 	done := h.Forward(0, 0, 15, 256)
-	want := cfg.FwdLatency + sim.TransferTime(256, cfg.FwdBytesPerSec)
+	want := FwdLatency + sim.TransferTime(256, fwdBytesPerSec)
 	if done != want {
 		t.Fatalf("forward done at %d, want %d", done, want)
 	}
@@ -149,9 +123,7 @@ func TestForwardOccupiesBothChannels(t *testing.T) {
 
 func TestForwardsSerializeOnHost(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = ProxyInterrupt
-	h := New(eng, geo16(), cfg, nil)
+	h := New(eng, geo16(), ProxyInterrupt, nil)
 	a := h.Forward(0, 0, 15, 4096)
 	b := h.Forward(0, 2, 13, 4096) // different channels, same host thread
 	if b <= a {
@@ -159,18 +131,16 @@ func TestForwardsSerializeOnHost(t *testing.T) {
 	}
 	// The gap reflects pipelined throughput (bookkeeping + copy at the
 	// forwarding thread's rate), not the full pipeline latency per packet.
-	copyTime := sim.TransferTime(4096, cfg.FwdBytesPerSec)
-	if gap := b - a; gap != cfg.FwdCPUPerPacket+copyTime {
-		t.Fatalf("forward gap %d, want %d", gap, cfg.FwdCPUPerPacket+copyTime)
+	copyTime := sim.TransferTime(4096, fwdBytesPerSec)
+	if gap := b - a; gap != fwdCPUPerPacket+copyTime {
+		t.Fatalf("forward gap %d, want %d", gap, fwdCPUPerPacket+copyTime)
 	}
 }
 
 func TestChannelSharingBetweenDIMMs(t *testing.T) {
 	// Two DIMMs on the same channel contend for its bus.
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Mode = ProxyInterrupt
-	h := New(eng, geo16(), cfg, nil)
+	h := New(eng, geo16(), ProxyInterrupt, nil)
 	a := h.ReadFrom(0, 0, 4096)
 	b := h.ReadFrom(0, 1, 4096) // same channel as DIMM 0
 	if b != 2*a {
@@ -184,7 +154,7 @@ func TestChannelSharingBetweenDIMMs(t *testing.T) {
 
 func TestStopHaltsPolling(t *testing.T) {
 	eng := sim.NewEngine()
-	h := New(eng, geo16(), DefaultConfig(), allDIMMs(16))
+	h := New(eng, geo16(), BasePolling, allDIMMs(16))
 	eng.RunUntil(1 * sim.Microsecond)
 	polls := h.Counters.Get("host.polls")
 	h.Stop()

@@ -45,7 +45,7 @@ func (b *ABCDIMM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) 
 	// throughput, not raw channel speed. The channel count divides the
 	// DIMM count (mem.Geometry.Validate), so channel ch's first DIMM is
 	// ch*DIMMsPerChannel.
-	t = chEnd + b.host.Config().FwdLatency
+	t = chEnd + host.FwdLatency
 	srcCh := b.geo.ChannelOfDIMM(srcDIMM)
 	for ch := 0; ch < b.geo.NumChannels; ch++ {
 		if ch == srcCh {

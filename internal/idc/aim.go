@@ -20,7 +20,6 @@ import (
 type AIM struct {
 	geo  mem.Geometry
 	dram []*dram.Module
-	cfg  AIMConfig
 	bus  sim.BusyLine
 	ctrs stats.Counters
 	tx   TxCounters
@@ -28,31 +27,22 @@ type AIM struct {
 	dedBusBytes *stats.Counter
 }
 
-// AIMConfig parameterizes the dedicated bus.
-type AIMConfig struct {
-	BusBytesPerSec float64  // dedicated-bus bandwidth (beta)
-	CmdCost        sim.Time // command/arbitration phase per transaction
-}
-
-// DefaultAIMConfig matches the evaluation: the dedicated bus has memory-
-// channel bandwidth, and each transaction pays a short arbitration phase.
-func DefaultAIMConfig() AIMConfig {
-	return AIMConfig{
-		BusBytesPerSec: 25.6e9,
-		// Arbitration plus driver turnaround: on a multi-drop bus every
-		// transaction switches drivers, and high-frequency multi-drop
-		// signaling needs long turnaround windows — part of why the paper
-		// deems such buses impractical for DDR4/DDR5.
-		CmdCost: 25 * sim.Nanosecond,
-	}
-}
+// The dedicated bus of the evaluation has memory-channel bandwidth, and
+// each transaction pays a short arbitration phase.
+const (
+	// aimBusBytesPerSec is the dedicated-bus bandwidth (beta).
+	aimBusBytesPerSec = 25.6e9
+	// aimCmdCost is the command/arbitration phase per transaction:
+	// arbitration plus driver turnaround. On a multi-drop bus every
+	// transaction switches drivers, and high-frequency multi-drop
+	// signaling needs long turnaround windows — part of why the paper
+	// deems such buses impractical for DDR4/DDR5.
+	aimCmdCost = 25 * sim.Nanosecond
+)
 
 // NewAIM builds the mechanism.
-func NewAIM(geo mem.Geometry, modules []*dram.Module, cfg AIMConfig) *AIM {
-	if cfg.BusBytesPerSec <= 0 {
-		panic("idc: non-positive AIM bus bandwidth")
-	}
-	a := &AIM{geo: geo, dram: modules, cfg: cfg}
+func NewAIM(geo mem.Geometry, modules []*dram.Module) *AIM {
+	a := &AIM{geo: geo, dram: modules}
 	a.tx = NewTxCounters(&a.ctrs)
 	a.dedBusBytes = a.ctrs.Handle(CtrDedBusBytes)
 	return a
@@ -67,7 +57,7 @@ func (a *AIM) Counters() *stats.Counters { return &a.ctrs }
 // busTransfer occupies the dedicated bus for a command phase plus the data
 // transfer, returning the completion time.
 func (a *AIM) busTransfer(at sim.Time, size uint32) sim.Time {
-	dur := a.cfg.CmdCost + sim.TransferTime(uint64(size), a.cfg.BusBytesPerSec)
+	dur := aimCmdCost + sim.TransferTime(uint64(size), aimBusBytesPerSec)
 	_, end := a.bus.Reserve(at, dur)
 	a.dedBusBytes.Add(uint64(size))
 	return end
@@ -110,7 +100,7 @@ func (a *AIM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.
 // on the dedicated bus (no host involvement).
 func (a *AIM) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 	a.tx.Barriers.Inc()
-	return CentralizedBarrier(arrivals, threadDIMM, intraDIMMSyncCost, 0,
+	return CentralizedBarrier(arrivals, threadDIMM, IntraDIMMSyncCost, 0,
 		func(at sim.Time, src, dst int) sim.Time {
 			a.tx.SyncMsgs.Inc()
 			return a.busTransfer(at, syncMsgBytes)

@@ -6,6 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
+// IntraDIMMSyncCost is the per-thread cost of handing a barrier or
+// collective arrival to the DIMM's master core (shared-buffer message
+// passing). Every mechanism, DIMM-Link included, pays the same cost, so
+// barrier comparisons isolate the transport, not the local sync.
+const IntraDIMMSyncCost = 20 * sim.Nanosecond
+
 // CentralizedBarrier implements the synchronization scheme of the paper's
 // baselines (Section V-D: "MCN, AIM, and DIMM-Link-Central all choose a
 // centralized NMP core as the master"): every thread sends its own sync

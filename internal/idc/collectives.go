@@ -68,50 +68,31 @@ func SelectAlgo(mech, topology string) CollAlgo {
 	return AlgoTree
 }
 
-// CollConfig parameterizes the scheduler.
-type CollConfig struct {
-	Algo CollAlgo
-	// ReduceBytesPerSec is the per-DIMM throughput of folding a received
-	// chunk into the local accumulator (NMP-core vector add).
-	ReduceBytesPerSec float64
-	// IntraCost is the thread <-> DIMM-master hand-off paid on entry and
-	// release, matching the barrier model.
-	IntraCost sim.Time
-}
-
-// DefaultCollConfig returns the evaluated parameters: reduction at 10 GB/s
-// (rank-level NMP vector add) and the same intra-DIMM sync cost as
-// barriers.
-func DefaultCollConfig(algo CollAlgo) CollConfig {
-	return CollConfig{
-		Algo:              algo,
-		ReduceBytesPerSec: 10e9,
-		IntraCost:         intraDIMMSyncCost,
-	}
-}
+// reduceBytesPerSec is the per-DIMM throughput of folding a received
+// chunk into the local accumulator: a rank-level NMP-core vector add at
+// 10 GB/s. Threads hand off to and from their DIMM master at
+// IntraDIMMSyncCost on entry and release, matching the barrier model.
+const reduceBytesPerSec = 10e9
 
 // Collectives schedules collective operations over an Interconnect. It is
 // not goroutine-safe; like the Interconnect itself it is serialized by the
 // simulation engine.
 type Collectives struct {
-	ic  Interconnect
-	geo mem.Geometry
-	cfg CollConfig
+	ic   Interconnect
+	geo  mem.Geometry
+	algo CollAlgo
 
 	// Handles into ic.Counters().
 	episodes, steps, payload *stats.Counter
 }
 
-// NewCollectives builds a scheduler over ic.
-func NewCollectives(ic Interconnect, geo mem.Geometry, cfg CollConfig) *Collectives {
-	if !ValidAlgo(string(cfg.Algo)) {
-		panic(fmt.Sprintf("idc: unknown collective algorithm %q", cfg.Algo))
-	}
-	if cfg.ReduceBytesPerSec <= 0 {
-		panic("idc: non-positive collective reduction bandwidth")
+// NewCollectives builds a scheduler over ic that runs algo.
+func NewCollectives(ic Interconnect, geo mem.Geometry, algo CollAlgo) *Collectives {
+	if !ValidAlgo(string(algo)) {
+		panic(fmt.Sprintf("idc: unknown collective algorithm %q", algo))
 	}
 	ctrs := ic.Counters()
-	return &Collectives{ic: ic, geo: geo, cfg: cfg,
+	return &Collectives{ic: ic, geo: geo, algo: algo,
 		episodes: ctrs.Handle(CtrCollectives),
 		steps:    ctrs.Handle(CtrCollSteps),
 		payload:  ctrs.Handle(CtrCollBytes),
@@ -120,7 +101,7 @@ func NewCollectives(ic Interconnect, geo mem.Geometry, cfg CollConfig) *Collecti
 
 // Algo returns the configured schedule (AlgoAuto never; callers resolve
 // auto before constructing the scheduler via SelectAlgo).
-func (c *Collectives) Algo() CollAlgo { return c.cfg.Algo }
+func (c *Collectives) Algo() CollAlgo { return c.algo }
 
 // Run executes op over the calling gang: arrivals[i] is when thread i
 // entered the collective and threadDIMM[i] its home DIMM. bytes is the
@@ -137,7 +118,7 @@ func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM
 	ranks, t := c.rankTimes(arrivals, threadDIMM)
 	n := len(ranks)
 	if n > 1 && bytes > 0 {
-		algo := c.cfg.Algo
+		algo := c.algo
 		if algo == AlgoAuto {
 			algo = SelectAlgo(c.ic.Name(), "")
 		}
@@ -173,7 +154,7 @@ func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM
 			global = ti
 		}
 	}
-	return global + c.cfg.IntraCost
+	return global + IntraDIMMSyncCost
 }
 
 // rankTimes folds the per-thread arrivals into one start time per distinct
@@ -196,7 +177,7 @@ func (c *Collectives) rankTimes(arrivals []sim.Time, threadDIMM []int) ([]int, [
 	sort.Ints(ranks)
 	t := make([]sim.Time, len(ranks))
 	for i, d := range ranks {
-		t[i] = latest[d] + c.cfg.IntraCost
+		t[i] = latest[d] + IntraDIMMSyncCost
 	}
 	return ranks, t
 }
@@ -214,7 +195,7 @@ func (c *Collectives) send(at sim.Time, src, dst int, size uint32) sim.Time {
 // reduceTime is the cost of folding size received bytes into the local
 // accumulator.
 func (c *Collectives) reduceTime(size uint32) sim.Time {
-	return sim.TransferTime(uint64(size), c.cfg.ReduceBytesPerSec)
+	return sim.TransferTime(uint64(size), reduceBytesPerSec)
 }
 
 // chunkOf splits bytes into n per-rank chunks, rounding up.

@@ -45,8 +45,7 @@ func maxArrival(arrivals []sim.Time) sim.Time {
 
 func newMockColl(algo CollAlgo, dimms int) (*Collectives, *mockIC) {
 	ic := &mockIC{lat: 100 * sim.Nanosecond, psPerByte: 40} // 25 GB/s
-	cfg := DefaultCollConfig(algo)
-	return NewCollectives(ic, geoN(dimms, dimms/2), cfg), ic
+	return NewCollectives(ic, geoN(dimms, dimms/2), algo), ic
 }
 
 func uniform(n int, at sim.Time) ([]sim.Time, []int) {
@@ -117,17 +116,16 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 	const n = 4
 	bytes := uint32(4000)
 	c, ic := newMockColl(AlgoRing, n)
-	cfg := c.cfg
 	arrIn := []sim.Time{100, 700, 300, 500}
 	dimmsIn := []int{0, 1, 2, 3}
 	got := c.Run(cores.CollAllReduce, arrIn, dimmsIn, bytes)
 
 	chunk := (bytes + n - 1) / n
 	xfer := ic.lat + sim.Time(uint64(chunk)*ic.psPerByte)
-	reduce := sim.TransferTime(uint64(chunk), cfg.ReduceBytesPerSec)
+	reduce := sim.TransferTime(uint64(chunk), reduceBytesPerSec)
 	t0 := make([]sim.Time, n)
 	for i := range t0 {
-		t0[i] = arrIn[i] + cfg.IntraCost
+		t0[i] = arrIn[i] + IntraDIMMSyncCost
 	}
 	for pass := 0; pass < 2; pass++ {
 		extra := sim.Time(0)
@@ -146,7 +144,7 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 			t0 = next
 		}
 	}
-	want := maxArrival(t0) + cfg.IntraCost
+	want := maxArrival(t0) + IntraDIMMSyncCost
 	if got != want {
 		t.Fatalf("ring allreduce release = %d, brute-force reference = %d", got, want)
 	}
@@ -180,7 +178,7 @@ func TestCollectivesOnRealMechanisms(t *testing.T) {
 	abc, _ := newABC(8, 4)
 	for _, ic := range []Interconnect{mcn, aim, abc} {
 		algo := SelectAlgo(ic.Name(), "")
-		c := NewCollectives(ic, geoN(8, 4), DefaultCollConfig(algo))
+		c := NewCollectives(ic, geoN(8, 4), algo)
 		episodes := uint64(0)
 		for _, op := range []cores.CollectiveOp{cores.CollAllReduce, cores.CollReduceScatter, cores.CollAllGather, cores.CollAllToAll} {
 			arr, dimms := uniform(8, 0)

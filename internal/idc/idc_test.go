@@ -35,7 +35,7 @@ func pollAll(eng *sim.Engine, geo mem.Geometry) *host.Host {
 	for i := range targets {
 		targets[i] = i
 	}
-	return host.New(eng, geo, host.DefaultConfig(), targets)
+	return host.New(eng, geo, host.BasePolling, targets)
 }
 
 func newMCN(dimms, channels int) (*MCN, *sim.Engine) {
@@ -46,7 +46,7 @@ func newMCN(dimms, channels int) (*MCN, *sim.Engine) {
 
 func newAIM(dimms, channels int) *AIM {
 	geo := geoN(dimms, channels)
-	return NewAIM(geo, modules(geo), DefaultAIMConfig())
+	return NewAIM(geo, modules(geo))
 }
 
 func newABC(dimms, channels int) (*ABCDIMM, *sim.Engine) {

@@ -12,10 +12,6 @@ import (
 // descriptor plus a line transfer).
 const syncMsgBytes = 64
 
-// intraDIMMSyncCost matches DIMM-Link's per-level local aggregation cost so
-// that barrier comparisons isolate the transport, not the local sync.
-const intraDIMMSyncCost = 20 * sim.Nanosecond
-
 // MCN models CPU-forwarding IDC (MCN / UPMEM style): DIMMs register
 // requests in memory-mapped registers, the host CPU polls them and copies
 // data between DIMMs through its cache hierarchy (Table I, column 1).
@@ -105,7 +101,7 @@ func (m *MCN) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.
 // DIMM master's message must be polled and copied by the host.
 func (m *MCN) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 	m.tx.Barriers.Inc()
-	return CentralizedBarrier(arrivals, threadDIMM, intraDIMMSyncCost, 0,
+	return CentralizedBarrier(arrivals, threadDIMM, IntraDIMMSyncCost, 0,
 		func(at sim.Time, src, dst int) sim.Time {
 			m.tx.SyncMsgs.Inc()
 			noticed := m.notice(at, src)

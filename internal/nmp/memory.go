@@ -3,9 +3,13 @@ package nmp
 import (
 	"repro/internal/cache"
 	"repro/internal/cores"
+	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// mcLatency is the local memory controller's overhead per access.
+const mcLatency = 10 * sim.Nanosecond
 
 // nmpMemory implements cores.Memory for NMP systems: local accesses go
 // through the core's L1, the DIMM's shared L2 and the local memory
@@ -56,7 +60,7 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 
 	if !cacheable {
 		// Streaming or shared read-write data: straight through the local MC.
-		return m.sys.Modules[home].Access(at+cfg.MCLatency, addr, size, write), false
+		return m.sys.Modules[home].Access(at+mcLatency, addr, size, write), false
 	}
 	l1 := m.l1[coreID]
 	if r := l1.Access(addr, write); r.Hit {
@@ -71,7 +75,7 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	} else if r.WriteBack {
 		m.sys.Modules[home].Access(t, r.WriteBackAddr, uint32(cfg.Geo.LineBytes), true)
 	}
-	t += l2.HitLatency() + cfg.MCLatency
+	t += l2.HitLatency() + mcLatency
 	// Fill the line from local DRAM (the whole line, not just size bytes).
 	return m.sys.Modules[home].Access(t, cfg.Geo.LineAddr(addr), uint32(cfg.Geo.LineBytes), write), false
 }
@@ -170,6 +174,10 @@ func sumCacheStats(cs []*cache.Cache) cache.Stats {
 	return total
 }
 
+// hostBarrierLat is the host baseline's shared-memory barrier (and fence)
+// latency.
+const hostBarrierLat = 100 * sim.Nanosecond
+
 // hostMemory implements cores.Memory for the 16-core host baseline: per-
 // core L1s, a shared LLC, and DRAM behind the shared memory-channel buses.
 // Nothing is an IDC access — the host reaches all DIMMs uniformly, paying
@@ -253,7 +261,7 @@ func (m *hostMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, 
 // Broadcast implements cores.Memory: on the host every core already sees
 // all memory, so a broadcast is just a barrier-strength fence.
 func (m *hostMemory) Broadcast(at sim.Time, coreID int, addr uint64, size uint32) sim.Time {
-	return at + m.sys.Cfg.HostBarrierLat
+	return at + hostBarrierLat
 }
 
 // Barrier implements cores.Memory with a shared-memory barrier.
@@ -264,7 +272,7 @@ func (m *hostMemory) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 			max = a
 		}
 	}
-	return max + m.sys.Cfg.HostBarrierLat
+	return max + hostBarrierLat
 }
 
 // Collective implements cores.Memory for the host baseline: all ranks
@@ -278,7 +286,6 @@ func (m *hostMemory) Collective(op cores.CollectiveOp, arrivals []sim.Time, thre
 			max = a
 		}
 	}
-	cfg := m.sys.Cfg
-	bw := cfg.Host.ChannelBytesPerSec * float64(cfg.Geo.NumChannels)
-	return max + cfg.HostBarrierLat + sim.TransferTime(uint64(bytes), bw) + cfg.HostBarrierLat
+	bw := host.ChannelBytesPerSec * float64(m.sys.Cfg.Geo.NumChannels)
+	return max + hostBarrierLat + sim.TransferTime(uint64(bytes), bw) + hostBarrierLat
 }

@@ -51,20 +51,17 @@ type Config struct {
 	CoresPerDIMM int
 	L1           cache.Config
 	L2           cache.Config // shared per DIMM
-	MCLatency    sim.Time     // local memory controller overhead per access
 
-	// Host side (polling/forwarding for NMP systems; the compute cores of
-	// the host baseline).
-	Host           host.Config
-	HostCores      int
-	HostCore       cores.Config
-	HostL1         cache.Config
-	HostLLC        cache.Config // shared
-	HostBarrierLat sim.Time
+	// Host side: the polling mode the host notices forwarding requests in
+	// on NMP systems, and the compute cores of the host baseline.
+	Host      host.PollingMode
+	HostCores int
+	HostCore  cores.Config
+	HostL1    cache.Config
+	HostLLC   cache.Config // shared
 
-	// Mechanism-specific knobs.
-	DL  core.Config
-	AIM idc.AIMConfig
+	// DL configures the DIMM-Link mechanism.
+	DL core.Config
 
 	// CollAlgo overrides the collective schedule (ring / hd / tree) for
 	// NMP systems; AlgoAuto (the default) selects per mechanism and DL
@@ -93,27 +90,24 @@ func DefaultConfig(dimms, channels int, mech Mechanism) Config {
 		RowBytes:     8192,
 		LineBytes:    64,
 	}
-	hostCfg := host.DefaultConfig()
+	mode := host.BasePolling
 	if mech == MechDIMMLink {
-		hostCfg.Mode = host.ProxyPolling
+		mode = host.ProxyPolling
 	}
 	return Config{
-		Geo:            geo,
-		DRAM:           dram.DDR4_3200(),
-		Mech:           mech,
-		NMPCore:        cores.Config{ClockHz: 2.5e9, Window: 8, IssueCycles: 1},
-		CoresPerDIMM:   4,
-		L1:             cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, HitLatency: 1200},
-		L2:             cache.Config{SizeBytes: 128 << 10, LineBytes: 64, Ways: 8, HitLatency: 4 * sim.Nanosecond},
-		MCLatency:      10 * sim.Nanosecond,
-		Host:           hostCfg,
-		HostCores:      16,
-		HostCore:       cores.Config{ClockHz: 2.4e9, Window: 16, IssueCycles: 1},
-		HostL1:         cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1200},
-		HostLLC:        cache.Config{SizeBytes: 8 << 20, LineBytes: 64, Ways: 16, HitLatency: 12 * sim.Nanosecond},
-		HostBarrierLat: 100 * sim.Nanosecond,
-		DL:             core.DefaultConfig(core.GroupsFor(dimms)),
-		AIM:            idc.DefaultAIMConfig(),
+		Geo:          geo,
+		DRAM:         dram.DDR4_3200(),
+		Mech:         mech,
+		NMPCore:      cores.Config{ClockHz: 2.5e9, Window: 8, IssueCycles: 1},
+		CoresPerDIMM: 4,
+		L1:           cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, HitLatency: 1200},
+		L2:           cache.Config{SizeBytes: 128 << 10, LineBytes: 64, Ways: 8, HitLatency: 4 * sim.Nanosecond},
+		Host:         mode,
+		HostCores:    16,
+		HostCore:     cores.Config{ClockHz: 2.4e9, Window: 16, IssueCycles: 1},
+		HostL1:       cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1200},
+		HostLLC:      cache.Config{SizeBytes: 8 << 20, LineBytes: 64, Ways: 16, HitLatency: 12 * sim.Nanosecond},
+		DL:           core.DefaultConfig(core.GroupsFor(dimms)),
 	}
 }
 
@@ -169,7 +163,7 @@ func NewSystem(cfg Config) (*System, error) {
 	var pollTargets []int
 	switch cfg.Mech {
 	case MechDIMMLink:
-		pollTargets = core.PollTargets(cfg.Geo.NumDIMMs, cfg.Host.Mode, cfg.DL)
+		pollTargets = core.PollTargets(cfg.Geo.NumDIMMs, cfg.Host, cfg.DL)
 	case MechMCN, MechABCDIMM:
 		pollTargets = make([]int, cfg.Geo.NumDIMMs)
 		for i := range pollTargets {
@@ -179,7 +173,7 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("nmp: unknown mechanism %q", cfg.Mech)
 	}
-	if m := cfg.Host.Mode; (m == host.ProxyPolling || m == host.ProxyInterrupt) && cfg.Mech != MechDIMMLink {
+	if m := cfg.Host; (m == host.ProxyPolling || m == host.ProxyInterrupt) && cfg.Mech != MechDIMMLink {
 		return nil, fmt.Errorf("nmp: polling mode %v needs polling proxies, which only %s has, not %s", m, MechDIMMLink, cfg.Mech)
 	}
 	if cfg.Mech != MechAIM {
@@ -199,7 +193,7 @@ func NewSystem(cfg Config) (*System, error) {
 	case MechMCN:
 		s.IC = idc.NewMCN(cfg.Geo, modules, s.hostModel)
 	case MechAIM:
-		s.IC = idc.NewAIM(cfg.Geo, modules, cfg.AIM)
+		s.IC = idc.NewAIM(cfg.Geo, modules)
 	case MechABCDIMM:
 		s.IC = idc.NewABCDIMM(cfg.Geo, modules, s.hostModel)
 	}
@@ -211,7 +205,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if algo == idc.AlgoAuto {
 			algo = idc.SelectAlgo(string(cfg.Mech), string(cfg.DL.Topology))
 		}
-		s.Coll = idc.NewCollectives(s.IC, cfg.Geo, idc.DefaultCollConfig(algo))
+		s.Coll = idc.NewCollectives(s.IC, cfg.Geo, algo)
 		s.Traffic = metrics.NewTraffic(cfg.Geo.NumDIMMs)
 		s.nmpMem = newNMPMemory(s)
 		s.memory = s.nmpMem

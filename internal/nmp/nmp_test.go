@@ -54,7 +54,7 @@ func TestProxyPollingNeedsProxies(t *testing.T) {
 	for _, mech := range []Mechanism{MechDIMMLink, MechMCN, MechAIM, MechABCDIMM, MechHostCPU} {
 		for _, mode := range []host.PollingMode{host.BasePolling, host.BaseInterrupt, host.ProxyPolling, host.ProxyInterrupt} {
 			cfg := DefaultConfig(8, 4, mech)
-			cfg.Host.Mode = mode
+			cfg.Host = mode
 			_, err := NewSystem(cfg)
 			proxy := mode == host.ProxyPolling || mode == host.ProxyInterrupt
 			switch {

@@ -9,24 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
+// FlitBytes is the link flit size: the DL protocol uses 128-bit flits, and
+// a packet serializes as whole flits.
+const FlitBytes = 16
+
 // LinkConfig describes the physical links of the network. The defaults the
 // paper uses are GRS SerDes at 25 GB/s per bidirectional link (Table II).
 type LinkConfig struct {
 	BytesPerSec   float64  // per-direction link bandwidth
 	WireLatency   sim.Time // propagation delay per hop
 	RouterLatency sim.Time // router pipeline per hop
-	FlitBytes     int      // flit size (the DL protocol uses 128-bit flits)
 	Credits       int      // flit buffer depth per link (flow control window)
 }
 
 // GRSLink returns the paper's default link configuration: 25 GB/s GRS,
-// 128-bit flits, a short PCB trace and a 2-cycle router at 2.5 GHz.
+// a short PCB trace and a 2-cycle router at 2.5 GHz.
 func GRSLink() LinkConfig {
 	return LinkConfig{
 		BytesPerSec:   25e9,
 		WireLatency:   1 * sim.Nanosecond,
 		RouterLatency: 800, // 2 cycles at 2.5 GHz
-		FlitBytes:     16,
 		Credits:       64,
 	}
 }
@@ -35,9 +37,6 @@ func GRSLink() LinkConfig {
 func (c LinkConfig) Validate() error {
 	if c.BytesPerSec <= 0 {
 		return fmt.Errorf("noc: non-positive link bandwidth")
-	}
-	if c.FlitBytes <= 0 {
-		return fmt.Errorf("noc: non-positive flit size")
 	}
 	if c.Credits <= 0 {
 		return fmt.Errorf("noc: non-positive credit count")
@@ -161,11 +160,11 @@ func (n *Network) link(u, v int) (*link, error) {
 // serTime returns the serialization time of a packet of size bytes (rounded
 // up to whole flits) on one link.
 func (n *Network) serTime(size int) sim.Time {
-	flits := (size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
+	flits := (size + FlitBytes - 1) / FlitBytes
 	if flits == 0 {
 		flits = 1
 	}
-	return sim.TransferTime(uint64(flits*n.cfg.FlitBytes), n.cfg.BytesPerSec)
+	return sim.TransferTime(uint64(flits*FlitBytes), n.cfg.BytesPerSec)
 }
 
 // SetFaults attaches a fault injector to the network. gid maps each

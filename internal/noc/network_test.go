@@ -12,7 +12,6 @@ func testLink() LinkConfig {
 		BytesPerSec:   25e9,
 		WireLatency:   1000,
 		RouterLatency: 800,
-		FlitBytes:     16,
 		Credits:       64,
 	}
 }
@@ -223,7 +222,7 @@ func TestGRSLinkDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BytesPerSec != 25e9 || cfg.FlitBytes != 16 {
+	if cfg.BytesPerSec != 25e9 || FlitBytes != 16 {
 		t.Fatalf("GRS defaults %+v", cfg)
 	}
 }

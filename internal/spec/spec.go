@@ -412,7 +412,7 @@ func (s Spec) Config() (nmp.Config, error) {
 		if err != nil {
 			return nmp.Config{}, err
 		}
-		cfg.Host.Mode = mode
+		cfg.Host = mode
 	}
 	cfg.CollAlgo = idc.CollAlgo(n.Coll)
 	return cfg, nil
