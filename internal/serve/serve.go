@@ -170,25 +170,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Disk read-through, outside the lock (file I/O must not block
-	// submissions). A valid entry becomes a synthetic done job and is
-	// promoted into the LRU; a corrupt entry was already evicted by the
+	// submissions). A valid entry is promoted into the LRU and becomes a
+	// synthetic done job; a corrupt entry was already evicted by the
 	// store and falls through to a fresh computation.
-	if s.cfg.Store != nil {
-		if text, js, err := s.cfg.Store.Get(hash); err == nil {
-			s.count("store.hits")
-			s.mu.Lock()
-			res, ok := s.cache.get(hash) // lost a race with a concurrent insert?
-			if !ok {
-				res = &Result{Text: text, JSON: js}
-				if ev := s.cache.put(hash, res); ev > 0 {
-					s.evictionsLocked(ev)
-				}
-			}
-			st := s.cachedJobLocked(n, hash, res)
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
+	if res, ok := s.LookupResult(hash); ok {
+		s.mu.Lock()
+		st := s.cachedJobLocked(n, hash, res)
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, st)
+		return
 	}
 
 	// Second pass: re-check under the lock (another request may have
