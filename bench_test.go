@@ -41,7 +41,7 @@ func runExperiment(b *testing.B, id string) {
 //
 // The ratio of the two times is the end-to-end speedup of `-jobs N` on this
 // machine; the rendered output is byte-identical either way (see
-// TestParallelSerialEquivalence and internal/exp's determinism test).
+// internal/exp's TestDeterministicAggregation).
 func benchmarkAllExperiments(b *testing.B, jobs int) {
 	opts := exp.Options{Quick: true, Seed: 42}
 	opts.Jobs = jobs

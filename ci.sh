@@ -29,6 +29,9 @@ go test -race -short ./...
 echo "== go test -run Fuzz ./internal/core/ (fuzz seed corpus)"
 go test -run Fuzz ./internal/core/
 
+echo "== go test -run Fuzz ./internal/fault/ (fault plan -> String -> ParsePlan round trip)"
+go test -run Fuzz ./internal/fault/
+
 echo "== go test -run Fuzz ./internal/ingest/ (trace decoder fuzz seed corpus)"
 go test -run Fuzz ./internal/ingest/
 

@@ -30,10 +30,6 @@ type Controller struct {
 	tags    *sim.Pool
 	dataBuf *byteBuffer
 	pktBuf  *byteBuffer
-
-	// PendingFwd counts forwarding requests registered in the Polling Regs
-	// and not yet picked up (exposed for the host's polling checker).
-	PendingFwd int
 }
 
 // NewController builds the controller for one DIMM.

@@ -149,7 +149,6 @@ func (s *arrivalScratch) zeroed(n int) []sim.Time {
 
 // Link is the DIMM-Link interconnect. It implements idc.Interconnect.
 type Link struct {
-	eng  *sim.Engine
 	geo  mem.Geometry
 	cfg  Config
 	dram []*dram.Module
@@ -228,7 +227,7 @@ func PollTargets(numDIMMs int, mode host.PollingMode, cfg Config) []int {
 // host-forwarded traffic goes through h. It rejects a DIMM count the
 // groups or the packet format cannot hold, and a fault event on a DIMM
 // pair that is not a link of the built topology.
-func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config) (*Link, error) {
+func NewLink(geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config) (*Link, error) {
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = GroupsFor(geo.NumDIMMs)
 	}
@@ -239,7 +238,6 @@ func NewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, h *host.
 		return nil, fmt.Errorf("core: %d DIMMs exceed the %d-DIMM SRC/DST field", geo.NumDIMMs, MaxDIMMs)
 	}
 	l := &Link{
-		eng:     eng,
 		geo:     geo,
 		cfg:     cfg,
 		dram:    modules,

@@ -62,11 +62,9 @@ const (
 
 // dllChan is the sender-side DLL state of one directed link.
 type dllChan struct {
-	replay  *byteBuffer
-	ackAt   []sim.Time // ring over the sequence window: when each slot's ACK returned
-	wIdx    int
-	nextSeq uint16 // next sequence number to assign (wraps; window << 2^16)
-	retired uint16 // highest in-order retired sequence
+	replay *byteBuffer
+	ackAt  []sim.Time // ring over the sequence window: when each slot's ACK returned
+	wIdx   int
 }
 
 // dll returns (building on first use) the DLL channel for local link u->v.
@@ -157,8 +155,6 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 	// that wraps around to this slot waits for it.
 	ch.ackAt[ch.wIdx] = ackReturn
 	ch.wIdx = (ch.wIdx + 1) % len(ch.ackAt)
-	ch.nextSeq++
-	ch.retired = ch.nextSeq
 	return arrive, true
 }
 

@@ -19,7 +19,7 @@ func testHost(eng *sim.Engine, geo mem.Geometry, mode host.PollingMode, cfg Conf
 
 // mustNewLink is NewLink for configurations a test knows to be valid.
 func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, mode host.PollingMode, cfg Config) *Link {
-	l, err := NewLink(eng, geo, modules, testHost(eng, geo, mode, cfg), cfg)
+	l, err := NewLink(geo, modules, testHost(eng, geo, mode, cfg), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func TestFaultOnMissingLinkRejected(t *testing.T) {
 		cfg.Topology = topo
 		cfg.Fault = plan
 		eng := sim.NewEngine()
-		_, err = NewLink(eng, geo, testModules(geo), testHost(eng, geo, host.BasePolling, cfg), cfg)
+		_, err = NewLink(geo, testModules(geo), testHost(eng, geo, host.BasePolling, cfg), cfg)
 		return err
 	}
 	for _, tc := range []struct {

@@ -197,8 +197,9 @@ func Decode(buf []byte) (*Packet, uint32, error) {
 	return p, dll, nil
 }
 
-// NumChunks returns len(SplitPayload(size)) without building the slice:
-// the number of DL packets a transfer of size bytes occupies.
+// NumChunks returns the number of DL packets a transfer of size bytes
+// occupies: one per MaxPayload bytes or part of it, and a single
+// header-only packet for a zero size.
 func NumChunks(size uint32) int {
 	if size == 0 {
 		return 1
@@ -206,32 +207,12 @@ func NumChunks(size uint32) int {
 	return int((size + MaxPayload - 1) / MaxPayload)
 }
 
-// ChunkAt returns SplitPayload(size)[i] without building the slice. i must
-// be in [0, NumChunks(size)): every chunk is MaxPayload except a final
-// remainder.
+// ChunkAt returns the payload size of packet i of a transfer of size bytes.
+// i must be in [0, NumChunks(size)): every chunk is MaxPayload except a
+// final remainder.
 func ChunkAt(size uint32, i int) uint32 {
 	if rem := size - uint32(i)*MaxPayload; rem < MaxPayload {
 		return rem
 	}
 	return MaxPayload
-}
-
-// SplitPayload chops size bytes into MaxPayload-sized packet payloads and
-// returns each chunk's size. A zero size yields a single zero-length chunk
-// (a header-only packet). Hot paths iterate chunks arithmetically with
-// NumChunks/ChunkAt instead of allocating this slice per transfer.
-func SplitPayload(size uint32) []uint32 {
-	if size == 0 {
-		return []uint32{0}
-	}
-	var chunks []uint32
-	for size > 0 {
-		c := uint32(MaxPayload)
-		if size < c {
-			c = size
-		}
-		chunks = append(chunks, c)
-		size -= c
-	}
-	return chunks
 }

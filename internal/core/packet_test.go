@@ -159,19 +159,20 @@ func TestSplitPayload(t *testing.T) {
 		{1024, []uint32{256, 256, 256, 256}},
 	}
 	for _, c := range cases {
-		got := SplitPayload(c.size)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitPayload(%d) = %v", c.size, got)
+		n := NumChunks(c.size)
+		if n != len(c.want) {
+			t.Fatalf("NumChunks(%d) = %d, want %d", c.size, n, len(c.want))
 		}
 		var sum uint32
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("SplitPayload(%d) = %v, want %v", c.size, got, c.want)
+		for i := 0; i < n; i++ {
+			got := ChunkAt(c.size, i)
+			if got != c.want[i] {
+				t.Fatalf("ChunkAt(%d, %d) = %d, want %d", c.size, i, got, c.want[i])
 			}
-			sum += got[i]
+			sum += got
 		}
-		if c.size > 0 && sum != c.size {
-			t.Fatalf("SplitPayload(%d) sums to %d", c.size, sum)
+		if sum != c.size {
+			t.Fatalf("chunks of %d sum to %d", c.size, sum)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package energy
 
 import (
 	"repro/internal/dram"
+	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -76,10 +77,10 @@ func Compute(p Params, in Inputs) Breakdown {
 		b.IDC += linkBits*p.LinkPJPerBit*1e-12 + dedBits*p.BusIOPJPerBit*1e-12
 	}
 	if in.Host != nil {
-		busBits := float64(in.Host.Get("hostbus.bytes")) * 8
+		busBits := float64(in.Host.Get(host.CtrBusBytes)) * 8
 		b.IDC += busBits * p.BusIOPJPerBit * 1e-12
-		b.IDC += float64(in.Host.Get("host.forwards")) * p.HostFwdNJ * 1e-9
-		b.IDC += float64(in.Host.Get("host.polls")) * p.HostPollNJ * 1e-9
+		b.IDC += float64(in.Host.Get(host.CtrForwards)) * p.HostFwdNJ * 1e-9
+		b.IDC += float64(in.Host.Get(host.CtrPolls)) * p.HostPollNJ * 1e-9
 	}
 
 	if in.IsHostRun {

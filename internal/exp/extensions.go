@@ -2,6 +2,7 @@ package exp
 
 import (
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/nmp"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -42,7 +43,7 @@ func runExtDisagg(o Options) []*stats.Table {
 		if i%2 == 0 {
 			out := execute(o, w, nmp.MechDIMMLink, cfg, nil, nil, false)
 			return disaggOut{name: w.Name(), makespan: out.res.Makespan,
-				counter: out.sys.Host().Counters.Get("host.forwards")}
+				counter: out.sys.Host().Counters.Get(host.CtrForwards)}
 		}
 		out := execute(o, w, nmp.MechDIMMLink, cfg,
 			func(c *nmp.Config) { c.DL.InterGroup = core.ViaCXL }, nil, false)

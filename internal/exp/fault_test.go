@@ -45,7 +45,8 @@ func TestFaultGridJobsDeterminism(t *testing.T) {
 		o := Options{Quick: true, Seed: 42}
 		o.Jobs = jobs
 		var buf bytes.Buffer
-		resilienceScenarios(o).Render(&buf)
+		main, _ := resilienceScenarioTables(o)
+		main.Render(&buf)
 		return buf.Bytes()
 	}
 	serial1 := render(1)

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"repro/internal/idc"
+	"repro/internal/host"
 	"repro/internal/nmp"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -158,7 +158,7 @@ func runFig11(o Options) []*stats.Table {
 			name:   w.Name(),
 			local:  float64(opt.sys.Ctrs.Get("bytes.local")),
 			remote: float64(opt.sys.Ctrs.Get("bytes.remote")),
-			fwd:    float64(opt.sys.Host().Counters.Get(idc.CtrFwdedBytes)),
+			fwd:    float64(opt.sys.Host().Counters.Get(host.CtrFwdedBytes)),
 		}
 	})
 

@@ -47,8 +47,8 @@ func TestLatencyJobsDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency determinism grid skipped in -short mode")
 	}
-	serial := renderRegistry(t, []string{"latency"}, 1)
-	parallel := renderRegistry(t, []string{"latency"}, 4)
+	serial := renderRegistry(t, "latency", 1)
+	parallel := renderRegistry(t, "latency", 4)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("jobs=1 and jobs=4 rendered different latency tables:\n%s\n---\n%s", serial, parallel)
 	}

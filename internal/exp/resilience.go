@@ -92,14 +92,6 @@ func runResilience(o Options) []*stats.Table {
 	}
 }
 
-// resilienceScenarios exercises every fault kind on one chain P2P
-// transfer (kept as a standalone entry point for the determinism tests;
-// it discards the companion tail-latency table).
-func resilienceScenarios(o Options) *stats.Table {
-	main, _ := resilienceScenarioTables(o)
-	return main
-}
-
 // resilienceScenarioTables runs every fault kind on one chain P2P
 // transfer: DIMM 0 streams through the 4-DIMM chain group to DIMM 3, so
 // every crossing traverses links 0-1, 1-2, 2-3 and a mid-chain fault is

@@ -243,10 +243,13 @@ func parseEvent(kind, val string) (Event, error) {
 }
 
 // parseTime parses a simulated-time literal with an optional ns/us/ms/s
-// suffix; bare numbers are nanoseconds.
-func parseTime(s string) (sim.Time, error) {
-	s = strings.TrimSpace(s)
-	unit := sim.Nanosecond
+// suffix; bare numbers are nanoseconds. The value is rounded to the
+// simulator's picosecond tick and must then be a whole number of ns:
+// Plan.String renders times in ns, so a finer time would not survive the
+// round trip (a 0.1 ns stall would print as a zero-length one).
+func parseTime(lit string) (sim.Time, error) {
+	lit = strings.TrimSpace(lit)
+	s, unit := lit, sim.Nanosecond
 	switch {
 	case strings.HasSuffix(s, "ns"):
 		s = strings.TrimSuffix(s, "ns")
@@ -258,8 +261,12 @@ func parseTime(s string) (sim.Time, error) {
 		s, unit = strings.TrimSuffix(s, "s"), sim.Second
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
+	ps := math.Round(v * float64(unit))
+	if err != nil || v < 0 || !(ps < 1<<64) {
 		return 0, fmt.Errorf("bad time %q", s)
 	}
-	return sim.Time(v * float64(unit)), nil
+	if math.Mod(ps, float64(sim.Nanosecond)) != 0 {
+		return 0, fmt.Errorf("time %q is not a whole number of ns", lit)
+	}
+	return sim.Time(ps), nil
 }

@@ -53,6 +53,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"flood=0-1@0",       // unknown clause
 		"ber",               // not key=value
 		"down=a-b@1ms",      // non-integer ids
+		"stall=0-1@0+.1",    // sub-ns duration
+		"down=0-1@1.5ns",    // sub-ns time
+		"down=0-1@inf",      // time out of range
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec, 1); err == nil {

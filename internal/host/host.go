@@ -95,12 +95,20 @@ const (
 	ChannelBytesPerSec = 25.6e9
 )
 
+// Names of the host's activity counters, read by the energy model and the
+// experiment reports.
+const (
+	CtrPolls      = "host.polls"    // polling register reads issued by the host
+	CtrBusBytes   = "hostbus.bytes" // bytes moved over host memory channels
+	CtrForwards   = "host.forwards" // packets forwarded by the host CPU
+	CtrFwdedBytes = "fwd.bytes"     // bytes that crossed the host on behalf of IDC
+)
+
 // Host is the host-CPU model. It owns the per-channel memory buses (in NMP
 // mode the host only touches DIMM buffer SRAM over them, so they are
 // independent of the DIMM-internal rank buses) and a single forwarding
 // engine (the paper assumes one polling thread).
 type Host struct {
-	eng      *sim.Engine
 	mode     PollingMode
 	channels []*sim.BusyLine
 	chanOf   []int        // DIMM -> channel index, from geo.ChannelOfDIMM
@@ -122,14 +130,14 @@ type Host struct {
 // loop scans (for proxy modes, one proxy per DL group); it is ignored in
 // interrupt modes.
 func New(eng *sim.Engine, geo mem.Geometry, mode PollingMode, pollTargets []int) *Host {
-	h := &Host{eng: eng, mode: mode, channels: make([]*sim.BusyLine, geo.NumChannels)}
+	h := &Host{mode: mode, channels: make([]*sim.BusyLine, geo.NumChannels)}
 	for i := range h.channels {
 		h.channels[i] = &sim.BusyLine{}
 	}
-	h.polls = h.Counters.Handle("host.polls")
-	h.busBytes = h.Counters.Handle("hostbus.bytes")
-	h.forwards = h.Counters.Handle("host.forwards")
-	h.fwdBytes = h.Counters.Handle("fwd.bytes")
+	h.polls = h.Counters.Handle(CtrPolls)
+	h.busBytes = h.Counters.Handle(CtrBusBytes)
+	h.forwards = h.Counters.Handle(CtrForwards)
+	h.fwdBytes = h.Counters.Handle(CtrFwdedBytes)
 	h.chanOf = make([]int, geo.NumDIMMs)
 	for d := range h.chanOf {
 		h.chanOf[d] = geo.ChannelOfDIMM(d)

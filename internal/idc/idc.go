@@ -56,10 +56,7 @@ type Interconnect interface {
 // the experiment reports.
 const (
 	CtrLinkBytes    = "link.bytes"      // bytes traversing SerDes links (per hop)
-	CtrBusBytes     = "hostbus.bytes"   // bytes moved over host memory channels
 	CtrDedBusBytes  = "dedbus.bytes"    // bytes on AIM's dedicated bus
-	CtrForwards     = "host.forwards"   // packets forwarded by the host CPU
-	CtrPolls        = "host.polls"      // polling register reads issued by the host
 	CtrPackets      = "packets"         // IDC packets injected
 	CtrRemoteReads  = "remote.reads"    // remote read transactions
 	CtrRemoteWrites = "remote.writes"   // remote write transactions
@@ -67,7 +64,6 @@ const (
 	CtrBarriers     = "barriers"        // barrier episodes
 	CtrSyncMsgs     = "sync.messages"   // synchronization messages exchanged
 	CtrRetries      = "link.retries"    // DLL-layer retransmissions
-	CtrFwdedBytes   = "fwd.bytes"       // bytes that crossed the host on behalf of IDC
 	CtrBcastXfers   = "bcast.transfers" // transport transactions carrying a broadcast payload
 
 	// DIMM-Link-specific transport counters (internal/core uses the same

@@ -185,7 +185,7 @@ func NewSystem(cfg Config) (*System, error) {
 	case MechDIMMLink:
 		dl := cfg.DL
 		dl.Metrics = cfg.Metrics
-		l, err := core.NewLink(eng, cfg.Geo, modules, s.hostModel, dl)
+		l, err := core.NewLink(cfg.Geo, modules, s.hostModel, dl)
 		if err != nil {
 			return nil, err
 		}

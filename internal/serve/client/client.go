@@ -269,23 +269,9 @@ func terminal(s serve.JobState) bool {
 // the server draining right after the job finishes — and the per-attempt
 // timeout is suspended (the caller's ctx is the only bound).
 func (c *Client) Result(ctx context.Context, id string, wait bool) ([]byte, error) {
-	return c.resultBody(ctx, id, "", wait)
-}
-
-// ResultJSON fetches the structured result body.
-func (c *Client) ResultJSON(ctx context.Context, id string, wait bool) ([]byte, error) {
-	return c.resultBody(ctx, id, "json", wait)
-}
-
-func (c *Client) resultBody(ctx context.Context, id, format string, wait bool) ([]byte, error) {
 	path := "/v1/jobs/" + id + "/result"
-	sep := "?"
-	if format != "" {
-		path += sep + "format=" + format
-		sep = "&"
-	}
 	if wait {
-		path += sep + "wait=1"
+		path += "?wait=1"
 	}
 	status, b, err := c.roundTrip(ctx, http.MethodGet, path, nil, !wait)
 	if err != nil {
@@ -337,13 +323,6 @@ func (c *Client) UploadTrace(ctx context.Context, body io.Reader) (serve.TraceIn
 		return info, &apiError{Code: resp.StatusCode, Body: string(b)}
 	}
 	return info, json.Unmarshal(b, &info)
-}
-
-// Cancel requests cancellation of a queued or running job.
-func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error) {
-	var st serve.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
-	return st, err
 }
 
 // Health fetches /healthz.

@@ -282,34 +282,14 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs int, traces *store.B
 		if err != nil {
 			return nil, fmt.Errorf("serve: trace %s: %w", n.Trace[:12], err)
 		}
-		run, err := n.ReplayTrace(td, spec.SimHooks{Metrics: coll})
-		if err != nil {
-			return nil, err
-		}
-		var text bytes.Buffer
-		run.Report(&text)
-		js, err := run.JSON()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Text: text.Bytes(), JSON: js}, nil
+		return simResult(n.ReplayTrace(td, spec.SimHooks{Metrics: coll}))
 	case spec.KindSim:
 		// One simulation is a single indivisible job: honor cancellation
 		// that arrives before the run starts.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		run, err := n.RunSim(spec.SimHooks{Metrics: coll})
-		if err != nil {
-			return nil, err
-		}
-		var text bytes.Buffer
-		run.Report(&text)
-		js, err := run.JSON()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Text: text.Bytes(), JSON: js}, nil
+		return simResult(n.RunSim(spec.SimHooks{Metrics: coll}))
 	case spec.KindExp:
 		results, err := n.RunExp(ctx, spec.ExpHooks{Jobs: expJobs}, progress)
 		if err != nil {
@@ -324,6 +304,21 @@ func executeSpec(ctx context.Context, sp spec.Spec, expJobs int, traces *store.B
 		return &Result{Text: text.Bytes(), JSON: js}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown spec kind %q", n.Kind)
+}
+
+// simResult renders a finished simulation or trace replay as a job
+// result: the report text and its JSON body.
+func simResult(run *spec.SimRun, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	var text bytes.Buffer
+	run.Report(&text)
+	js, err := run.JSON()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Text: text.Bytes(), JSON: js}, nil
 }
 
 // handleMetrics renders the service counters, the job-latency histograms

@@ -185,24 +185,3 @@ func (b *BFS) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelRes
 	}
 	return res, hashUint32s(level), nil
 }
-
-// ReferenceBFS computes BFS levels sequentially, for test verification.
-func ReferenceBFS(g *CSR, source int32) []int32 {
-	level := make([]int32, g.N)
-	for i := range level {
-		level[i] = -1
-	}
-	level[source] = 0
-	queue := []int32{source}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
-			if level[u] == -1 {
-				level[u] = level[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return level
-}

@@ -92,19 +92,6 @@ func (g *GEMV) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelRe
 	return res, hashFloats(flat), nil
 }
 
-// ReferenceGEMV computes y = A*x serially.
-func ReferenceGEMV(g *GEMV) []float32 {
-	y := make([]float32, g.Rows)
-	for r := 0; r < g.Rows; r++ {
-		var sum float32
-		for j := 0; j < g.Cols; j++ {
-			sum += g.a[r*g.Cols+j] * g.x[j]
-		}
-		y[r] = sum
-	}
-	return y
-}
-
 // Histogram bins a partitioned input stream: each thread scans its local
 // chunk (streaming), scatters counts into a private bin array
 // (line-granularity random updates — the pattern NMP accelerates), then
@@ -178,13 +165,4 @@ func (h *Histogram) Run(sys *nmp.System, placement []int, profile bool) (nmp.Ker
 		vals[i] = int32(v)
 	}
 	return res, hashUint32s(vals), nil
-}
-
-// ReferenceHistogram bins the input serially.
-func ReferenceHistogram(h *Histogram) []uint64 {
-	out := make([]uint64, h.Bins)
-	for _, v := range h.Input {
-		out[v]++
-	}
-	return out
 }

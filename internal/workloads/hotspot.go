@@ -119,37 +119,3 @@ func (h *Hotspot) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kerne
 	}
 	return res, hashFloats(sum), nil
 }
-
-// ReferenceHotspot runs the same stencil serially.
-func ReferenceHotspot(rows, cols, iters int) []float32 {
-	grid := make([]float32, rows*cols)
-	next := make([]float32, rows*cols)
-	power := make([]float32, rows*cols)
-	for i := range grid {
-		grid[i] = 300
-		power[i] = float32((i*2654435761)%97) / 97.0
-	}
-	at := func(r, c int) int { return r*cols + c }
-	for it := 0; it < iters; it++ {
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				up, down, left, right := grid[at(r, c)], grid[at(r, c)], grid[at(r, c)], grid[at(r, c)]
-				if r > 0 {
-					up = grid[at(r-1, c)]
-				}
-				if r < rows-1 {
-					down = grid[at(r+1, c)]
-				}
-				if c > 0 {
-					left = grid[at(r, c-1)]
-				}
-				if c < cols-1 {
-					right = grid[at(r, c+1)]
-				}
-				next[at(r, c)] = stencil(up, down, left, right, grid[at(r, c)], power[at(r, c)])
-			}
-		}
-		grid, next = next, grid
-	}
-	return grid
-}

@@ -142,48 +142,3 @@ func (k *KMeans) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 	}
 	return res, hashFloats(flat), nil
 }
-
-// ReferenceKMeans runs the same Lloyd iterations serially and returns the
-// final centroids.
-func ReferenceKMeans(points [][]float32, kk, iters int) [][]float64 {
-	dims := len(points[0])
-	centroids := make([][]float64, kk)
-	for i := range centroids {
-		centroids[i] = make([]float64, dims)
-		for d := range centroids[i] {
-			centroids[i][d] = float64(points[i][d])
-		}
-	}
-	for it := 0; it < iters; it++ {
-		sums := make([][]float64, kk)
-		cnts := make([]int64, kk)
-		for i := range sums {
-			sums[i] = make([]float64, dims)
-		}
-		for _, p := range points {
-			best, bestDist := 0, 1e30
-			for ci := 0; ci < kk; ci++ {
-				var dist float64
-				for d := 0; d < dims; d++ {
-					diff := float64(p[d]) - centroids[ci][d]
-					dist += diff * diff
-				}
-				if dist < bestDist {
-					best, bestDist = ci, dist
-				}
-			}
-			cnts[best]++
-			for d := 0; d < dims; d++ {
-				sums[best][d] += float64(p[d])
-			}
-		}
-		for ci := 0; ci < kk; ci++ {
-			if cnts[ci] > 0 {
-				for d := 0; d < dims; d++ {
-					centroids[ci][d] = sums[ci][d] / float64(cnts[ci])
-				}
-			}
-		}
-	}
-	return centroids
-}

@@ -145,28 +145,3 @@ func (p *PageRank) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kern
 	}
 	return res, hashFloats(rank), nil
 }
-
-// ReferencePageRank computes the same fixed-iteration PageRank serially.
-func ReferencePageRank(g *CSR, iters int) []float64 {
-	rank := make([]float64, g.N)
-	for i := range rank {
-		rank[i] = 1.0 / float64(g.N)
-	}
-	for it := 0; it < iters; it++ {
-		sums := make([]float64, g.N)
-		for v := int32(0); v < g.N; v++ {
-			deg := g.Degree(v)
-			if deg == 0 {
-				continue
-			}
-			share := rank[v] / float64(deg)
-			for _, u := range g.Neighbors(v) {
-				sums[u] += share
-			}
-		}
-		for v := range rank {
-			rank[v] = (1-damping)/float64(g.N) + damping*sums[v]
-		}
-	}
-	return rank
-}

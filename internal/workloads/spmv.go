@@ -111,26 +111,3 @@ func (s *SpMV) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelRe
 	}
 	return res, hashFloats(y), nil
 }
-
-// ReferenceSpMV runs the same iterated multiply serially.
-func ReferenceSpMV(a *CSR, iters int) []float64 {
-	x := make([]float64, a.N)
-	y := make([]float64, a.N)
-	for i := range x {
-		x[i] = 1.0 + float64(i%7)
-	}
-	for it := 0; it < iters; it++ {
-		for v := int32(0); v < a.N; v++ {
-			var sum float64
-			base := a.Offsets[v]
-			for i, u := range a.Neighbors(v) {
-				sum += float64(a.Weights[base+int32(i)]) * x[u]
-			}
-			y[v] = sum
-		}
-		for v := range x {
-			x[v] = y[v] / 64.0
-		}
-	}
-	return y
-}

@@ -176,32 +176,3 @@ func clampU64(v, max uint64) uint64 {
 	}
 	return v
 }
-
-// ReferenceSSSP computes shortest paths serially (Dijkstra-free
-// Bellman-Ford, matching the parallel kernel's semantics).
-func ReferenceSSSP(g *CSR, source int32) []int32 {
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[source] = 0
-	frontier := []int32{source}
-	for len(frontier) > 0 {
-		var next []int32
-		seen := map[int32]bool{}
-		for _, v := range frontier {
-			base := g.Offsets[v]
-			for i, u := range g.Neighbors(v) {
-				if nd := dist[v] + g.Weights[base+int32(i)]; nd < dist[u] {
-					dist[u] = nd
-					if !seen[u] {
-						seen[u] = true
-						next = append(next, u)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
-}

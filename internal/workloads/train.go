@@ -155,31 +155,3 @@ func (tr *Train) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 	}
 	return res, hashFloats(w), nil
 }
-
-// ReferenceTrain runs the same quantized training serially and returns the
-// final weights; any sharded run must reach the identical model.
-func ReferenceTrain(tr *Train) []float64 {
-	w := make([]float64, tr.Params)
-	total := make([]int64, tr.Params)
-	for step := 0; step < tr.Steps; step++ {
-		for i := range total {
-			total[i] = 0
-		}
-		for s := 0; s < tr.Samples; s++ {
-			pred := 0.0
-			base := s * tr.K
-			for j := 0; j < tr.K; j++ {
-				pred += w[tr.featIdx[base+j]] * tr.featVal[base+j]
-			}
-			err := pred - tr.label[s]
-			for j := 0; j < tr.K; j++ {
-				total[tr.featIdx[base+j]] += int64(err * tr.featVal[base+j] * gradScale)
-			}
-		}
-		inv := trainLR / (gradScale * float64(tr.Samples))
-		for i := range w {
-			w[i] -= float64(total[i]) * inv
-		}
-	}
-	return w
-}

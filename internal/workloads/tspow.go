@@ -96,35 +96,3 @@ func (ts *TSPow) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 	}
 	return res, uint64(globalMax.idx), nil
 }
-
-// ReferenceTSPow computes the global maximum windowed power serially with
-// the same per-chunk window reset semantics as the parallel kernel.
-func ReferenceTSPow(series []float32, window, chunk int, nThreads int) int {
-	n := len(series)
-	parts := MakeParts(n, nThreads)
-	bestPower := -1.0
-	bestIdx := 0
-	for me := 0; me < nThreads; me++ {
-		lo, hi := parts.Range(me)
-		for base := lo; base < hi; base += chunk {
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			var acc float64
-			for i := base; i < end; i++ {
-				v := float64(series[i])
-				acc += v * v
-				if i-base >= window {
-					w := float64(series[i-window])
-					acc -= w * w
-				}
-				if acc > bestPower || (acc == bestPower && i < bestIdx) {
-					bestPower = acc
-					bestIdx = i
-				}
-			}
-		}
-	}
-	return bestIdx
-}
