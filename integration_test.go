@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/nmp"
 	"repro/internal/workloads"
 )
@@ -23,6 +25,40 @@ func TestEndToEndDeterminism(t *testing.T) {
 	if m1 != m2 || c1 != c2 || l1 != l2 {
 		t.Fatalf("non-deterministic run: makespan %d/%d checksum %x/%x link %d/%d",
 			m1, m2, c1, c2, l1, l2)
+	}
+}
+
+// TestParallelSerialEquivalence renders a slice of the experiment registry
+// with the job engine pinned serial and fanned across four workers, and
+// requires byte-identical output — the user-facing guarantee that
+// `dlbench -jobs N` never changes a table, only how fast it appears.
+// (internal/exp's determinism test covers a broader slice; this one checks
+// the same contract through the public registry the CLI uses.)
+func TestParallelSerialEquivalence(t *testing.T) {
+	ids := []string{"table1", "abl-payload"}
+	if !testing.Short() {
+		ids = append(ids, "abl-credits")
+	}
+	render := func(jobs int) []byte {
+		var buf bytes.Buffer
+		for _, id := range ids {
+			e, ok := exp.ByID(id)
+			if !ok {
+				t.Fatalf("experiment %q not registered", id)
+			}
+			opts := exp.Options{Quick: true, Seed: 42}
+			opts.Jobs = jobs
+			for _, tb := range e.Run(opts) {
+				tb.Render(&buf)
+			}
+		}
+		return buf.Bytes()
+	}
+	serial := render(1)
+	parallel := render(4)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("-jobs 1 and -jobs 4 rendered different tables:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -47,6 +48,20 @@ func renderFig10Grid(jobs int) ([]fig10Row, []byte) {
 	var buf bytes.Buffer
 	tb.Render(&buf)
 	return rows, buf.Bytes()
+}
+
+var fig10Serial struct {
+	once   sync.Once
+	rows   []fig10Row
+	serial []byte
+}
+
+// serialFig10Grid renders the fig10 grid at jobs=1 once per test binary, so
+// TestDeterministicAggregation and TestFig10QuickShape share one measurement.
+// Callers must not modify the returned rows.
+func serialFig10Grid() ([]fig10Row, []byte) {
+	fig10Serial.once.Do(func() { fig10Serial.rows, fig10Serial.serial = renderFig10Grid(1) })
+	return fig10Serial.rows, fig10Serial.serial
 }
 
 // readTableDigests parses the committed digest file into name -> sha256.
@@ -118,38 +133,14 @@ func TestDeterministicAggregation(t *testing.T) {
 		}
 	})
 
-	// Fig10Grid is the representative full measurement grid. Its rows must
-	// also keep Figure 10's shape: DIMM-Link at least matches MCN, stays
-	// near AIM and is not far slower than the CPU, every IDC ratio is a
-	// fraction, and dl-opt cuts the IDC ratio of MCN's IDC-heavy workloads.
+	// Fig10Grid is the representative full measurement grid; its serial
+	// render is shared with TestFig10QuickShape, which checks its rows.
 	t.Run("Fig10Grid", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("fig10 grid skipped in -short mode")
 		}
-		rows, serial := renderFig10Grid(1)
+		_, serial := serialFig10Grid()
 		check(t, "fig10-8D-4C.grid", serial)
-		if len(rows) != 6 {
-			t.Fatalf("rows = %d, want 6 workloads", len(rows))
-		}
-		for _, r := range rows {
-			if r.speedups["dl-base"] < r.speedups["mcn"]*0.99 {
-				t.Errorf("%s: dl-base %.2f below mcn %.2f", r.workload, r.speedups["dl-base"], r.speedups["mcn"])
-			}
-			if r.speedups["dl-base"] < r.speedups["aim"]*0.85 {
-				t.Errorf("%s: dl-base %.2f far below aim %.2f", r.workload, r.speedups["dl-base"], r.speedups["aim"])
-			}
-			if r.speedups["dl-base"] < 0.6 {
-				t.Errorf("%s: dl-base %.2f implausibly slow vs CPU", r.workload, r.speedups["dl-base"])
-			}
-			for m, v := range r.idcRatio {
-				if v < 0 || v > 1 {
-					t.Errorf("%s/%s: idc ratio %v out of range", r.workload, m, v)
-				}
-			}
-			if r.idcRatio["mcn"] > 0.3 && r.idcRatio["dl-opt"] > r.idcRatio["mcn"]+0.05 {
-				t.Errorf("%s: dl-opt idc ratio %.2f above mcn %.2f", r.workload, r.idcRatio["dl-opt"], r.idcRatio["mcn"])
-			}
-		}
 		if _, parallel := renderFig10Grid(4); !bytes.Equal(serial, parallel) {
 			t.Fatalf("serial and jobs=4 fig10 grids differ:\n%s\n---\n%s", serial, parallel)
 		}
