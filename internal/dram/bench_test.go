@@ -24,3 +24,27 @@ func BenchmarkDRAMBankFSM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDRAMRowRun measures one 4 KiB request, 64 lines in one row, the
+// size of every access of the train workload. Successive requests sweep
+// consecutive rows, so each opens a fresh bank and then streams row hits.
+func BenchmarkDRAMRowRun(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		write bool
+	}{{"read", false}, {"write", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := testGeo()
+			m := New(g, DDR4_3200(), 0)
+			var t sim.Time
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				addr := uint64(i) * 4096 % g.DIMMCapBytes
+				if done := m.Access(t, addr, 4096, bc.write); done > t {
+					t = done
+				}
+			}
+		})
+	}
+}

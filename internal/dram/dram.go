@@ -93,9 +93,14 @@ type Stats struct {
 }
 
 type bank struct {
-	openRow    int64 // -1 = closed
-	openedAt   sim.Time
-	casReadyAt sim.Time // earliest next column command (tCCD / tWR)
+	openRow  int64 // -1 = closed
+	openedAt sim.Time
+	// casReadyAt is the earliest next column command: the last CAS + tBL
+	// after a read (so the next read burst starts where this one ended) and
+	// the burst end + tWR after a write. After a line of a row, it is later
+	// than the request's refresh-adjusted start, so a row run times the
+	// row's remaining hits from it alone.
+	casReadyAt sim.Time
 	preReadyAt sim.Time // earliest precharge (read/write to precharge)
 }
 
@@ -175,22 +180,26 @@ func (rk *rank) activateAt(t sim.Time, tim Timing) sim.Time {
 // the rank data bus. Requests larger than one line are split into
 // line-sized column accesses that pipeline on the bank and serialize on the
 // data bus. addr must belong to this module's DIMM.
+//
+// Under the open-page policy a multi-line request is timed one row run at a
+// time: the first line of each row goes through the bank state machine, and
+// the rest of that row are row hits that rowRun books in one step. It books
+// exactly what timing each of those lines through the state machine would:
+// every line of one request sees the same refresh-adjusted `at`, each row
+// hit's CAS is ready no earlier than that, and nothing else reserves the
+// rank bus inside one Access.
+// ClosedPage and single-line requests take only the per-line path.
 func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.Time {
 	if size == 0 {
 		size = 1
 	}
-	line := m.geo.LineBytes
 	first := m.geo.LineAddr(addr)
 	last := m.geo.LineAddr(addr + uint64(size) - 1)
-	done := at
-	for a := first; ; a += line {
-		end := m.accessLine(at, a, write)
-		if end > done {
-			done = end
-		}
-		if a == last {
-			break
-		}
+	var done sim.Time
+	if first == last {
+		done, _, _ = m.accessLine(at, first, write)
+	} else {
+		done = m.accessLines(at, first, last, write)
 	}
 	if write {
 		m.Stats.Writes++
@@ -202,7 +211,54 @@ func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.T
 	return done
 }
 
-func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) sim.Time {
+// accessLines times the lines first..last of one request, one row run at a
+// time under the open-page policy, and returns when the last burst ends.
+func (m *Module) accessLines(at sim.Time, first, last uint64, write bool) sim.Time {
+	line := m.geo.LineBytes
+	done := at
+	for a := first; ; a += line {
+		end, rk, bk := m.accessLine(at, a, write)
+		if !m.tim.ClosedPage {
+			if runLast := min(last, (a|(m.geo.RowBytes-1))&^(line-1)); runLast > a {
+				end = m.rowRun(rk, bk, (runLast-a)/line, write)
+				a = runLast
+			}
+		}
+		if end > done {
+			done = end
+		}
+		if a == last {
+			return done
+		}
+	}
+}
+
+// rowRun times k more lines of the row bk has open, right after the line
+// accessLine just timed there, and returns when the last burst ends. Each
+// line is a row hit whose CAS waits only for bk.casReadyAt. Read bursts
+// follow back to back, so one reservation books the span k per-line
+// reservations would coalesce into. Write bursts are spaced by tWR, so each
+// keeps its own reservation.
+func (m *Module) rowRun(rk *rank, bk *bank, k uint64, write bool) sim.Time {
+	m.Stats.RowHits += k
+	if !write {
+		_, end := rk.bus.Reserve(bk.casReadyAt+m.tim.TCL, k*m.tim.TBL)
+		bk.casReadyAt = end - m.tim.TCL
+		bk.preReadyAt = end
+		return end
+	}
+	var end sim.Time
+	for ; k > 0; k-- {
+		_, end = rk.bus.Reserve(bk.casReadyAt+m.tim.TCL, m.tim.TBL)
+		bk.casReadyAt = end + m.tim.TWR
+	}
+	bk.preReadyAt = bk.casReadyAt
+	return end
+}
+
+// accessLine times one line through the bank state machine and returns when
+// its burst ends, with the rank and bank it decoded to.
+func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) (sim.Time, *rank, *bank) {
 	loc := m.geo.Decode(lineAddr)
 	if loc.DIMM != m.DIMM {
 		panic(fmt.Sprintf("dram: address %#x (DIMM %d) routed to DIMM %d", lineAddr, loc.DIMM, m.DIMM))
@@ -264,7 +320,7 @@ func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) sim.Time {
 		bk.openRow = -1
 		bk.casReadyAt = bk.preReadyAt + m.tim.TRP
 	}
-	return end
+	return end, rk, bk
 }
 
 // PeakBytesPerSec returns the aggregate peak bandwidth of the module

@@ -142,6 +142,21 @@ func TestLargeAccessSplitsIntoLines(t *testing.T) {
 	}
 }
 
+func TestLargeWriteSpacing(t *testing.T) {
+	m := New(testGeo(), DDR4_3200(), 0)
+	tim := DDR4_3200()
+	done := m.Access(0, 0, 1024, true) // 16 lines, one row, one bank
+	// First line: tRCD+tCL+tBL; each of the other 15 waits tWR after the
+	// previous burst, then tCL, then its own burst.
+	want := tim.TRCD + tim.TCL + tim.TBL + 15*(tim.TWR+tim.TCL+tim.TBL)
+	if done != want {
+		t.Fatalf("1KB write done %d, want %d", done, want)
+	}
+	if m.Stats.RowHits != 15 || m.Stats.WriteBytes != 1024 {
+		t.Fatalf("stats: %+v", m.Stats)
+	}
+}
+
 func TestUnalignedAccessTouchesBothLines(t *testing.T) {
 	m := New(testGeo(), DDR4_3200(), 0)
 	m.Access(60, 60, 8, false) // straddles lines 0 and 64

@@ -8,6 +8,7 @@ package energy
 import (
 	"repro/internal/dram"
 	"repro/internal/host"
+	"repro/internal/idc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -72,8 +73,8 @@ func Compute(p Params, in Inputs) Breakdown {
 	}
 
 	if in.IC != nil {
-		linkBits := float64(in.IC.Get("link.bytes")) * 8
-		dedBits := float64(in.IC.Get("dedbus.bytes")) * 8
+		linkBits := float64(in.IC.Get(idc.CtrLinkBytes)) * 8
+		dedBits := float64(in.IC.Get(idc.CtrDedBusBytes)) * 8
 		b.IDC += linkBits*p.LinkPJPerBit*1e-12 + dedBits*p.BusIOPJPerBit*1e-12
 	}
 	if in.Host != nil {

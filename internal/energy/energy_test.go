@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/idc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -40,13 +41,28 @@ func TestLinkVsBusEnergyRatio(t *testing.T) {
 	// (1.17 vs 22 pJ/b) — the core of DIMM-Link's energy win.
 	p := PaperParams()
 	var link, bus stats.Counters
-	link.Add("link.bytes", 1<<20)
+	link.Add(idc.CtrLinkBytes, 1<<20)
 	bus.Add("hostbus.bytes", 1<<20)
 	bLink := Compute(p, Inputs{NumDIMMs: 1, IC: &link})
 	bBus := Compute(p, Inputs{NumDIMMs: 1, Host: &bus})
 	ratio := bBus.IDC / bLink.IDC
 	if math.Abs(ratio-22/1.17) > 1e-9 {
 		t.Fatalf("bus/link energy ratio %v, want %v", ratio, 22/1.17)
+	}
+}
+
+// TestIDCEnergyReadsIDCCounters books link and dedicated-bus bytes under
+// the names the idc package counts them by, so a rename there cannot
+// silently zero the IDC energy.
+func TestIDCEnergyReadsIDCCounters(t *testing.T) {
+	p := PaperParams()
+	var ic stats.Counters
+	ic.Add(idc.CtrLinkBytes, 1000)
+	ic.Add(idc.CtrDedBusBytes, 10)
+	b := Compute(p, Inputs{NumDIMMs: 1, IC: &ic})
+	want := 1000*8*1.17e-12 + 10*8*22e-12
+	if math.Abs(b.IDC-want) > 1e-18 {
+		t.Fatalf("IDC energy %v, want %v", b.IDC, want)
 	}
 }
 
@@ -78,7 +94,7 @@ func TestCoreEnergyScalesWithTimeAndDIMMs(t *testing.T) {
 func TestTotalIsSum(t *testing.T) {
 	p := PaperParams()
 	var ic stats.Counters
-	ic.Add("link.bytes", 4096)
+	ic.Add(idc.CtrLinkBytes, 4096)
 	b := Compute(p, Inputs{
 		Makespan:  sim.Millisecond,
 		NumDIMMs:  4,
