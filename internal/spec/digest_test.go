@@ -1,7 +1,8 @@
 // digest_test.go pins the model's output bytes for one captured spec per
 // distinct code path the event kernel drives. The sha256 of each rendered
-// report and JSON body, and of the fig01 and fig14 quick-mode tables, is committed
-// under testdata/report_digests.txt: a change that keeps every digest
+// report and JSON body, and of the fig01, fig14 and table5 quick-mode
+// tables, is committed under testdata/report_digests.txt: a change that
+// keeps every digest
 // preserves the model's behaviour by construction, whatever it does to
 // how the model executes.
 package spec
@@ -132,9 +133,11 @@ func readDigests(t *testing.T) map[string]string {
 }
 
 // digestExps are the experiments whose quick tables are pinned: fig01's
-// host-forwarding calibration and fig14's barrier comparison, the only
-// run of centralized DIMM-Link synchronization.
-var digestExps = []string{"fig01", "fig14"}
+// host-forwarding calibration, fig14's barrier comparison, the only
+// run of centralized DIMM-Link synchronization, and table5's rendering of
+// the evaluated system (cores, clocks, windows, caches and group count),
+// which runs no simulation.
+var digestExps = []string{"fig01", "fig14", "table5"}
 
 // TestReportDigests checks every spec class, one subtest each, and the
 // digestExps tables against the committed file. On a mismatch it prints the
