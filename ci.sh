@@ -78,6 +78,13 @@ if [ "${1:-}" != "quick" ]; then
 	"$tmp/dlsim" -workload p2p >"$tmp/golden_check.txt"
 	cmp testdata/golden_dlsim_p2p.txt "$tmp/golden_check.txt"
 
+	echo "== dlsim link bandwidth bound (-linkbw NaN must exit non-zero, naming linkbw)"
+	if timeout 20 "$tmp/dlsim" -workload p2p -linkbw NaN >/dev/null 2>"$tmp/linkbw.err"; then
+		echo "dlsim accepted -linkbw NaN" >&2
+		exit 1
+	fi
+	grep -q linkbw "$tmp/linkbw.err"
+
 	echo "== dlsim metrics golden (histograms, per-link utilization, sampled series)"
 	"$tmp/dlsim" -workload bfs -scale 12 -metrics -sample 10000 >"$tmp/golden_metrics.txt"
 	cmp testdata/golden_dlsim_bfs_metrics.txt "$tmp/golden_metrics.txt"

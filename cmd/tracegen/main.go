@@ -65,7 +65,7 @@ func main() {
 	}
 	var rec *trace.Recorder
 	sys.InstrumentMemory(func(inner cores.Memory) cores.Memory {
-		rec = trace.NewRecorder(inner, sys.Threads(), sys.Cfg.NMPCore.ClockHz)
+		rec = trace.NewRecorder(inner, sys.Threads(), nmp.NMPClockHz)
 		return rec
 	})
 	if _, _, err := w.Run(sys, sys.DefaultPlacement(), false); err != nil {

@@ -39,7 +39,7 @@ func main() {
 		// Scaled-down inputs get a proportionally scaled host LLC so the
 		// comparison stays memory-bound (see EXPERIMENTS.md, "Calibration").
 		cfg := nmp.DefaultConfig(dimms, channels, mech)
-		cfg.HostLLC.SizeBytes = 256 << 10
+		cfg.HostLLCBytes = 256 << 10
 
 		pr := workloads.NewPageRankFromGraph(graph, prIters)
 		sysPR := nmp.MustNewSystem(cfg)

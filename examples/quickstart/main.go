@@ -23,7 +23,7 @@ func main() {
 		// set, so scale the host LLC proportionally to stay in the
 		// memory-bound regime the architecture targets (see EXPERIMENTS.md,
 		// "Calibration").
-		cfg.HostLLC.SizeBytes = 256 << 10
+		cfg.HostLLCBytes = 256 << 10
 		sys := nmp.MustNewSystem(cfg)
 		res, chk, err := bfs.Run(sys, sys.DefaultPlacement(), false)
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 func testModules(geo mem.Geometry) []*dram.Module {
 	ms := make([]*dram.Module, geo.NumDIMMs)
 	for i := range ms {
-		ms[i] = dram.New(geo, dram.DDR4_3200(), i)
+		ms[i] = dram.New(geo, false, i)
 	}
 	return ms
 }
@@ -89,7 +89,7 @@ func TestTagPressureDelaysTransactions(t *testing.T) {
 		eng := sim.NewEngine()
 		geo := geoN(4, 2)
 		modules := testModules(geo)
-		l := mustNewLink(eng, geo, modules, host.BasePolling, DefaultConfig(1))
+		l := mustNewLink(eng, geo, modules, host.BasePolling, DefaultConfig())
 		for d := range l.ctrl {
 			l.ctrl[d] = newController(d, tags)
 		}
@@ -112,7 +112,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 	eng := sim.NewEngine()
 	geo := geoN(8, 4)
 	modules := testModules(geo)
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.InterGroup = ViaCXL
 	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 	done := l.Access(0, 0, l.geo.DIMMBase(6), 4096, false) // cross-blade read
@@ -123,7 +123,7 @@ func TestCXLTransportAvoidsHost(t *testing.T) {
 		t.Fatal("no CXL bytes counted")
 	}
 	// No polling interval in the path: far faster than the host route.
-	hostCfg := DefaultConfig(2)
+	hostCfg := DefaultConfig()
 	lh := mustNewLink(sim.NewEngine(), geo, testModules(geo), host.BasePolling, hostCfg)
 	hostDone := lh.Access(0, 0, lh.geo.DIMMBase(6), 4096, false)
 	if done >= hostDone {
@@ -140,7 +140,7 @@ func TestCXLBroadcastAndBarrier(t *testing.T) {
 	eng := sim.NewEngine()
 	geo := geoN(8, 4)
 	modules := testModules(geo)
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.InterGroup = ViaCXL
 	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
 	if done := l.Broadcast(0, 0, l.geo.DIMMBase(0), 1024); done == 0 {

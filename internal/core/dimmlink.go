@@ -76,9 +76,8 @@ const (
 
 // Config parameterizes the DIMM-Link interconnect.
 type Config struct {
-	Link      noc.LinkConfig // SerDes link parameters (GRS defaults)
-	Topology  TopologyKind
-	NumGroups int // DL groups; DIMMs are split contiguously
+	Link     noc.LinkConfig // SerDes link parameters (GRS defaults)
+	Topology TopologyKind   // of each DL group; see GroupsFor for the split
 
 	// InterGroup selects host forwarding (default) or the disaggregated
 	// CXL fabric.
@@ -112,11 +111,10 @@ type Config struct {
 // DefaultConfig returns the paper's evaluated configuration: GRS links at
 // 25 GB/s, chain topology, host forwarding between groups, hierarchical
 // synchronization.
-func DefaultConfig(numGroups int) Config {
+func DefaultConfig() Config {
 	return Config{
 		Link:       noc.GRSLink(),
 		Topology:   TopoChain,
-		NumGroups:  numGroups,
 		InterGroup: ViaHost,
 		Sync:       SyncHierarchical,
 	}
@@ -211,10 +209,7 @@ func PollTargets(numDIMMs int, mode host.PollingMode, cfg Config) []int {
 		}
 		return all
 	}
-	groups := cfg.NumGroups
-	if groups <= 0 {
-		groups = GroupsFor(numDIMMs)
-	}
+	groups := GroupsFor(numDIMMs)
 	per := numDIMMs / groups
 	proxies := make([]int, groups)
 	for g := range proxies {
@@ -228,11 +223,9 @@ func PollTargets(numDIMMs int, mode host.PollingMode, cfg Config) []int {
 // groups or the packet format cannot hold, and a fault event on a DIMM
 // pair that is not a link of the built topology.
 func NewLink(geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config) (*Link, error) {
-	if cfg.NumGroups <= 0 {
-		cfg.NumGroups = GroupsFor(geo.NumDIMMs)
-	}
-	if geo.NumDIMMs%cfg.NumGroups != 0 {
-		return nil, fmt.Errorf("core: %d DIMMs not divisible into %d groups", geo.NumDIMMs, cfg.NumGroups)
+	groups := GroupsFor(geo.NumDIMMs)
+	if geo.NumDIMMs%groups != 0 {
+		return nil, fmt.Errorf("core: %d DIMMs not divisible into %d groups", geo.NumDIMMs, groups)
 	}
 	if geo.NumDIMMs > MaxDIMMs {
 		return nil, fmt.Errorf("core: %d DIMMs exceed the %d-DIMM SRC/DST field", geo.NumDIMMs, MaxDIMMs)
@@ -253,8 +246,8 @@ func NewLink(geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config)
 	l.interGroup = l.ctrs.Handle(idc.CtrInterGroup)
 	l.fc = newFaultCounters(&l.ctrs)
 	l.flt = fault.NewInjector(cfg.Fault)
-	per := geo.NumDIMMs / cfg.NumGroups
-	for g := 0; g < cfg.NumGroups; g++ {
+	per := geo.NumDIMMs / groups
+	for g := 0; g < groups; g++ {
 		gr := &group{base: g * per, size: per}
 		gr.net = noc.NewNetwork(buildTopology(cfg.Topology, per), cfg.Link)
 		gr.net.SetMetrics(cfg.Metrics)
@@ -813,7 +806,7 @@ func (l *Link) Distance(j, k int) float64 {
 	if l.groupOf[j] == l.groupOf[k] {
 		g := l.groups[l.groupOf[j]]
 		hops := len(g.net.Topology().Route(l.nodeOf[j], l.nodeOf[k])) - 1
-		hopLat := float64(l.cfg.Link.WireLatency+l.cfg.Link.RouterLatency) / 1000.0
+		hopLat := float64(noc.HopRelay) / 1000.0
 		ser := 80.0 / l.cfg.Link.BytesPerSec * 1e9 // ~80B packet serialization, ns
 		return float64(hops) * (hopLat + ser)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -21,15 +20,13 @@ func geoN(dimms, channels int) mem.Geometry {
 	}
 }
 
-func newTestLink(dimms, channels, groups int, mode host.PollingMode) (*Link, *sim.Engine) {
+// newTestLink builds a default DIMM-Link over dimms DIMMs, split into
+// GroupsFor(dimms) groups: one up to 4 DIMMs, two above, so 16 DIMMs give
+// the 8-DIMM groups 0..7 and 8..15.
+func newTestLink(dimms, channels int, mode host.PollingMode) (*Link, *sim.Engine) {
 	eng := sim.NewEngine()
 	geo := geoN(dimms, channels)
-	modules := make([]*dram.Module, dimms)
-	for i := range modules {
-		modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-	}
-	cfg := DefaultConfig(groups)
-	return mustNewLink(eng, geo, modules, mode, cfg), eng
+	return mustNewLink(eng, geo, testModules(geo), mode, DefaultConfig()), eng
 }
 
 func TestGroupsFor(t *testing.T) {
@@ -39,7 +36,7 @@ func TestGroupsFor(t *testing.T) {
 }
 
 func TestGroupAssignment(t *testing.T) {
-	l, _ := newTestLink(16, 8, 2, host.ProxyPolling)
+	l, _ := newTestLink(16, 8, host.ProxyPolling)
 	for d := 0; d < 8; d++ {
 		if l.groupOf[d] != 0 {
 			t.Fatalf("DIMM %d in group %d", d, l.groupOf[d])
@@ -57,7 +54,7 @@ func TestGroupAssignment(t *testing.T) {
 }
 
 func TestIntraGroupReadLatency(t *testing.T) {
-	l, _ := newTestLink(4, 2, 1, host.ProxyPolling)
+	l, _ := newTestLink(4, 2, host.ProxyPolling)
 	addr := l.geo.DIMMBase(2) // DIMM 0 reads from DIMM 2: two hops
 	done := l.Access(0, 0, addr, 64, false)
 	// Must be far below any host-forwarded path (which starts at the poll
@@ -77,9 +74,9 @@ func TestIntraGroupReadLatency(t *testing.T) {
 }
 
 func TestIntraGroupLatencyScalesWithHops(t *testing.T) {
-	l1, _ := newTestLink(8, 4, 1, host.ProxyPolling)
+	l1, _ := newTestLink(16, 8, host.ProxyPolling)
 	oneHop := l1.Access(0, 0, l1.geo.DIMMBase(1), 64, false)
-	l2, _ := newTestLink(8, 4, 1, host.ProxyPolling)
+	l2, _ := newTestLink(16, 8, host.ProxyPolling)
 	sixHops := l2.Access(0, 0, l2.geo.DIMMBase(6), 64, false)
 	if sixHops <= oneHop {
 		t.Fatalf("hop scaling missing: 1-hop %d, 6-hop %d", oneHop, sixHops)
@@ -87,7 +84,7 @@ func TestIntraGroupLatencyScalesWithHops(t *testing.T) {
 }
 
 func TestInterGroupAccessUsesHost(t *testing.T) {
-	l, eng := newTestLink(8, 4, 2, host.ProxyPolling)
+	l, eng := newTestLink(8, 4, host.ProxyPolling)
 	addr := l.geo.DIMMBase(6) // DIMM 0 (group 0) -> DIMM 6 (group 1)
 	done := l.Access(0, 0, addr, 64, false)
 	_ = eng
@@ -105,9 +102,9 @@ func TestInterGroupAccessUsesHost(t *testing.T) {
 }
 
 func TestIntraVsInterGroupLatency(t *testing.T) {
-	intra, _ := newTestLink(8, 4, 2, host.ProxyPolling)
+	intra, _ := newTestLink(8, 4, host.ProxyPolling)
 	a := intra.Access(0, 0, intra.geo.DIMMBase(3), 64, false) // same group
-	inter, _ := newTestLink(8, 4, 2, host.ProxyPolling)
+	inter, _ := newTestLink(8, 4, host.ProxyPolling)
 	b := inter.Access(0, 0, inter.geo.DIMMBase(4), 64, false) // cross group
 	if b <= a {
 		t.Fatalf("inter-group (%d) should cost more than intra-group (%d)", b, a)
@@ -115,7 +112,7 @@ func TestIntraVsInterGroupLatency(t *testing.T) {
 }
 
 func TestWriteCompletesAtDestination(t *testing.T) {
-	l, _ := newTestLink(4, 2, 1, host.ProxyPolling)
+	l, _ := newTestLink(4, 2, host.ProxyPolling)
 	done := l.Access(0, 0, l.geo.DIMMBase(1), 256, true)
 	if done == 0 {
 		t.Fatal("write returned zero completion")
@@ -129,7 +126,7 @@ func TestWriteCompletesAtDestination(t *testing.T) {
 }
 
 func TestLargeTransferSplitsIntoPackets(t *testing.T) {
-	l, _ := newTestLink(4, 2, 1, host.ProxyPolling)
+	l, _ := newTestLink(4, 2, host.ProxyPolling)
 	l.Access(0, 0, l.geo.DIMMBase(1), 4096, true)
 	// 4096 bytes = 16 chunks of 256.
 	if got := l.Counters().Get("packets"); got != 16 {
@@ -138,7 +135,7 @@ func TestLargeTransferSplitsIntoPackets(t *testing.T) {
 }
 
 func TestLocalAccessPanics(t *testing.T) {
-	l, _ := newTestLink(4, 2, 1, host.ProxyPolling)
+	l, _ := newTestLink(4, 2, host.ProxyPolling)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("local access did not panic")
@@ -148,7 +145,7 @@ func TestLocalAccessPanics(t *testing.T) {
 }
 
 func TestBroadcastIntraGroup(t *testing.T) {
-	l, _ := newTestLink(4, 2, 1, host.ProxyPolling)
+	l, _ := newTestLink(4, 2, host.ProxyPolling)
 	done := l.Broadcast(0, 1, l.geo.DIMMBase(1), 256)
 	if done == 0 || done > 1*sim.Microsecond {
 		t.Fatalf("intra-group broadcast took %d", done)
@@ -163,7 +160,7 @@ func TestBroadcastIntraGroup(t *testing.T) {
 }
 
 func TestBroadcastInterGroupUsesHostOnce(t *testing.T) {
-	l, _ := newTestLink(8, 4, 2, host.ProxyPolling)
+	l, _ := newTestLink(8, 4, host.ProxyPolling)
 	l.Broadcast(0, 0, l.geo.DIMMBase(0), 256)
 	// Exactly one forwarded chunk: source group -> remote group master.
 	if got := l.host.Counters.Get("host.forwards"); got != 1 {
@@ -172,7 +169,7 @@ func TestBroadcastInterGroupUsesHostOnce(t *testing.T) {
 }
 
 func TestHierarchicalBarrierOrdering(t *testing.T) {
-	l, _ := newTestLink(8, 4, 2, host.ProxyPolling)
+	l, _ := newTestLink(8, 4, host.ProxyPolling)
 	arrivals := []sim.Time{1000, 5000, 3000, 800}
 	dimms := []int{0, 2, 5, 7}
 	release := l.Barrier(arrivals, dimms)
@@ -200,11 +197,11 @@ func TestHierarchicalBeatsCentralizedAcrossGroups(t *testing.T) {
 		}
 		return arr, dimms
 	}
-	hier, _ := newTestLink(16, 8, 2, host.ProxyPolling)
+	hier, _ := newTestLink(16, 8, host.ProxyPolling)
 	arr, dimms := mkArr()
 	rHier := hier.Barrier(arr, dimms)
 
-	centralCfg, _ := newTestLink(16, 8, 2, host.ProxyPolling)
+	centralCfg, _ := newTestLink(16, 8, host.ProxyPolling)
 	centralCfg.cfg.Sync = SyncCentralized
 	arr2, dimms2 := mkArr()
 	rCentral := centralCfg.Barrier(arr2, dimms2)
@@ -217,15 +214,11 @@ func TestHierarchicalBeatsCentralizedAcrossGroups(t *testing.T) {
 func TestErrorInjectionCausesRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	geo := geoN(4, 2)
-	modules := make([]*dram.Module, 4)
-	for i := range modules {
-		modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-	}
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.ErrorEvery = 2 // every 2nd packet is corrupted
-	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+	l := mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 
-	clean, _ := newTestLink(4, 2, 1, host.BasePolling)
+	clean, _ := newTestLink(4, 2, host.BasePolling)
 	cleanDone := clean.Access(0, 0, clean.geo.DIMMBase(1), 64, false)
 	done := l.Access(0, 0, l.geo.DIMMBase(1), 64, false)
 	if l.Counters().Get("link.retries") == 0 {
@@ -239,14 +232,10 @@ func TestErrorInjectionCausesRetries(t *testing.T) {
 func TestTopologyVariants(t *testing.T) {
 	for _, topo := range []TopologyKind{TopoChain, TopoRing, TopoMesh, TopoTorus} {
 		eng := sim.NewEngine()
-		geo := geoN(8, 4)
-		modules := make([]*dram.Module, 8)
-		for i := range modules {
-			modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-		}
-		cfg := DefaultConfig(1)
+		geo := geoN(16, 8) // DIMMs 0..7 are the first group
+		cfg := DefaultConfig()
 		cfg.Topology = topo
-		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+		l := mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 		done := l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 		if done == 0 {
 			t.Fatalf("%s: zero completion", topo)
@@ -257,14 +246,10 @@ func TestTopologyVariants(t *testing.T) {
 func TestRingShortensWorstCase(t *testing.T) {
 	farAccess := func(topo TopologyKind) sim.Time {
 		eng := sim.NewEngine()
-		geo := geoN(8, 4)
-		modules := make([]*dram.Module, 8)
-		for i := range modules {
-			modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-		}
-		cfg := DefaultConfig(1)
+		geo := geoN(16, 8) // DIMMs 0..7 are the first group
+		cfg := DefaultConfig()
 		cfg.Topology = topo
-		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+		l := mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 		return l.Access(0, 0, l.geo.DIMMBase(7), 64, false)
 	}
 	if ring, chain := farAccess(TopoRing), farAccess(TopoChain); ring >= chain {

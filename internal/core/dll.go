@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/idc"
 	"repro/internal/metrics"
+	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -87,7 +88,7 @@ func (g *group) dll(u, v int) *dllChan {
 // reverse-link bus time.
 func (l *Link) ackDelay() sim.Time {
 	ser := sim.TransferTime(FlitBytes, l.cfg.Link.BytesPerSec)
-	return ser + l.cfg.Link.WireLatency + l.cfg.Link.RouterLatency
+	return ser + noc.HopRelay
 }
 
 // dllHop carries one packet across a single link under the DLL. The

@@ -31,13 +31,13 @@ func mustNewLink(eng *sim.Engine, geo mem.Geometry, modules []*dram.Module, mode
 // index and the pair, rather than an inert event that leaves the run
 // fault-free.
 func TestFaultOnMissingLinkRejected(t *testing.T) {
-	build := func(dimms, groups int, topo TopologyKind, spec string) error {
+	build := func(dimms int, topo TopologyKind, spec string) error {
 		plan, err := fault.ParsePlan(spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		geo := geoN(dimms, dimms/2)
-		cfg := DefaultConfig(groups)
+		cfg := DefaultConfig()
 		cfg.Topology = topo
 		cfg.Fault = plan
 		eng := sim.NewEngine()
@@ -45,20 +45,20 @@ func TestFaultOnMissingLinkRejected(t *testing.T) {
 		return err
 	}
 	for _, tc := range []struct {
-		dimms, groups int
-		topo          TopologyKind
-		spec, want    string // want "" = accepted
+		dimms      int
+		topo       TopologyKind
+		spec, want string // want "" = accepted
 	}{
-		{8, 2, TopoChain, "down=1-2@50us", ""},
-		{8, 2, TopoChain, "ber=1e-7,down=2-1@1us", ""},
-		{8, 2, TopoRing, "down=0-3@1us", ""},              // ring closes 0-3 in a group of 4
-		{8, 2, TopoChain, "down=0-9@1us", "event 0: 0-9"}, // DIMM 9 does not exist
-		{8, 2, TopoChain, "down=0-2@1us", "event 0: 0-2"}, // chain skips a slot
-		{8, 2, TopoChain, "down=3-4@1us", "event 0: 3-4"}, // split across DL groups
-		{8, 2, TopoChain, "down=0-1@1us,stall=1-3@1us+1us", "event 1: 1-3"},
-		{8, 1, TopoMesh, "degrade=0-5@0*0.5", "event 0: 0-5"}, // 4x2 mesh: 0 and 5 are diagonal
+		{8, TopoChain, "down=1-2@50us", ""},
+		{8, TopoChain, "ber=1e-7,down=2-1@1us", ""},
+		{8, TopoRing, "down=0-3@1us", ""},              // ring closes 0-3 in a group of 4
+		{8, TopoChain, "down=0-9@1us", "event 0: 0-9"}, // DIMM 9 does not exist
+		{8, TopoChain, "down=0-2@1us", "event 0: 0-2"}, // chain skips a slot
+		{8, TopoChain, "down=3-4@1us", "event 0: 3-4"}, // split across DL groups
+		{8, TopoChain, "down=0-1@1us,stall=1-3@1us+1us", "event 1: 1-3"},
+		{16, TopoMesh, "degrade=0-5@0*0.5", "event 0: 0-5"}, // 4x2 mesh of 0..7: 0 and 5 are diagonal
 	} {
-		err := build(tc.dimms, tc.groups, tc.topo, tc.spec)
+		err := build(tc.dimms, tc.topo, tc.spec)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s on %dD %s: rejected a real link: %v", tc.spec, tc.dimms, tc.topo, err)
@@ -68,17 +68,14 @@ func TestFaultOnMissingLinkRejected(t *testing.T) {
 	}
 }
 
-// newFaultLink is newTestLink with a fault plan attached.
-func newFaultLink(dimms, channels, groups int, plan *fault.Plan) *Link {
+// newFaultLink is newTestLink(16, 8, host.BasePolling) with a fault plan
+// attached: DIMMs 0..7 form the first chain group.
+func newFaultLink(plan *fault.Plan) *Link {
 	eng := sim.NewEngine()
-	geo := geoN(dimms, channels)
-	modules := make([]*dram.Module, dimms)
-	for i := range modules {
-		modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-	}
-	cfg := DefaultConfig(groups)
+	geo := geoN(16, 8)
+	cfg := DefaultConfig()
 	cfg.Fault = plan
-	return mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+	return mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 }
 
 // TestInactivePlanIsByteIdentical pins the acceptance criterion that a
@@ -86,7 +83,7 @@ func newFaultLink(dimms, channels, groups int, plan *fault.Plan) *Link {
 // completion times, same counters.
 func TestInactivePlanIsByteIdentical(t *testing.T) {
 	run := func(plan *fault.Plan) (sim.Time, uint64) {
-		l := newFaultLink(8, 4, 1, plan)
+		l := newFaultLink(plan)
 		var last sim.Time
 		for d := 1; d < 8; d++ {
 			last = l.Access(last, 0, l.geo.DIMMBase(d), 1024, d%2 == 0)
@@ -112,7 +109,7 @@ func TestChainSeveredFallsBackToHost(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, Events: []fault.Event{
 		{A: 3, B: 4, Kind: fault.KindDown, At: 0},
 	}}
-	l := newFaultLink(8, 4, 1, plan) // one chain group 0..7, severed at 3-4
+	l := newFaultLink(plan) // one chain group 0..7, severed at 3-4
 	// DIMM 0 writes across the cut to DIMM 6 and reads back.
 	done := l.Access(0, 0, l.geo.DIMMBase(6), 512, true)
 	done = l.Access(done, 0, l.geo.DIMMBase(6), 512, false)
@@ -141,15 +138,11 @@ func TestRingReroutesAroundDeadLink(t *testing.T) {
 		{A: 0, B: 1, Kind: fault.KindDown, At: 0},
 	}}
 	eng := sim.NewEngine()
-	geo := geoN(8, 4)
-	modules := make([]*dram.Module, 8)
-	for i := range modules {
-		modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-	}
-	cfg := DefaultConfig(1)
+	geo := geoN(16, 8) // DIMMs 0..7 are the first ring
+	cfg := DefaultConfig()
 	cfg.Topology = TopoRing
 	cfg.Fault = plan
-	l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+	l := mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 
 	// 0 -> 2's static route is clockwise through the dead 0-1 link.
 	done := l.Access(0, 0, l.geo.DIMMBase(2), 256, false)
@@ -170,7 +163,7 @@ func TestRingReroutesAroundDeadLink(t *testing.T) {
 // a clean one under the same active DLL.
 func TestBERCausesReplaysAndCompletes(t *testing.T) {
 	run := func(ber float64) (sim.Time, *Link) {
-		l := newFaultLink(8, 4, 1, &fault.Plan{Seed: 7, BER: ber})
+		l := newFaultLink(&fault.Plan{Seed: 7, BER: ber})
 		var last sim.Time
 		for i := 0; i < 20; i++ {
 			last = l.Access(last, 0, l.geo.DIMMBase(1+i%7), 2048, i%2 == 0)
@@ -202,7 +195,7 @@ func TestBERCausesReplaysAndCompletes(t *testing.T) {
 func TestRetryExhaustionKillsLink(t *testing.T) {
 	// BER high enough that per-crossing hit probability is ~1 for a
 	// 272-byte packet: every attempt corrupts or drops.
-	l := newFaultLink(8, 4, 1, &fault.Plan{Seed: 3, BER: 0.01})
+	l := newFaultLink(&fault.Plan{Seed: 3, BER: 0.01})
 	done := l.Access(0, 0, l.geo.DIMMBase(1), 4096, true)
 	if done == 0 {
 		t.Fatal("no progress")
@@ -223,7 +216,7 @@ func TestBroadcastAcrossSeveredChain(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, Events: []fault.Event{
 		{A: 3, B: 4, Kind: fault.KindDown, At: 0},
 	}}
-	l := newFaultLink(8, 4, 1, plan)
+	l := newFaultLink(plan)
 	fin := l.Broadcast(0, 0, 0, 1024)
 	if fin == 0 {
 		t.Fatal("broadcast made no progress")
@@ -239,7 +232,7 @@ func TestBarrierSurvivesSeveredChain(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, Events: []fault.Event{
 		{A: 3, B: 4, Kind: fault.KindDown, At: 0},
 	}}
-	l := newFaultLink(8, 4, 1, plan)
+	l := newFaultLink(plan)
 	arrivals := make([]sim.Time, 8)
 	dimms := make([]int, 8)
 	for i := range arrivals {
@@ -259,7 +252,7 @@ func TestFaultDeterminism(t *testing.T) {
 		plan := &fault.Plan{Seed: 11, BER: 1e-6, Events: []fault.Event{
 			{A: 2, B: 3, Kind: fault.KindDown, At: 50 * sim.Microsecond},
 		}}
-		l := newFaultLink(8, 4, 1, plan)
+		l := newFaultLink(plan)
 		var last sim.Time
 		for i := 0; i < 50; i++ {
 			last = l.Access(last, i%8, l.geo.DIMMBase((i+3)%8), 1024, i%2 == 0)
@@ -278,7 +271,7 @@ func TestFaultDeterminism(t *testing.T) {
 // a transfer across it slower than the healthy-DLL baseline.
 func TestDegradedLinkSlowsTransfers(t *testing.T) {
 	run := func(plan *fault.Plan) sim.Time {
-		l := newFaultLink(8, 4, 1, plan)
+		l := newFaultLink(plan)
 		return l.Access(0, 0, l.geo.DIMMBase(1), 65536, true)
 	}
 	healthy := run(&fault.Plan{Seed: 1, BER: 1e-18}) // active DLL, no faults
@@ -298,14 +291,10 @@ func TestErrorInjectionUnderActivePlan(t *testing.T) {
 	run := func(errorEvery uint64) (sim.Time, uint64) {
 		eng := sim.NewEngine()
 		geo := geoN(4, 2)
-		modules := make([]*dram.Module, 4)
-		for i := range modules {
-			modules[i] = dram.New(geo, dram.DDR4_3200(), i)
-		}
-		cfg := DefaultConfig(1)
+		cfg := DefaultConfig()
 		cfg.Fault = &fault.Plan{Seed: 1, BER: 1e-18}
 		cfg.ErrorEvery = errorEvery
-		l := mustNewLink(eng, geo, modules, host.BasePolling, cfg)
+		l := mustNewLink(eng, geo, testModules(geo), host.BasePolling, cfg)
 		done := l.Access(0, 0, l.geo.DIMMBase(1), 64, false)
 		return done, l.Counters().Get("link.retries")
 	}

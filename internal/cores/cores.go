@@ -75,29 +75,15 @@ func (op CollectiveOp) String() string {
 	return fmt.Sprintf("collective(%d)", int(op))
 }
 
-// Config describes the core microarchitecture.
+// Config describes the core microarchitecture. Both core models issue one
+// memory operation per cycle (issueCycles); they differ in clock and window.
 type Config struct {
-	ClockHz     float64 // core clock (2.5 GHz in the evaluation)
-	Window      int     // outstanding memory requests per thread
-	IssueCycles uint64  // core cycles to issue one memory operation
+	ClockHz float64 // core clock
+	Window  int     // outstanding memory requests per thread
 }
 
-// DefaultConfig returns the evaluation's NMP core model: 2.5 GHz, 8
-// outstanding misses, single-issue memory pipeline.
-func DefaultConfig() Config {
-	return Config{ClockHz: 2.5e9, Window: 8, IssueCycles: 1}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.ClockHz <= 0 {
-		return fmt.Errorf("cores: non-positive clock")
-	}
-	if c.Window <= 0 {
-		return fmt.Errorf("cores: window %d <= 0", c.Window)
-	}
-	return nil
-}
+// issueCycles is the core cycles to issue one memory operation.
+const issueCycles = 1
 
 // ThreadStats aggregates one thread's time breakdown.
 type ThreadStats struct {
@@ -201,9 +187,6 @@ type Group struct {
 
 // NewGroup creates an empty thread group over the memory system.
 func NewGroup(eng *sim.Engine, cfg Config, mem Memory) *Group {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	return &Group{eng: eng, cfg: cfg, mem: mem, period: sim.Period(cfg.ClockHz)}
 }
 
@@ -359,7 +342,7 @@ func (g *Group) step(t *thread) {
 		if g.profiling {
 			g.Profile[t.id][g.profDIMMOf(o.addr)] += uint64(o.size)
 		}
-		t.time += sim.Cycles(g.cfg.IssueCycles*uint64(o.size), g.period)
+		t.time += sim.Cycles(issueCycles*uint64(o.size), g.period)
 		g.schedule(t)
 	case opLoadDep:
 		g.makeRoom(t)
@@ -392,7 +375,7 @@ func (g *Group) issue(t *thread, o op) {
 	g.makeRoom(t)
 	done, remote := g.access(t, o)
 	t.push(slot{done: done, remote: remote})
-	t.time += sim.Cycles(g.cfg.IssueCycles, g.period)
+	t.time += sim.Cycles(issueCycles, g.period)
 }
 
 // push appends s to the window; makeRoom has made room for it.

@@ -6,6 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
+// testConfig is the evaluation's NMP core: 2.5 GHz with 8 outstanding
+// misses.
+var testConfig = Config{ClockHz: 2.5e9, Window: 8}
+
 // fakeMem is a Memory with fixed latencies: local accesses take localLat,
 // remote (addr >= remoteBase) take remoteLat.
 type fakeMem struct {
@@ -64,7 +68,7 @@ func newFake() *fakeMem {
 
 func TestComputeAdvancesClock(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) {
 		c.Compute(1000) // 1000 cycles at 2.5 GHz = 400 ns
 	})
@@ -77,7 +81,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 func TestLoadDepBlocks(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	g.Spawn(0, 0, func(c *Ctx) {
 		c.LoadDep(0, 64)
 		c.LoadDep(0, 64)
@@ -91,7 +95,7 @@ func TestLoadDepBlocks(t *testing.T) {
 func TestIndependentLoadsOverlap(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	cfg := DefaultConfig()
+	cfg := testConfig
 	g := NewGroup(eng, cfg, fm)
 	g.Spawn(0, 0, func(c *Ctx) {
 		for i := 0; i < 8; i++ { // fits the window: all overlap
@@ -101,7 +105,7 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 	makespan := g.Run()
 	// All 8 issue back-to-back (1 cycle each) and overlap; the last retires
 	// at issue + localLat.
-	issue := sim.Cycles(cfg.IssueCycles, sim.Period(cfg.ClockHz))
+	issue := sim.Cycles(issueCycles, sim.Period(cfg.ClockHz))
 	want := 7*issue + fm.localLat
 	if makespan != want {
 		t.Fatalf("makespan = %d, want %d", makespan, want)
@@ -111,7 +115,7 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 func TestWindowLimitsOverlap(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	cfg := DefaultConfig()
+	cfg := testConfig
 	cfg.Window = 2
 	g := NewGroup(eng, cfg, fm)
 	g.Spawn(0, 0, func(c *Ctx) {
@@ -138,7 +142,7 @@ func TestWindowLimitsOverlap(t *testing.T) {
 func TestStallAttribution(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.LoadDep(0, 64)     // local stall
 		c.LoadDep(1<<30, 64) // remote stall
@@ -158,7 +162,7 @@ func TestStallAttribution(t *testing.T) {
 func TestBarrierSynchronizesThreads(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	var after [2]sim.Time
 	for i := 0; i < 2; i++ {
 		i := i
@@ -185,7 +189,7 @@ func TestBarrierSynchronizesThreads(t *testing.T) {
 func TestMultipleBarrierRounds(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	const rounds = 5
 	for i := 0; i < 3; i++ {
 		i := i
@@ -206,7 +210,7 @@ func TestBarrierWithEarlyFinisher(t *testing.T) {
 	// A thread that never reaches the barrier finishes; the remaining
 	// threads' barrier must still release.
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) {
 		c.Compute(100000) // finishes late, no barrier
 	})
@@ -218,7 +222,7 @@ func TestBarrierWithEarlyFinisher(t *testing.T) {
 func TestDrainWaitsForWindow(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	// The Compute after Drain starts only once the remote load is back,
 	// so it extends the finish past the load's completion; without the
 	// drain it would overlap the load and the finish would be the load's.
@@ -237,7 +241,7 @@ func TestDrainWaitsForWindow(t *testing.T) {
 func TestBroadcastBlocksAndCounts(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.Broadcast(0, 256)
 	})
@@ -252,7 +256,7 @@ func TestBroadcastBlocksAndCounts(t *testing.T) {
 
 func TestProfilingCountsPerDIMM(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) {
 		c.Load(100, 64)     // "DIMM 0"
 		c.Load(1<<30, 64)   // "DIMM 1"
@@ -274,7 +278,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 	run := func() []uint64 {
 		eng := sim.NewEngine()
 		fm := newFake()
-		g := NewGroup(eng, DefaultConfig(), fm)
+		g := NewGroup(eng, testConfig, fm)
 		for i := 0; i < 4; i++ {
 			i := i
 			g.Spawn(i, i, func(c *Ctx) {
@@ -300,7 +304,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 
 func TestManyThreadsFinish(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	const n = 64
 	for i := 0; i < n; i++ {
 		g.Spawn(i%4, i, func(c *Ctx) {
@@ -324,7 +328,7 @@ func TestManyThreadsFinish(t *testing.T) {
 
 func BenchmarkHandshakeThroughput(b *testing.B) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	n := b.N
 	g.Spawn(0, 0, func(c *Ctx) {
 		for i := 0; i < n; i++ {
@@ -338,7 +342,7 @@ func BenchmarkHandshakeThroughput(b *testing.B) {
 func TestScatterOccupiesWindowSlot(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.ScatterStore(0, 4096, 10) // fake: 10 * localLat
 		c.Drain()
@@ -354,7 +358,7 @@ func TestScatterOccupiesWindowSlot(t *testing.T) {
 
 func TestScatterZeroCountIsNoOp(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.ScatterLoad(0, 4096, 0)
 		c.Compute(10)
@@ -367,7 +371,7 @@ func TestScatterZeroCountIsNoOp(t *testing.T) {
 
 func TestScatterProfiled(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGroup(eng, DefaultConfig(), newFake())
+	g := NewGroup(eng, testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) {
 		c.ScatterStore(1<<30, 4096, 7) // remote in fakeMem terms
 	})
@@ -386,7 +390,7 @@ func TestScatterProfiled(t *testing.T) {
 func TestCollectiveRendezvous(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
-	g := NewGroup(eng, DefaultConfig(), fm)
+	g := NewGroup(eng, testConfig, fm)
 	var releases [2]sim.Time
 	for i := 0; i < 2; i++ {
 		i := i

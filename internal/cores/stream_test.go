@@ -19,7 +19,7 @@ func TestChunkedStreamStats(t *testing.T) {
 	if long <= 3*opChunk || long%opChunk != 1 {
 		t.Fatalf("stream of %d ops is not 3+ full chunks plus one op at opChunk=%d", long, opChunk)
 	}
-	g := NewGroup(sim.NewEngine(), DefaultConfig(), newFake())
+	g := NewGroup(sim.NewEngine(), testConfig, newFake())
 	var maxLen, maxCap int
 	body := func(n int) func(*Ctx) {
 		return func(c *Ctx) {
@@ -77,7 +77,7 @@ func TestBodiesNeverOverlap(t *testing.T) {
 	var inside atomic.Int32
 	var overlaps atomic.Int32
 	shared := 0
-	g := NewGroup(sim.NewEngine(), DefaultConfig(), newFake())
+	g := NewGroup(sim.NewEngine(), testConfig, newFake())
 	for i := 0; i < 8; i++ {
 		i := i
 		g.Spawn(i, i, func(c *Ctx) {
@@ -108,7 +108,7 @@ func TestBodiesNeverOverlap(t *testing.T) {
 // thread waits at a barrier while the other waits at a collective, so
 // neither rendezvous can complete and the driver runs out of events.
 func TestMismatchedRendezvousDeadlocks(t *testing.T) {
-	g := NewGroup(sim.NewEngine(), DefaultConfig(), newFake())
+	g := NewGroup(sim.NewEngine(), testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) { c.Barrier() })
 	g.Spawn(1, 1, func(c *Ctx) { c.AllReduce(64) })
 	defer func() {
@@ -129,7 +129,7 @@ func TestMismatchedRendezvousDeadlocks(t *testing.T) {
 // makespan and every ThreadStats field against the values the
 // slice-based window produced for the same bodies.
 func TestWindowRingWraps(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := testConfig
 	cfg.Window = 3
 	g := NewGroup(sim.NewEngine(), cfg, newFake())
 	body := func(n int) func(*Ctx) {

@@ -10,7 +10,7 @@ import (
 // sequential stream interleaved with bank-conflicting strides: activate /
 // CAS / precharge decisions, bus reservation and refresh adjustment.
 func BenchmarkDRAMBankFSM(b *testing.B) {
-	m := New(testGeo(), DDR4_3200(), 0)
+	m := New(testGeo(), false, 0)
 	var t sim.Time
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -35,7 +35,7 @@ func BenchmarkDRAMRowRun(b *testing.B) {
 	}{{"read", false}, {"write", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			g := testGeo()
-			m := New(g, DDR4_3200(), 0)
+			m := New(g, false, 0)
 			var t sim.Time
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -23,62 +23,25 @@ import (
 	"repro/internal/sim"
 )
 
-// Timing holds the DRAM timing parameters, all in picoseconds.
-type Timing struct {
-	TRCD  sim.Time // activate to read/write
-	TRP   sim.Time // precharge
-	TCL   sim.Time // CAS latency
-	TRAS  sim.Time // activate to precharge (minimum row open time)
-	TWR   sim.Time // write recovery
-	TRRD  sim.Time // activate to activate, different banks, same rank
-	TFAW  sim.Time // four-activate window per rank
-	TRFC  sim.Time // refresh cycle time
-	TREFI sim.Time // refresh interval
-	TBL   sim.Time // burst duration of one line transfer on the data bus
+// The DDR4-3200 timings, in picoseconds (Micron LR-DIMM datasheets,
+// rounded to the nearest 10 ps). One 64-byte line is an 8-beat burst at
+// 0.3125 ns/beat = 2.5 ns, giving a 25.6 GB/s data bus.
+const (
+	tRCD  sim.Time = 13750   // activate to read/write
+	tRP   sim.Time = 13750   // precharge
+	tCL   sim.Time = 13750   // CAS latency
+	tRAS  sim.Time = 32000   // activate to precharge (minimum row open time)
+	tWR   sim.Time = 15000   // write recovery
+	tRRD  sim.Time = 4900    // activate to activate, different banks, same rank
+	tFAW  sim.Time = 21000   // four-activate window per rank
+	tRFC  sim.Time = 350000  // refresh cycle time
+	tREFI sim.Time = 7800000 // refresh interval
+	tBL   sim.Time = 2500    // burst duration of one line transfer on the data bus
 
-	// BusBytesPerSec is the per-rank data-bus bandwidth (for transfers
+	// busBytesPerSec is the per-rank data-bus bandwidth (for transfers
 	// longer than one line the bus, not the burst timing, is the limit).
-	BusBytesPerSec float64
-
-	// ClosedPage selects the closed-page (auto-precharge) row policy: every
-	// column access closes its row, trading row-hit reuse for a shorter
-	// worst-case conflict path. The evaluation uses the open-page default;
-	// the abl-page ablation quantifies the difference.
-	ClosedPage bool
-}
-
-// DDR4_3200 returns timing parameters for DDR4-3200 (values from Micron
-// LR-DIMM datasheets, rounded to the nearest 10 ps). One 64-byte line is an
-// 8-beat burst at 0.3125 ns/beat = 2.5 ns, giving a 25.6 GB/s data bus.
-func DDR4_3200() Timing {
-	return Timing{
-		TRCD:           13750,
-		TRP:            13750,
-		TCL:            13750,
-		TRAS:           32000,
-		TWR:            15000,
-		TRRD:           4900,
-		TFAW:           21000,
-		TRFC:           350000,
-		TREFI:          7800000,
-		TBL:            2500,
-		BusBytesPerSec: 25.6e9,
-	}
-}
-
-// Validate checks the parameters for sanity.
-func (t Timing) Validate() error {
-	if t.TRCD == 0 || t.TRP == 0 || t.TCL == 0 || t.TBL == 0 {
-		return fmt.Errorf("dram: zero core timing parameter: %+v", t)
-	}
-	if t.BusBytesPerSec <= 0 {
-		return fmt.Errorf("dram: non-positive bus bandwidth")
-	}
-	if t.TREFI != 0 && t.TRFC >= t.TREFI {
-		return fmt.Errorf("dram: tRFC %d >= tREFI %d", t.TRFC, t.TREFI)
-	}
-	return nil
-}
+	busBytesPerSec = 25.6e9
+)
 
 // Stats counts DRAM activity for performance and energy reporting.
 type Stats struct {
@@ -117,17 +80,20 @@ type rank struct {
 type Module struct {
 	DIMM  int
 	geo   mem.Geometry
-	tim   Timing
 	ranks []*rank
 	Stats Stats
+
+	// closedPage selects the closed-page (auto-precharge) row policy: every
+	// column access closes its row, trading row-hit reuse for a shorter
+	// worst-case conflict path. The evaluation uses the open-page default;
+	// the abl-page ablation quantifies the difference.
+	closedPage bool
 }
 
-// New builds the DRAM module of the given DIMM.
-func New(geo mem.Geometry, tim Timing, dimm int) *Module {
-	if err := tim.Validate(); err != nil {
-		panic(err)
-	}
-	m := &Module{DIMM: dimm, geo: geo, tim: tim, ranks: make([]*rank, geo.RanksPerDIMM)}
+// New builds the DRAM module of the given DIMM under the open-page row
+// policy, or the closed-page one if closedPage is set.
+func New(geo mem.Geometry, closedPage bool, dimm int) *Module {
+	m := &Module{DIMM: dimm, geo: geo, closedPage: closedPage, ranks: make([]*rank, geo.RanksPerDIMM)}
 	for r := range m.ranks {
 		rk := &rank{banks: make([]bank, geo.BanksPerRank)}
 		for b := range rk.banks {
@@ -141,31 +107,28 @@ func New(geo mem.Geometry, tim Timing, dimm int) *Module {
 // refreshAdjust pushes t past any refresh window it falls into. Refresh
 // occupies [k*tREFI, k*tREFI + tRFC) for every k >= 1.
 func (m *Module) refreshAdjust(t sim.Time) sim.Time {
-	if m.tim.TREFI == 0 {
-		return t
-	}
-	k := t / m.tim.TREFI
+	k := t / tREFI
 	if k == 0 {
 		return t
 	}
-	start := k * m.tim.TREFI
-	if t < start+m.tim.TRFC {
-		return start + m.tim.TRFC
+	start := k * tREFI
+	if t < start+tRFC {
+		return start + tRFC
 	}
 	return t
 }
 
 // activateAt returns the earliest time >= t that an activate may issue on
 // the rank, honoring tRRD and tFAW, and records the activate.
-func (rk *rank) activateAt(t sim.Time, tim Timing) sim.Time {
-	if rk.actCount > 0 && rk.lastAct+tim.TRRD > t {
-		t = rk.lastAct + tim.TRRD
+func (rk *rank) activateAt(t sim.Time) sim.Time {
+	if rk.actCount > 0 && rk.lastAct+tRRD > t {
+		t = rk.lastAct + tRRD
 	}
 	// tFAW: at most 4 activates per rolling window. The ring holds the last
 	// 4 activate times; the new one must be >= oldest + tFAW.
 	if rk.actCount >= 4 {
-		if oldest := rk.acts[rk.actIdx]; oldest+tim.TFAW > t {
-			t = oldest + tim.TFAW
+		if oldest := rk.acts[rk.actIdx]; oldest+tFAW > t {
+			t = oldest + tFAW
 		}
 	}
 	rk.acts[rk.actIdx] = t
@@ -188,7 +151,7 @@ func (rk *rank) activateAt(t sim.Time, tim Timing) sim.Time {
 // every line of one request sees the same refresh-adjusted `at`, each row
 // hit's CAS is ready no earlier than that, and nothing else reserves the
 // rank bus inside one Access.
-// ClosedPage and single-line requests take only the per-line path.
+// The closed-page policy and single-line requests take only the per-line path.
 func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.Time {
 	if size == 0 {
 		size = 1
@@ -218,7 +181,7 @@ func (m *Module) accessLines(at sim.Time, first, last uint64, write bool) sim.Ti
 	done := at
 	for a := first; ; a += line {
 		end, rk, bk := m.accessLine(at, a, write)
-		if !m.tim.ClosedPage {
+		if !m.closedPage {
 			if runLast := min(last, (a|(m.geo.RowBytes-1))&^(line-1)); runLast > a {
 				end = m.rowRun(rk, bk, (runLast-a)/line, write)
 				a = runLast
@@ -242,15 +205,15 @@ func (m *Module) accessLines(at sim.Time, first, last uint64, write bool) sim.Ti
 func (m *Module) rowRun(rk *rank, bk *bank, k uint64, write bool) sim.Time {
 	m.Stats.RowHits += k
 	if !write {
-		_, end := rk.bus.Reserve(bk.casReadyAt+m.tim.TCL, k*m.tim.TBL)
-		bk.casReadyAt = end - m.tim.TCL
+		_, end := rk.bus.Reserve(bk.casReadyAt+tCL, k*tBL)
+		bk.casReadyAt = end - tCL
 		bk.preReadyAt = end
 		return end
 	}
 	var end sim.Time
 	for ; k > 0; k-- {
-		_, end = rk.bus.Reserve(bk.casReadyAt+m.tim.TCL, m.tim.TBL)
-		bk.casReadyAt = end + m.tim.TWR
+		_, end = rk.bus.Reserve(bk.casReadyAt+tCL, tBL)
+		bk.casReadyAt = end + tWR
 	}
 	bk.preReadyAt = bk.casReadyAt
 	return end
@@ -286,15 +249,15 @@ func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) (sim.Time,
 			if bk.preReadyAt > pre {
 				pre = bk.preReadyAt
 			}
-			if ras := bk.openedAt + m.tim.TRAS; ras > pre {
+			if ras := bk.openedAt + tRAS; ras > pre {
 				pre = ras
 			}
-			t = pre + m.tim.TRP
+			t = pre + tRP
 		}
-		actAt := rk.activateAt(t, m.tim)
+		actAt := rk.activateAt(t)
 		m.Stats.Activations++
 		bk.openedAt = actAt
-		bk.casReadyAt = actAt + m.tim.TRCD
+		bk.casReadyAt = actAt + tRCD
 		bk.openRow = row
 	}
 
@@ -305,20 +268,20 @@ func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) (sim.Time,
 	if bk.casReadyAt > casIssue {
 		casIssue = bk.casReadyAt
 	}
-	start, end := rk.bus.Reserve(casIssue+m.tim.TCL, m.tim.TBL)
-	casIssue = start - m.tim.TCL // bus backpressure delays the CAS itself
+	start, end := rk.bus.Reserve(casIssue+tCL, tBL)
+	casIssue = start - tCL // bus backpressure delays the CAS itself
 	if write {
-		bk.casReadyAt = end + m.tim.TWR
-		bk.preReadyAt = end + m.tim.TWR
+		bk.casReadyAt = end + tWR
+		bk.preReadyAt = end + tWR
 	} else {
-		bk.casReadyAt = casIssue + m.tim.TBL
+		bk.casReadyAt = casIssue + tBL
 		bk.preReadyAt = end
 	}
-	if m.tim.ClosedPage {
+	if m.closedPage {
 		// Auto-precharge: the row closes behind the burst; the next access
 		// to this bank pays a fresh activate (but never a conflict).
 		bk.openRow = -1
-		bk.casReadyAt = bk.preReadyAt + m.tim.TRP
+		bk.casReadyAt = bk.preReadyAt + tRP
 	}
 	return end, rk, bk
 }
@@ -326,8 +289,5 @@ func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) (sim.Time,
 // PeakBytesPerSec returns the aggregate peak bandwidth of the module
 // (ranks x per-rank bus bandwidth).
 func (m *Module) PeakBytesPerSec() float64 {
-	return float64(len(m.ranks)) * m.tim.BusBytesPerSec
+	return float64(len(m.ranks)) * busBytesPerSec
 }
-
-// Timing returns the module's timing parameters.
-func (m *Module) Timing() Timing { return m.tim }

@@ -20,23 +20,11 @@ func testGeo() mem.Geometry {
 	}
 }
 
-func TestTimingValidate(t *testing.T) {
-	if err := DDR4_3200().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DDR4_3200()
-	bad.TRFC = bad.TREFI
-	if bad.Validate() == nil {
-		t.Fatal("tRFC >= tREFI accepted")
-	}
-}
-
 func TestFirstAccessLatency(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(testGeo(), false, 0)
 	done := m.Access(0, 0, 64, false)
 	// Cold bank: activate (tRCD) + CAS (tCL) + burst (tBL).
-	want := tim.TRCD + tim.TCL + tim.TBL
+	want := tRCD + tCL + tBL
 	if done != want {
 		t.Fatalf("cold access done at %d, want %d", done, want)
 	}
@@ -46,12 +34,11 @@ func TestFirstAccessLatency(t *testing.T) {
 }
 
 func TestRowHitIsFaster(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(testGeo(), false, 0)
 	first := m.Access(0, 0, 64, false)
 	second := m.Access(first, 64, 64, false)
-	if second-first != tim.TCL+tim.TBL {
-		t.Fatalf("row hit latency %d, want %d", second-first, tim.TCL+tim.TBL)
+	if second-first != tCL+tBL {
+		t.Fatalf("row hit latency %d, want %d", second-first, tCL+tBL)
 	}
 	if m.Stats.RowHits != 1 {
 		t.Fatalf("stats: %+v", m.Stats)
@@ -60,15 +47,14 @@ func TestRowHitIsFaster(t *testing.T) {
 
 func TestRowConflictPays(t *testing.T) {
 	g := testGeo()
-	m := New(g, DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(g, false, 0)
 	// Two rows that map to the same bank: rows are bank-interleaved, so the
 	// same bank repeats every BanksPerRank * RanksPerDIMM rows.
 	stride := g.RowBytes * uint64(g.BanksPerRank) * uint64(g.RanksPerDIMM)
 	first := m.Access(0, 0, 64, false)
 	conflictStart := first + 1000000 // long after tRAS
 	second := m.Access(conflictStart, stride, 64, false)
-	want := conflictStart + tim.TRP + tim.TRCD + tim.TCL + tim.TBL
+	want := conflictStart + tRP + tRCD + tCL + tBL
 	if second != want {
 		t.Fatalf("conflict access done %d, want %d", second, want)
 	}
@@ -82,16 +68,15 @@ func TestBankParallelism(t *testing.T) {
 	// two conflicts in the same bank serialize. Warm rows first, then issue
 	// conflicting rows late (past tRAS) and compare completion.
 	g := testGeo()
-	tim := DDR4_3200()
 	bankStride := g.RowBytes * uint64(g.BanksPerRank) * uint64(g.RanksPerDIMM)
 
-	sameBank := New(g, tim, 0)
+	sameBank := New(g, false, 0)
 	sameBank.Access(0, 0, 64, false)
 	const late = 10_000_000
 	sameBank.Access(late, bankStride, 64, false)               // conflict 1, bank 0
 	sameDone := sameBank.Access(late, 2*bankStride, 64, false) // conflict 2, bank 0
 
-	diffBank := New(g, tim, 0)
+	diffBank := New(g, false, 0)
 	diffBank.Access(0, 0, 64, false)
 	diffBank.Access(0, g.RowBytes, 64, false) // warm bank 1
 	diffBank.Access(late, bankStride, 64, false)
@@ -104,7 +89,7 @@ func TestBankParallelism(t *testing.T) {
 
 func TestRankParallelism(t *testing.T) {
 	g := testGeo()
-	m := New(g, DDR4_3200(), 0)
+	m := New(g, false, 0)
 	// Addresses on different ranks: rank index changes every BanksPerRank rows.
 	rankStride := g.RowBytes * uint64(g.BanksPerRank)
 	a := m.Access(0, 0, 64, false)
@@ -115,12 +100,11 @@ func TestRankParallelism(t *testing.T) {
 }
 
 func TestWriteRecovery(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(testGeo(), false, 0)
 	w := m.Access(0, 0, 64, true)
 	// Next access to the same bank must wait tWR after the write burst.
 	r := m.Access(w, 64, 64, false)
-	if r < w+tim.TWR+tim.TCL+tim.TBL {
+	if r < w+tWR+tCL+tBL {
 		t.Fatalf("write recovery not enforced: write done %d, read done %d", w, r)
 	}
 	if m.Stats.Writes != 1 || m.Stats.WriteBytes != 64 {
@@ -129,11 +113,10 @@ func TestWriteRecovery(t *testing.T) {
 }
 
 func TestLargeAccessSplitsIntoLines(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(testGeo(), false, 0)
 	done := m.Access(0, 0, 1024, false) // 16 lines, one row, one bank
 	// First line: tRCD+tCL+tBL; remaining 15 serialize on the bus.
-	want := tim.TRCD + tim.TCL + 16*tim.TBL
+	want := tRCD + tCL + 16*tBL
 	if done != want {
 		t.Fatalf("1KB access done %d, want %d", done, want)
 	}
@@ -143,12 +126,11 @@ func TestLargeAccessSplitsIntoLines(t *testing.T) {
 }
 
 func TestLargeWriteSpacing(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
-	tim := DDR4_3200()
+	m := New(testGeo(), false, 0)
 	done := m.Access(0, 0, 1024, true) // 16 lines, one row, one bank
 	// First line: tRCD+tCL+tBL; each of the other 15 waits tWR after the
 	// previous burst, then tCL, then its own burst.
-	want := tim.TRCD + tim.TCL + tim.TBL + 15*(tim.TWR+tim.TCL+tim.TBL)
+	want := tRCD + tCL + tBL + 15*(tWR+tCL+tBL)
 	if done != want {
 		t.Fatalf("1KB write done %d, want %d", done, want)
 	}
@@ -158,7 +140,7 @@ func TestLargeWriteSpacing(t *testing.T) {
 }
 
 func TestUnalignedAccessTouchesBothLines(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
+	m := New(testGeo(), false, 0)
 	m.Access(60, 60, 8, false) // straddles lines 0 and 64
 	if m.Stats.RowHits+m.Stats.RowEmpty+m.Stats.RowMisses != 2 {
 		t.Fatalf("straddling access should touch 2 lines: %+v", m.Stats)
@@ -167,20 +149,18 @@ func TestUnalignedAccessTouchesBothLines(t *testing.T) {
 
 func TestRefreshStallsAccess(t *testing.T) {
 	g := testGeo()
-	tim := DDR4_3200()
-	m := New(g, tim, 0)
+	m := New(g, false, 0)
 	// An access landing exactly at the refresh instant is pushed past tRFC.
-	at := tim.TREFI
+	at := tREFI
 	done := m.Access(at, 0, 64, false)
-	if done < at+tim.TRFC {
-		t.Fatalf("refresh not honored: done %d < %d", done, at+tim.TRFC)
+	if done < at+tRFC {
+		t.Fatalf("refresh not honored: done %d < %d", done, at+tRFC)
 	}
 }
 
 func TestTFAWLimitsActivateBursts(t *testing.T) {
 	g := testGeo()
-	tim := DDR4_3200()
-	m := New(g, tim, 0)
+	m := New(g, false, 0)
 	// 5 activates to 5 different banks in the same rank at t=0. Banks are
 	// row-interleaved, rank repeats every BanksPerRank rows, so use rows
 	// 0,2,4,... (even rows stay in rank 0 only if BanksPerRank even...).
@@ -193,14 +173,14 @@ func TestTFAWLimitsActivateBursts(t *testing.T) {
 		}
 	}
 	// The 5th activate cannot start before tFAW.
-	if last < tim.TFAW+tim.TRCD+tim.TCL {
+	if last < tFAW+tRCD+tCL {
 		t.Fatalf("tFAW not enforced: last done %d", last)
 	}
 }
 
 func TestAccessWrongDIMMPanics(t *testing.T) {
 	g := testGeo()
-	m := New(g, DDR4_3200(), 0)
+	m := New(g, false, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("access to wrong DIMM did not panic")
@@ -212,9 +192,8 @@ func TestAccessWrongDIMMPanics(t *testing.T) {
 func TestMonotoneCompletionProperty(t *testing.T) {
 	// Property: completion time is always >= request time + minimal burst.
 	g := testGeo()
-	tim := DDR4_3200()
 	f := func(addrs []uint32, gaps []uint16) bool {
-		m := New(g, tim, 0)
+		m := New(g, false, 0)
 		var at sim.Time
 		for i, a := range addrs {
 			if i < len(gaps) {
@@ -222,7 +201,7 @@ func TestMonotoneCompletionProperty(t *testing.T) {
 			}
 			addr := uint64(a) % g.DIMMCapBytes
 			done := m.Access(at, addr, 64, a%2 == 0)
-			if done < at+tim.TCL+tim.TBL {
+			if done < at+tCL+tBL {
 				return false
 			}
 		}
@@ -237,8 +216,7 @@ func TestStreamBandwidthApproachesPeak(t *testing.T) {
 	// A saturating sequential stream should achieve close to the per-rank
 	// bus bandwidth.
 	g := testGeo()
-	tim := DDR4_3200()
-	m := New(g, tim, 0)
+	m := New(g, false, 0)
 	const total = 1 << 22 // 4 MiB
 	var done sim.Time
 	for a := uint64(0); a < total; a += 64 {
@@ -258,7 +236,7 @@ func TestStreamBandwidthApproachesPeak(t *testing.T) {
 }
 
 func TestPeakBandwidth(t *testing.T) {
-	m := New(testGeo(), DDR4_3200(), 0)
+	m := New(testGeo(), false, 0)
 	if got := m.PeakBytesPerSec(); got != 2*25.6e9 {
 		t.Fatalf("PeakBytesPerSec = %v", got)
 	}
@@ -266,7 +244,7 @@ func TestPeakBandwidth(t *testing.T) {
 
 func BenchmarkAccessStream(b *testing.B) {
 	g := testGeo()
-	m := New(g, DDR4_3200(), 0)
+	m := New(g, false, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Access(0, uint64(i*64)%g.DIMMCapBytes, 64, false)
@@ -274,9 +252,7 @@ func BenchmarkAccessStream(b *testing.B) {
 }
 
 func TestClosedPagePolicy(t *testing.T) {
-	tim := DDR4_3200()
-	tim.ClosedPage = true
-	m := New(testGeo(), tim, 0)
+	m := New(testGeo(), true, 0)
 	first := m.Access(0, 0, 64, false)
 	// Same row again: under closed-page this is NOT a row hit.
 	m.Access(first, 64, 64, false)
@@ -287,9 +263,9 @@ func TestClosedPagePolicy(t *testing.T) {
 		t.Fatalf("expected two activates, got %+v", m.Stats)
 	}
 	// Open-page streams must beat closed-page streams.
-	open := New(testGeo(), DDR4_3200(), 0)
+	open := New(testGeo(), false, 0)
 	var openDone, closedDone sim.Time
-	closed := New(testGeo(), tim, 0)
+	closed := New(testGeo(), true, 0)
 	for a := uint64(0); a < 1<<16; a += 64 {
 		openDone = open.Access(0, a, 64, false)
 		closedDone = closed.Access(0, a, 64, false)

@@ -65,15 +65,15 @@ func (m *Module) refAccessLine(at sim.Time, lineAddr uint64, write bool) sim.Tim
 			if bk.preReadyAt > pre {
 				pre = bk.preReadyAt
 			}
-			if ras := bk.openedAt + m.tim.TRAS; ras > pre {
+			if ras := bk.openedAt + tRAS; ras > pre {
 				pre = ras
 			}
-			t = pre + m.tim.TRP
+			t = pre + tRP
 		}
-		actAt := rk.activateAt(t, m.tim)
+		actAt := rk.activateAt(t)
 		m.Stats.Activations++
 		bk.openedAt = actAt
-		bk.casReadyAt = actAt + m.tim.TRCD
+		bk.casReadyAt = actAt + tRCD
 		bk.openRow = row
 	}
 
@@ -81,18 +81,18 @@ func (m *Module) refAccessLine(at sim.Time, lineAddr uint64, write bool) sim.Tim
 	if bk.casReadyAt > casIssue {
 		casIssue = bk.casReadyAt
 	}
-	start, end := rk.bus.Reserve(casIssue+m.tim.TCL, m.tim.TBL)
-	casIssue = start - m.tim.TCL
+	start, end := rk.bus.Reserve(casIssue+tCL, tBL)
+	casIssue = start - tCL
 	if write {
-		bk.casReadyAt = end + m.tim.TWR
-		bk.preReadyAt = end + m.tim.TWR
+		bk.casReadyAt = end + tWR
+		bk.preReadyAt = end + tWR
 	} else {
-		bk.casReadyAt = casIssue + m.tim.TBL
+		bk.casReadyAt = casIssue + tBL
 		bk.preReadyAt = end
 	}
-	if m.tim.ClosedPage {
+	if m.closedPage {
 		bk.openRow = -1
-		bk.casReadyAt = bk.preReadyAt + m.tim.TRP
+		bk.casReadyAt = bk.preReadyAt + tRP
 	}
 	return end
 }
@@ -113,7 +113,7 @@ const diffRows = 64
 // offset of the first diffRows rows, and a start that mostly advances the
 // clock but often lands just before, inside or just after the next refresh
 // window, or steps back a little.
-func drawOp(clock *sim.Time, tim Timing, sizeRaw, offRaw, atRaw uint32, mode uint8, write bool) diffOp {
+func drawOp(clock *sim.Time, sizeRaw, offRaw, atRaw uint32, mode uint8, write bool) diffOp {
 	g := testGeo()
 	op := diffOp{
 		size:  1 + sizeRaw%16384,
@@ -124,8 +124,8 @@ func drawOp(clock *sim.Time, tim Timing, sizeRaw, offRaw, atRaw uint32, mode uin
 	case 0, 1: // advance by up to 2 us
 		*clock += sim.Time(atRaw % 2_000_000)
 	case 2: // around the next refresh window [k*tREFI, k*tREFI + tRFC)
-		k := *clock/tim.TREFI + 1
-		*clock = k*tim.TREFI - 100_000 + sim.Time(atRaw%uint32(tim.TRFC+200_000))
+		k := *clock/tREFI + 1
+		*clock = k*tREFI - 100_000 + sim.Time(atRaw%uint32(tRFC+200_000))
 	case 3: // out of order by up to 500 ns
 		if back := sim.Time(atRaw % 500_000); back < *clock {
 			op.at = *clock - back
@@ -140,19 +140,19 @@ func drawOp(clock *sim.Time, tim Timing, sizeRaw, offRaw, atRaw uint32, mode uin
 // fresh modules and fails at the first difference in return value, Stats or
 // rank state. Every few requests it also compares each rank bus's
 // utilization at a non-decreasing probe time.
-func checkMatchesPerLine(t *testing.T, tim Timing, ops []diffOp) {
+func checkMatchesPerLine(t *testing.T, closed bool, ops []diffOp) {
 	t.Helper()
-	fast, ref := New(testGeo(), tim, 0), New(testGeo(), tim, 0)
+	fast, ref := New(testGeo(), closed, 0), New(testGeo(), closed, 0)
 	var probe sim.Time
 	for i, op := range ops {
 		got := fast.Access(op.at, op.addr, op.size, op.write)
 		want := ref.refAccess(op.at, op.addr, op.size, op.write)
 		if got != want || fast.Stats != ref.Stats {
 			t.Fatalf("op %d %+v (closed page %v): Access = %d, %+v; per-line = %d, %+v",
-				i, op, tim.ClosedPage, got, fast.Stats, want, ref.Stats)
+				i, op, closed, got, fast.Stats, want, ref.Stats)
 		}
 		if !reflect.DeepEqual(fast.ranks, ref.ranks) {
-			t.Fatalf("op %d %+v (closed page %v): rank state differs from per-line", i, op, tim.ClosedPage)
+			t.Fatalf("op %d %+v (closed page %v): rank state differs from per-line", i, op, closed)
 		}
 		if i%7 == 6 || i == len(ops)-1 {
 			probe = max(probe, op.at)
@@ -170,17 +170,15 @@ func checkMatchesPerLine(t *testing.T, tim Timing, ops []diffOp) {
 // per-line loop does.
 func TestAccessMatchesPerLine(t *testing.T) {
 	for _, closed := range []bool{false, true} {
-		tim := DDR4_3200()
-		tim.ClosedPage = closed
 		t.Run(fmt.Sprintf("closed=%v", closed), func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				var clock sim.Time
 				ops := make([]diffOp, 300)
 				for i := range ops {
-					ops[i] = drawOp(&clock, tim, rng.Uint32(), rng.Uint32(), rng.Uint32(), uint8(rng.Intn(4)), rng.Intn(2) == 0)
+					ops[i] = drawOp(&clock, rng.Uint32(), rng.Uint32(), rng.Uint32(), uint8(rng.Intn(4)), rng.Intn(2) == 0)
 				}
-				checkMatchesPerLine(t, tim, ops)
+				checkMatchesPerLine(t, closed, ops)
 			}
 		})
 	}
@@ -200,14 +198,13 @@ func FuzzAccessMatchesPerLine(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		tim := DDR4_3200()
-		tim.ClosedPage = data[0]&1 == 1
+		closed := data[0]&1 == 1
 		var clock sim.Time
 		var ops []diffOp
 		for rec := data[1:]; len(rec) >= 14 && len(ops) < 256; rec = rec[14:] {
 			u := binary.LittleEndian.Uint32
-			ops = append(ops, drawOp(&clock, tim, u(rec[0:]), u(rec[4:]), u(rec[8:]), rec[12], rec[13]&1 == 1))
+			ops = append(ops, drawOp(&clock, u(rec[0:]), u(rec[4:]), u(rec[8:]), rec[12], rec[13]&1 == 1))
 		}
-		checkMatchesPerLine(t, tim, ops)
+		checkMatchesPerLine(t, closed, ops)
 	})
 }

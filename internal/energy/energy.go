@@ -13,36 +13,21 @@ import (
 	"repro/internal/stats"
 )
 
-// Params holds per-event energy constants.
-type Params struct {
-	LinkPJPerBit    float64 // GRS SerDes (DIMM-Link)
-	DRAMPJPerBit    float64 // DDR RD/WR
-	BusIOPJPerBit   float64 // off-chip IO over the memory bus / dedicated bus
-	ActivateNJ      float64 // one row activation
-	NMPProcWatt     float64 // one DIMM's 4-core NMP processor
-	HostFwdNJ       float64 // host CPU cost of forwarding one packet
-	HostPollNJ      float64 // host CPU cost of one polling register read
-	HostIdleWatt    float64 // host package power while orchestrating NMP
-	HostComputeWatt float64 // host package power for the CPU baseline
-}
-
-// PaperParams returns the constants of Section V-C. The two host power
-// numbers are our own settings (the paper folds them into its McPAT
-// profile): 10 W of orchestration overhead during NMP runs and 95 W TDP
-// for the 16-core baseline.
-func PaperParams() Params {
-	return Params{
-		LinkPJPerBit:    1.17,
-		DRAMPJPerBit:    14,
-		BusIOPJPerBit:   22,
-		ActivateNJ:      2.1,
-		NMPProcWatt:     1.8,
-		HostFwdNJ:       200,
-		HostPollNJ:      20,
-		HostIdleWatt:    10,
-		HostComputeWatt: 95,
-	}
-}
+// The per-event energy constants of Section V-C. The two host powers are
+// model choices (the paper folds them into its McPAT profile): 10 W of
+// orchestration overhead during NMP runs and 95 W TDP for the 16-core
+// baseline.
+const (
+	linkPJPerBit    = 1.17 // GRS SerDes (DIMM-Link)
+	dramPJPerBit    = 14   // DDR RD/WR
+	busIOPJPerBit   = 22   // off-chip IO over the memory bus / dedicated bus
+	activateNJ      = 2.1  // one row activation
+	nmpProcWatt     = 1.8  // one DIMM's 4-core NMP processor
+	hostFwdNJ       = 200  // host CPU cost of forwarding one packet
+	hostPollNJ      = 20   // host CPU cost of one polling register read
+	hostIdleWatt    = 10   // host package power while orchestrating NMP
+	hostComputeWatt = 95   // host package power for the CPU baseline
+)
 
 // Breakdown is the Figure 13 energy decomposition, all in joules.
 type Breakdown struct {
@@ -62,32 +47,34 @@ type Inputs struct {
 	IsHostRun bool            // true for the 16-core CPU baseline
 }
 
-// Compute evaluates the model.
-func Compute(p Params, in Inputs) Breakdown {
+// Compute evaluates the model. Every product meets a run-time operand
+// before a second constant, so Go never folds two of the constants into one
+// exact constant at compile time, which could round differently.
+func Compute(in Inputs) Breakdown {
 	var b Breakdown
 	seconds := float64(in.Makespan) / 1e12
 
 	for _, ds := range in.DRAMStats {
 		bits := float64(ds.ReadBytes+ds.WriteBytes) * 8
-		b.DRAM += bits*p.DRAMPJPerBit*1e-12 + float64(ds.Activations)*p.ActivateNJ*1e-9
+		b.DRAM += bits*dramPJPerBit*1e-12 + float64(ds.Activations)*activateNJ*1e-9
 	}
 
 	if in.IC != nil {
 		linkBits := float64(in.IC.Get(idc.CtrLinkBytes)) * 8
 		dedBits := float64(in.IC.Get(idc.CtrDedBusBytes)) * 8
-		b.IDC += linkBits*p.LinkPJPerBit*1e-12 + dedBits*p.BusIOPJPerBit*1e-12
+		b.IDC += linkBits*linkPJPerBit*1e-12 + dedBits*busIOPJPerBit*1e-12
 	}
 	if in.Host != nil {
 		busBits := float64(in.Host.Get(host.CtrBusBytes)) * 8
-		b.IDC += busBits * p.BusIOPJPerBit * 1e-12
-		b.IDC += float64(in.Host.Get(host.CtrForwards)) * p.HostFwdNJ * 1e-9
-		b.IDC += float64(in.Host.Get(host.CtrPolls)) * p.HostPollNJ * 1e-9
+		b.IDC += busBits * busIOPJPerBit * 1e-12
+		b.IDC += float64(in.Host.Get(host.CtrForwards)) * hostFwdNJ * 1e-9
+		b.IDC += float64(in.Host.Get(host.CtrPolls)) * hostPollNJ * 1e-9
 	}
 
 	if in.IsHostRun {
-		b.Cores = p.HostComputeWatt * seconds
+		b.Cores = hostComputeWatt * seconds
 	} else {
-		b.Cores = p.NMPProcWatt*float64(in.NumDIMMs)*seconds + p.HostIdleWatt*seconds
+		b.Cores = nmpProcWatt*float64(in.NumDIMMs)*seconds + hostIdleWatt*seconds
 	}
 	b.Total = b.DRAM + b.IDC + b.Cores
 	return b

@@ -11,15 +11,13 @@ import (
 )
 
 func TestPaperConstants(t *testing.T) {
-	p := PaperParams()
-	if p.LinkPJPerBit != 1.17 || p.DRAMPJPerBit != 14 || p.BusIOPJPerBit != 22 ||
-		p.ActivateNJ != 2.1 || p.NMPProcWatt != 1.8 {
-		t.Fatalf("published constants drifted: %+v", p)
+	if linkPJPerBit != 1.17 || dramPJPerBit != 14 || busIOPJPerBit != 22 ||
+		activateNJ != 2.1 || nmpProcWatt != 1.8 {
+		t.Fatal("published constants drifted")
 	}
 }
 
 func TestDRAMEnergy(t *testing.T) {
-	p := PaperParams()
 	in := Inputs{
 		Makespan: 0,
 		NumDIMMs: 1,
@@ -29,7 +27,7 @@ func TestDRAMEnergy(t *testing.T) {
 			Activations: 100,
 		}},
 	}
-	b := Compute(p, in)
+	b := Compute(in)
 	want := 2000*8*14e-12 + 100*2.1e-9
 	if math.Abs(b.DRAM-want) > 1e-15 {
 		t.Fatalf("DRAM energy %v, want %v", b.DRAM, want)
@@ -39,12 +37,11 @@ func TestDRAMEnergy(t *testing.T) {
 func TestLinkVsBusEnergyRatio(t *testing.T) {
 	// Moving a byte over GRS must be ~19x cheaper than over the memory bus
 	// (1.17 vs 22 pJ/b) — the core of DIMM-Link's energy win.
-	p := PaperParams()
 	var link, bus stats.Counters
 	link.Add(idc.CtrLinkBytes, 1<<20)
 	bus.Add("hostbus.bytes", 1<<20)
-	bLink := Compute(p, Inputs{NumDIMMs: 1, IC: &link})
-	bBus := Compute(p, Inputs{NumDIMMs: 1, Host: &bus})
+	bLink := Compute(Inputs{NumDIMMs: 1, IC: &link})
+	bBus := Compute(Inputs{NumDIMMs: 1, Host: &bus})
 	ratio := bBus.IDC / bLink.IDC
 	if math.Abs(ratio-22/1.17) > 1e-9 {
 		t.Fatalf("bus/link energy ratio %v, want %v", ratio, 22/1.17)
@@ -55,11 +52,10 @@ func TestLinkVsBusEnergyRatio(t *testing.T) {
 // the names the idc package counts them by, so a rename there cannot
 // silently zero the IDC energy.
 func TestIDCEnergyReadsIDCCounters(t *testing.T) {
-	p := PaperParams()
 	var ic stats.Counters
 	ic.Add(idc.CtrLinkBytes, 1000)
 	ic.Add(idc.CtrDedBusBytes, 10)
-	b := Compute(p, Inputs{NumDIMMs: 1, IC: &ic})
+	b := Compute(Inputs{NumDIMMs: 1, IC: &ic})
 	want := 1000*8*1.17e-12 + 10*8*22e-12
 	if math.Abs(b.IDC-want) > 1e-18 {
 		t.Fatalf("IDC energy %v, want %v", b.IDC, want)
@@ -67,11 +63,10 @@ func TestIDCEnergyReadsIDCCounters(t *testing.T) {
 }
 
 func TestForwardAndPollEnergy(t *testing.T) {
-	p := PaperParams()
 	var h stats.Counters
 	h.Add("host.forwards", 10)
 	h.Add("host.polls", 100)
-	b := Compute(p, Inputs{NumDIMMs: 1, Host: &h})
+	b := Compute(Inputs{NumDIMMs: 1, Host: &h})
 	want := 10*200e-9 + 100*20e-9
 	if math.Abs(b.IDC-want) > 1e-15 {
 		t.Fatalf("host IDC energy %v, want %v", b.IDC, want)
@@ -79,23 +74,21 @@ func TestForwardAndPollEnergy(t *testing.T) {
 }
 
 func TestCoreEnergyScalesWithTimeAndDIMMs(t *testing.T) {
-	p := PaperParams()
-	b := Compute(p, Inputs{Makespan: sim.Second, NumDIMMs: 16})
+	b := Compute(Inputs{Makespan: sim.Second, NumDIMMs: 16})
 	want := 1.8*16 + 10
 	if math.Abs(b.Cores-want) > 1e-9 {
 		t.Fatalf("NMP core energy %v, want %v", b.Cores, want)
 	}
-	h := Compute(p, Inputs{Makespan: sim.Second, NumDIMMs: 16, IsHostRun: true})
+	h := Compute(Inputs{Makespan: sim.Second, NumDIMMs: 16, IsHostRun: true})
 	if math.Abs(h.Cores-95) > 1e-9 {
 		t.Fatalf("host core energy %v, want 95", h.Cores)
 	}
 }
 
 func TestTotalIsSum(t *testing.T) {
-	p := PaperParams()
 	var ic stats.Counters
 	ic.Add(idc.CtrLinkBytes, 4096)
-	b := Compute(p, Inputs{
+	b := Compute(Inputs{
 		Makespan:  sim.Millisecond,
 		NumDIMMs:  4,
 		DRAMStats: []dram.Stats{{ReadBytes: 100, Activations: 1}},

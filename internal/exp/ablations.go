@@ -243,7 +243,7 @@ func runAblPage(o Options) []*stats.Table {
 		w := builders[i/2]()
 		var tweak func(*nmp.Config)
 		if i%2 == 0 {
-			tweak = func(c *nmp.Config) { c.DRAM.ClosedPage = true }
+			tweak = func(c *nmp.Config) { c.ClosedPage = true }
 		}
 		out := execute(o, w, nmp.MechDIMMLink, cfg, tweak, nil, false)
 		return pageOut{name: w.Name(), makespan: out.res.Makespan}

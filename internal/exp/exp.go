@@ -96,17 +96,17 @@ func (o Options) sizes() sizing {
 	}
 }
 
-// tune applies the scale-dependent calibration: quick mode shrinks the
-// host LLC proportionally to the scaled-down working sets (the paper's
-// inputs are 30-100x larger than quick mode's; a full-size LLC would let
-// the CPU baseline run entirely out of cache, erasing the memory-bound
-// regime the paper evaluates). Full mode keeps the Table V LLC and uses
-// inputs that exceed it.
+// tune applies the scale-dependent calibration: it shrinks the host LLC
+// from Table V's 8 MiB in proportion to the scaled-down working sets (the
+// paper's inputs are 30-100x larger than quick mode's; a full-size LLC
+// would let the CPU baseline run entirely out of cache, erasing the
+// memory-bound regime the paper evaluates). Quick mode uses 256 KiB, full
+// mode 2 MiB with inputs that exceed it.
 func (o Options) tune(c *nmp.Config) {
 	if o.Quick {
-		c.HostLLC.SizeBytes = 256 << 10
+		c.HostLLCBytes = 256 << 10
 	} else {
-		c.HostLLC.SizeBytes = 2 << 20
+		c.HostLLCBytes = 2 << 20
 	}
 }
 

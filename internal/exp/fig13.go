@@ -18,13 +18,12 @@ func init() {
 // computed in the collect callback, which the engine invokes strictly in
 // serial grid order, so rows land deterministically.
 func runFig13(o Options) []*stats.Table {
-	params := energy.PaperParams()
 	tb := stats.NewTable("Figure 13 — energy (J) on 16D-8C, by mechanism (DRAM / IDC / cores)",
 		"workload", "mechanism", "dram", "idc", "cores", "total")
 	// Per-mechanism total energy accumulated across workloads for ratios.
 	totals := map[string]float64{}
 	collect := func(_ sysConfig, wl, mech string, out runOut) {
-		b := energy.Compute(params, out.sys.EnergyInputs(out.res.Makespan))
+		b := energy.Compute(out.sys.EnergyInputs(out.res.Makespan))
 		tb.Addf(wl, mech, b.DRAM, b.IDC, b.Cores, b.Total)
 		totals[mech] += b.Total
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/nmp"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -87,14 +88,14 @@ func runTable4(o Options) []*stats.Table {
 func runTable5(o Options) []*stats.Table {
 	c := nmp.DefaultConfig(16, 8, nmp.MechDIMMLink)
 	tb := stats.NewTable("Table V — system configuration (16D-8C)", "component", "setting")
-	tb.AddRow("host CPU", fmt.Sprintf("%d cores @ %.1f GHz, %d-entry window", c.HostCores, c.HostCore.ClockHz/1e9, c.HostCore.Window))
-	tb.AddRow("host LLC", fmt.Sprintf("%d MiB shared", c.HostLLC.SizeBytes>>20))
-	tb.AddRow("NMP cores", fmt.Sprintf("%d per DIMM @ %.1f GHz", c.CoresPerDIMM, c.NMPCore.ClockHz/1e9))
-	tb.AddRow("NMP L1 / L2", fmt.Sprintf("%d KiB / %d KiB shared", c.L1.SizeBytes>>10, c.L2.SizeBytes>>10))
+	tb.AddRow("host CPU", fmt.Sprintf("%d cores @ %.1f GHz, %d-entry window", nmp.HostCores, nmp.HostClockHz/1e9, nmp.HostWindow))
+	tb.AddRow("host LLC", fmt.Sprintf("%d MiB shared", c.HostLLCBytes>>20))
+	tb.AddRow("NMP cores", fmt.Sprintf("%d per DIMM @ %.1f GHz", c.CoresPerDIMM, nmp.NMPClockHz/1e9))
+	tb.AddRow("NMP L1 / L2", fmt.Sprintf("%d KiB / %d KiB shared", nmp.L1Bytes>>10, nmp.L2Bytes>>10))
 	tb.AddRow("DRAM", "DDR4-3200 LR-DIMM, 2 ranks, 16 banks/rank, 8 KiB rows")
 	tb.AddRow("channels", fmt.Sprintf("%d x 25.6 GB/s", c.Geo.NumChannels))
 	tb.AddRow("DIMM-Link", fmt.Sprintf("GRS %.0f GB/s per link, %s topology, %d groups",
-		c.DL.Link.BytesPerSec/1e9, string(c.DL.Topology)+"", c.DL.NumGroups))
+		c.DL.Link.BytesPerSec/1e9, string(c.DL.Topology)+"", core.GroupsFor(c.Geo.NumDIMMs)))
 	tb.AddRow("polling", c.Host.String())
 	return []*stats.Table{tb}
 }

@@ -24,7 +24,7 @@ func geoN(dimms, channels int) mem.Geometry {
 func modules(geo mem.Geometry) []*dram.Module {
 	ms := make([]*dram.Module, geo.NumDIMMs)
 	for i := range ms {
-		ms[i] = dram.New(geo, dram.DDR4_3200(), i)
+		ms[i] = dram.New(geo, false, i)
 	}
 	return ms
 }

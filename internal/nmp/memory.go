@@ -36,11 +36,11 @@ func newNMPMemory(s *System) *nmpMemory {
 	nCores := s.Cfg.Geo.NumDIMMs * s.Cfg.CoresPerDIMM
 	m.l1 = make([]*cache.Cache, nCores)
 	for i := range m.l1 {
-		m.l1[i] = cache.New(s.Cfg.L1)
+		m.l1[i] = cache.New(nmpL1)
 	}
 	m.l2 = make([]*cache.Cache, s.Cfg.Geo.NumDIMMs)
 	for i := range m.l2 {
-		m.l2[i] = cache.New(s.Cfg.L2)
+		m.l2[i] = cache.New(nmpL2)
 	}
 	return m
 }
@@ -189,10 +189,10 @@ type hostMemory struct {
 }
 
 func newHostMemory(s *System) *hostMemory {
-	m := &hostMemory{sys: s, llc: cache.New(s.Cfg.HostLLC)}
-	m.l1 = make([]*cache.Cache, s.Cfg.HostCores)
+	m := &hostMemory{sys: s, llc: cache.New(hostLLC(s.Cfg.HostLLCBytes))}
+	m.l1 = make([]*cache.Cache, HostCores)
 	for i := range m.l1 {
-		m.l1[i] = cache.New(s.Cfg.HostL1)
+		m.l1[i] = cache.New(hostL1)
 	}
 	return m
 }

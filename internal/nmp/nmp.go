@@ -40,25 +40,49 @@ const (
 	MechHostCPU  Mechanism = "host-cpu"
 )
 
-// Config describes a full system.
+// Table V's cores and caches. NMP and host cores both issue one memory
+// operation per cycle; they differ in clock and outstanding-miss window.
+// The host's LLC size is the one cache setting a Config carries.
+const (
+	NMPClockHz  = 2.5e9     // NMP core clock
+	nmpWindow   = 8         // NMP outstanding misses per thread
+	L1Bytes     = 32 << 10  // private L1 of each NMP core
+	L2Bytes     = 128 << 10 // L2 shared by a DIMM's NMP cores
+	HostCores   = 16        // host-CPU baseline cores
+	HostClockHz = 2.4e9     // the paper's testbed Xeon 4210R clock
+	HostWindow  = 16        // host outstanding misses per thread
+)
+
+var (
+	nmpCore  = cores.Config{ClockHz: NMPClockHz, Window: nmpWindow}
+	hostCore = cores.Config{ClockHz: HostClockHz, Window: HostWindow}
+	nmpL1    = cache.Config{SizeBytes: L1Bytes, LineBytes: 64, Ways: 4, HitLatency: 1200}
+	nmpL2    = cache.Config{SizeBytes: L2Bytes, LineBytes: 64, Ways: 8, HitLatency: 4 * sim.Nanosecond}
+	hostL1   = cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1200}
+)
+
+// hostLLC is the host's shared LLC at the given size.
+func hostLLC(sizeBytes uint64) cache.Config {
+	return cache.Config{SizeBytes: sizeBytes, LineBytes: 64, Ways: 16, HitLatency: 12 * sim.Nanosecond}
+}
+
+// Config describes a full system: what the experiments vary about it. The
+// rest of Table V is the constants above and in the component packages.
 type Config struct {
 	Geo  mem.Geometry
-	DRAM dram.Timing
 	Mech Mechanism
 
-	// NMP side.
-	NMPCore      cores.Config
+	// ClosedPage selects the closed-page DRAM row policy (see dram.New);
+	// the evaluation uses open page, and the abl-page ablation compares.
+	ClosedPage bool
+
+	// CoresPerDIMM is the NMP cores of each DIMM.
 	CoresPerDIMM int
-	L1           cache.Config
-	L2           cache.Config // shared per DIMM
 
 	// Host side: the polling mode the host notices forwarding requests in
-	// on NMP systems, and the compute cores of the host baseline.
-	Host      host.PollingMode
-	HostCores int
-	HostCore  cores.Config
-	HostL1    cache.Config
-	HostLLC   cache.Config // shared
+	// on NMP systems, and the size of the host baseline's shared LLC.
+	Host         host.PollingMode
+	HostLLCBytes uint64
 
 	// DL configures the DIMM-Link mechanism.
 	DL core.Config
@@ -96,18 +120,11 @@ func DefaultConfig(dimms, channels int, mech Mechanism) Config {
 	}
 	return Config{
 		Geo:          geo,
-		DRAM:         dram.DDR4_3200(),
 		Mech:         mech,
-		NMPCore:      cores.Config{ClockHz: 2.5e9, Window: 8, IssueCycles: 1},
 		CoresPerDIMM: 4,
-		L1:           cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, HitLatency: 1200},
-		L2:           cache.Config{SizeBytes: 128 << 10, LineBytes: 64, Ways: 8, HitLatency: 4 * sim.Nanosecond},
 		Host:         mode,
-		HostCores:    16,
-		HostCore:     cores.Config{ClockHz: 2.4e9, Window: 16, IssueCycles: 1},
-		HostL1:       cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1200},
-		HostLLC:      cache.Config{SizeBytes: 8 << 20, LineBytes: 64, Ways: 16, HitLatency: 12 * sim.Nanosecond},
-		DL:           core.DefaultConfig(core.GroupsFor(dimms)),
+		HostLLCBytes: 8 << 20,
+		DL:           core.DefaultConfig(),
 	}
 }
 
@@ -146,14 +163,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Geo.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.NMPCore.Validate(); err != nil {
-		return nil, err
-	}
 	eng := sim.NewEngine()
 	space := mem.MustNewSpace(cfg.Geo)
 	modules := make([]*dram.Module, cfg.Geo.NumDIMMs)
 	for i := range modules {
-		modules[i] = dram.New(cfg.Geo, cfg.DRAM, i)
+		modules[i] = dram.New(cfg.Geo, cfg.ClosedPage, i)
 	}
 	s := &System{Cfg: cfg, Eng: eng, Space: space, Modules: modules}
 
@@ -261,9 +275,9 @@ func (s *System) InstrumentMemory(wrap func(cores.Memory) cores.Memory) {
 // systems use the NMP core model; the host baseline uses the host core
 // model.
 func (s *System) NewGroup() *cores.Group {
-	coreCfg := s.Cfg.NMPCore
+	coreCfg := nmpCore
 	if s.Cfg.Mech == MechHostCPU {
-		coreCfg = s.Cfg.HostCore
+		coreCfg = hostCore
 	}
 	return cores.NewGroup(s.Eng, coreCfg, s.memory)
 }
@@ -272,7 +286,7 @@ func (s *System) NewGroup() *cores.Group {
 // core, or HostCores on the baseline.
 func (s *System) Threads() int {
 	if s.Cfg.Mech == MechHostCPU {
-		return s.Cfg.HostCores
+		return HostCores
 	}
 	return s.Cfg.Geo.NumDIMMs * s.Cfg.CoresPerDIMM
 }
@@ -325,9 +339,6 @@ func (s *System) GroupShuffledPlacement(seed int64) []int {
 		return place
 	}
 	groups := core.GroupsFor(s.Cfg.Geo.NumDIMMs)
-	if s.Cfg.Mech == MechDIMMLink && s.Cfg.DL.NumGroups > 0 {
-		groups = s.Cfg.DL.NumGroups
-	}
 	perGroup := len(place) / groups
 	rng := newSplitMix(uint64(seed))
 	for g := 0; g < groups; g++ {

@@ -11,13 +11,11 @@ import (
 // divide the DIMM count: the host baseline stripes partitions round-robin
 // so every DIMM stays in rotation even when the last pass is partial.
 func TestPartitionDIMMUnevenHostThreads(t *testing.T) {
-	cfg := DefaultConfig(4, 2, MechHostCPU)
-	cfg.HostCores = 6 // 6 threads over 4 DIMMs: wraps mid-pass
-	s := MustNewSystem(cfg)
-	if s.Threads() != 6 {
-		t.Fatalf("threads = %d, want 6", s.Threads())
+	s := MustNewSystem(DefaultConfig(6, 3, MechHostCPU)) // 16 threads over 6 DIMMs: wraps mid-pass
+	if s.Threads() != 16 {
+		t.Fatalf("threads = %d, want 16", s.Threads())
 	}
-	want := []int{0, 1, 2, 3, 0, 1}
+	want := []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3}
 	for i, w := range want {
 		if got := s.PartitionDIMM(i); got != w {
 			t.Fatalf("PartitionDIMM(%d) = %d, want %d", i, got, w)
@@ -59,13 +57,11 @@ func TestDefaultPlacementMatchesPartition(t *testing.T) {
 	}
 }
 
-// TestGroupShuffledPlacementSingleGroup forces DL.NumGroups = 1: the
+// TestGroupShuffledPlacementSingleGroup runs on 4D-2C, one DL group: the
 // shuffle must degenerate to one whole-array permutation — same multiset
 // of DIMMs, deterministic per seed, and host systems untouched.
 func TestGroupShuffledPlacementSingleGroup(t *testing.T) {
-	cfg := DefaultConfig(4, 2, MechDIMMLink)
-	cfg.DL.NumGroups = 1
-	s := MustNewSystem(cfg)
+	s := MustNewSystem(DefaultConfig(4, 2, MechDIMMLink))
 	base := s.DefaultPlacement()
 	got := s.GroupShuffledPlacement(7)
 	if len(got) != len(base) {
@@ -103,9 +99,7 @@ func TestGroupShuffledPlacementSingleGroup(t *testing.T) {
 // with two DL groups a shuffled thread may move, but never across the
 // group boundary — its DIMM stays on the same side of the split.
 func TestGroupShuffledPlacementStaysInGroup(t *testing.T) {
-	cfg := DefaultConfig(8, 4, MechDIMMLink)
-	cfg.DL.NumGroups = 2
-	s := MustNewSystem(cfg)
+	s := MustNewSystem(DefaultConfig(8, 4, MechDIMMLink))
 	place := s.GroupShuffledPlacement(3)
 	half := len(place) / 2
 	for i, d := range place {

@@ -20,8 +20,8 @@ func (s *System) SpawnPlaced(g *cores.Group, placement []int, body func(tid int,
 			if s.Cfg.Mech != MechHostCPU {
 				return fmt.Errorf("nmp: host placement on an NMP system (thread %d)", i)
 			}
-			if i >= s.Cfg.HostCores {
-				return fmt.Errorf("nmp: thread %d exceeds %d host cores", i, s.Cfg.HostCores)
+			if i >= HostCores {
+				return fmt.Errorf("nmp: thread %d exceeds %d host cores", i, HostCores)
 			}
 			g.Spawn(-1, i, func(c *cores.Ctx) { body(i, c) })
 			continue

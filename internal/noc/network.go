@@ -13,24 +13,21 @@ import (
 // a packet serializes as whole flits.
 const FlitBytes = 16
 
+// HopRelay is the fixed per-hop crossing after serialization: a 1 ns PCB
+// trace plus a 2-cycle router at 2.5 GHz.
+const HopRelay sim.Time = 1800
+
 // LinkConfig describes the physical links of the network. The defaults the
 // paper uses are GRS SerDes at 25 GB/s per bidirectional link (Table II).
 type LinkConfig struct {
-	BytesPerSec   float64  // per-direction link bandwidth
-	WireLatency   sim.Time // propagation delay per hop
-	RouterLatency sim.Time // router pipeline per hop
-	Credits       int      // flit buffer depth per link (flow control window)
+	BytesPerSec float64 // per-direction link bandwidth
+	Credits     int     // flit buffer depth per link (flow control window)
 }
 
-// GRSLink returns the paper's default link configuration: 25 GB/s GRS,
-// a short PCB trace and a 2-cycle router at 2.5 GHz.
+// GRSLink returns the paper's default link configuration: 25 GB/s GRS with
+// a 64-flit credit window.
 func GRSLink() LinkConfig {
-	return LinkConfig{
-		BytesPerSec:   25e9,
-		WireLatency:   1 * sim.Nanosecond,
-		RouterLatency: 800, // 2 cycles at 2.5 GHz
-		Credits:       64,
-	}
+	return LinkConfig{BytesPerSec: 25e9, Credits: 64}
 }
 
 // Validate checks the configuration.
@@ -217,8 +214,7 @@ func (n *Network) HopCrossing(u, v int, headAt sim.Time, size int) (sim.Time, fa
 		}
 		verdict = n.inj.Verdict(gu, gv, l.packets+1, size)
 	}
-	relay := n.cfg.WireLatency + n.cfg.RouterLatency
-	start := l.creditAcquire(ready, ready+ser+relay)
+	start := l.creditAcquire(ready, ready+ser+HopRelay)
 	start, end := l.bus.Reserve(start, ser)
 	l.bytes += uint64(size)
 	l.packets++
@@ -227,10 +223,10 @@ func (n *Network) HopCrossing(u, v int, headAt sim.Time, size int) (sim.Time, fa
 		// of the head, serialization, then the fixed wire+router relay.
 		n.coll.Observe(metrics.HistQueue, start-headAt)
 		n.coll.Observe(metrics.HistSerDes, ser)
-		n.coll.Observe(metrics.HistRelay, relay)
+		n.coll.Observe(metrics.HistRelay, HopRelay)
 		n.coll.Packet(start, "hop", u, v, size)
 	}
-	return end + relay, verdict, nil
+	return end + HopRelay, verdict, nil
 }
 
 // SetMetrics attaches an observability collector. A nil collector (the

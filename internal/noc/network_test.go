@@ -8,12 +8,7 @@ import (
 )
 
 func testLink() LinkConfig {
-	return LinkConfig{
-		BytesPerSec:   25e9,
-		WireLatency:   1000,
-		RouterLatency: 800,
-		Credits:       64,
-	}
+	return LinkConfig{BytesPerSec: 25e9, Credits: 64}
 }
 
 // send walks one packet of size bytes from src to dst the way the DL

@@ -30,6 +30,13 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"sim","workload":"bfs","mech":"host-cpu","dimms":1048576,"channels":1}`,
 		`{"kind":"sim","workload":"p2p","mech":"aim","dimms":65,"channels":5}`,
 		`{"kind":"sim","workload":"p2p","dimms":4,"channels":8}`,
+		// Link bandwidths out of range; before linkbw was bounded, a tiny
+		// one held a worker for days of wall time.
+		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":1}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":0.001}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":-1e9}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":1e300}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"dimms":4,"channels":2,"linkbw":1e12}`,
 		// One valid spec per workload.
 		`{"kind":"sim","workload":"bfs","scale":8}`,
 		`{"kind":"sim","workload":"hotspot","scale":8,"iters":2}`,

@@ -111,7 +111,7 @@ func (r *SimRun) Report(w io.Writer) {
 	if r.Sys.Host() != nil {
 		fmt.Fprintf(w, "\nhost bus occupation: %.2f%%\n", 100*r.Sys.Host().BusOccupation(r.Res.Makespan))
 	}
-	b := energy.Compute(energy.PaperParams(), in)
+	b := energy.Compute(in)
 	fmt.Fprintf(w, "energy     %.4f J total (dram %.4f, idc %.4f, cores %.4f)\n",
 		b.Total, b.DRAM, b.IDC, b.Cores)
 }
@@ -150,7 +150,7 @@ func (r *SimRun) JSON() ([]byte, error) {
 	if r.Sys.Host() != nil {
 		out.HostBusOcc = r.Sys.Host().BusOccupation(r.Res.Makespan)
 	}
-	b := energy.Compute(energy.PaperParams(), in)
+	b := energy.Compute(in)
 	out.Energy = map[string]float64{
 		"total": b.Total, "dram": b.DRAM, "idc": b.IDC, "cores": b.Cores,
 	}

@@ -79,7 +79,7 @@ type Spec struct {
 	EdgeFactor int     `json:"ef,omitempty"`    // in [1, 64]: graph edges per vertex
 	Iters      int     `json:"iters,omitempty"` // at least 1
 	Topology   string  `json:"topology,omitempty"`
-	LinkBW     float64 `json:"linkbw,omitempty"`
+	LinkBW     float64 `json:"linkbw,omitempty"` // in [1e9, 1e12] bytes/s
 	Polling    string  `json:"polling,omitempty"`
 	CXL        bool    `json:"cxl,omitempty"`
 	Broadcast  bool    `json:"broadcast,omitempty"`
@@ -260,12 +260,21 @@ func (s Spec) Normalized() (Spec, error) {
 	return n, nil
 }
 
+// The link bandwidth bounds. Wall time follows simulated time, which grows
+// as the bandwidth shrinks (the host polls every 100 ns), so a tiny or NaN
+// bandwidth would hold a worker for days; fig16 sweeps 4-64 GB/s.
+const (
+	minLinkBW = 1e9
+	maxLinkBW = 1e12
+)
+
 // normalizeSystem resolves the defaults of, and validates, the system
 // shape the sim and trace kinds share: the mechanism; at most
 // core.MaxDIMMs DIMMs (the DL packet's SRC/DST field, and a bound on what
 // one spec can make a worker allocate) and no more channels than DIMMs;
-// the DL topology and link bandwidth; and the polling mode, whose proxy
-// modes need DIMM-Link's polling proxies (Section IV-A).
+// the DL topology and a finite link bandwidth in [minLinkBW, maxLinkBW];
+// and the polling mode, whose proxy modes need DIMM-Link's polling
+// proxies (Section IV-A).
 func (n *Spec) normalizeSystem() error {
 	if n.Mech == "" {
 		n.Mech = DefaultMech
@@ -298,8 +307,8 @@ func (n *Spec) normalizeSystem() error {
 	if n.LinkBW == 0 {
 		n.LinkBW = DefaultLinkBW
 	}
-	if n.LinkBW < 0 {
-		return fmt.Errorf("spec: negative link bandwidth %g", n.LinkBW)
+	if !(n.LinkBW >= minLinkBW && n.LinkBW <= maxLinkBW) { // also rejects NaN
+		return fmt.Errorf("spec: linkbw %g out of range [%g, %g] bytes/s", n.LinkBW, minLinkBW, maxLinkBW)
 	}
 	if n.Polling == "" {
 		return nil

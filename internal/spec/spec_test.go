@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -216,8 +217,9 @@ func TestChannelsMustDivideDIMMs(t *testing.T) {
 	}
 }
 
-// TestNormalizeSizeBounds checks the workload-sizing fields are bounded:
-// an out-of-range value is an error naming the field, the bounds
+// TestNormalizeSizeBounds checks the workload-sizing fields, the system
+// shape and the link bandwidth are bounded: an out-of-range value (a
+// non-finite bandwidth too) is an error naming the field, the bounds
 // themselves are accepted, and zero still selects the default.
 func TestNormalizeSizeBounds(t *testing.T) {
 	cases := []struct {
@@ -250,6 +252,18 @@ func TestNormalizeSizeBounds(t *testing.T) {
 		{"channels above dimms", Spec{DIMMs: 4, Channels: 8}, "channels"},
 		{"default channels above dimms", Spec{DIMMs: 2}, "channels"},
 		{"channels = dimms", Spec{DIMMs: 4, Channels: 4}, ""},
+		{"linkbw NaN", Spec{LinkBW: math.NaN()}, "linkbw"},
+		{"linkbw +Inf", Spec{LinkBW: math.Inf(1)}, "linkbw"},
+		{"linkbw -Inf", Spec{LinkBW: math.Inf(-1)}, "linkbw"},
+		{"linkbw -5", Spec{LinkBW: -5}, "linkbw"},
+		{"linkbw 0.001", Spec{LinkBW: 0.001}, "linkbw"},
+		{"linkbw 1", Spec{LinkBW: 1}, "linkbw"},
+		{"linkbw 1e5", Spec{LinkBW: 1e5}, "linkbw"},
+		{"linkbw below 1e9", Spec{LinkBW: math.Nextafter(1e9, 0)}, "linkbw"},
+		{"linkbw above 1e12", Spec{LinkBW: math.Nextafter(1e12, math.Inf(1))}, "linkbw"},
+		{"linkbw 1e9", Spec{LinkBW: 1e9}, ""},
+		{"linkbw 4e9", Spec{LinkBW: 4e9}, ""},
+		{"linkbw 1e12", Spec{LinkBW: 1e12}, ""},
 		{"zero is default", Spec{}, ""},
 	}
 	for _, c := range cases {
@@ -276,11 +290,13 @@ func TestNormalizeSizeBounds(t *testing.T) {
 		{Spec{DIMMs: 1 << 20, Channels: 1}, "dimms"},
 		{Spec{DIMMs: 0, Channels: 16}, "channels"},
 		{Spec{DIMMs: 64, Channels: 64}, ""},
+		{Spec{LinkBW: math.NaN()}, "linkbw"},
+		{Spec{LinkBW: 1}, "linkbw"},
 	} {
 		c.s.Kind, c.s.Trace = KindTrace, fakeHash
 		_, err := c.s.Normalized()
 		if c.field == "" && err != nil || c.field != "" && (err == nil || !strings.HasPrefix(err.Error(), "spec: "+c.field+" ")) {
-			t.Errorf("trace kind %dD-%dC: error %v, want one naming %q", c.s.DIMMs, c.s.Channels, err, c.field)
+			t.Errorf("trace kind %+v: error %v, want one naming %q", c.s, err, c.field)
 		}
 	}
 }

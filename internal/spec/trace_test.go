@@ -101,7 +101,7 @@ func recordWorkload(t *testing.T) (*trace.Trace, *nmp.System) {
 	sys := nmp.MustNewSystem(nmp.DefaultConfig(4, 2, nmp.MechDIMMLink))
 	var rec *trace.Recorder
 	sys.InstrumentMemory(func(inner cores.Memory) cores.Memory {
-		rec = trace.NewRecorder(inner, sys.Threads(), sys.Cfg.NMPCore.ClockHz)
+		rec = trace.NewRecorder(inner, sys.Threads(), nmp.NMPClockHz)
 		return rec
 	})
 	w := workloads.NewBFSFromGraph(workloads.Community(10, 8, 42))

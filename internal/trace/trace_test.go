@@ -13,9 +13,13 @@ import (
 
 func TestRecorderCapturesAccesses(t *testing.T) {
 	sys := nmp.MustNewSystem(nmp.DefaultConfig(4, 2, nmp.MechDIMMLink))
-	rec := NewRecorder(sys.Memory(), 4, 2.5e9)
+	var rec *Recorder
+	sys.InstrumentMemory(func(inner cores.Memory) cores.Memory {
+		rec = NewRecorder(inner, 4, nmp.NMPClockHz)
+		return rec
+	})
 	seg := sys.Space.MustAllocOn("x", 4096, 0, mem.SharedRW)
-	g := cores.NewGroup(sys.Eng, sys.Cfg.NMPCore, rec)
+	g := sys.NewGroup()
 	g.Spawn(0, 0, func(c *cores.Ctx) {
 		c.LoadDep(seg.Addr(0), 64)
 		c.Compute(100)
@@ -66,8 +70,12 @@ func TestRecorderReplayEquivalence(t *testing.T) {
 		return sys, seg
 	}
 	sysA, segA := build()
-	rec := NewRecorder(sysA.Memory(), 4, 2.5e9)
-	g := cores.NewGroup(sysA.Eng, sysA.Cfg.NMPCore, rec)
+	var rec *Recorder
+	sysA.InstrumentMemory(func(inner cores.Memory) cores.Memory {
+		rec = NewRecorder(inner, 4, nmp.NMPClockHz)
+		return rec
+	})
+	g := sysA.NewGroup()
 	g.Spawn(0, 0, func(c *cores.Ctx) {
 		for i := uint64(0); i < 100; i++ {
 			c.Load(segA.Addr(i*64), 64)
@@ -131,7 +139,7 @@ func TestReplayPreservesPerThreadOrder(t *testing.T) {
 	place := sys.DefaultPlacement()
 	var rec *Recorder
 	sys.InstrumentMemory(func(inner cores.Memory) cores.Memory {
-		rec = NewRecorder(inner, len(place), sys.Cfg.NMPCore.ClockHz)
+		rec = NewRecorder(inner, len(place), nmp.NMPClockHz)
 		return rec
 	})
 	rng := rand.New(rand.NewSource(7))

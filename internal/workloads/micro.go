@@ -119,31 +119,6 @@ func (a *AllPairsBench) Run(sys *nmp.System, placement []int, profile bool) (nmp
 	return res, bandwidthMBps(a.TotalBytes*pairs, res.Makespan), nil
 }
 
-// BroadcastBench measures one-to-all delivery of TotalBytes.
-type BroadcastBench struct {
-	SrcDIMM    int
-	TotalBytes uint32
-}
-
-// Name implements Workload.
-func (b *BroadcastBench) Name() string { return "Broadcast" }
-
-// Run implements Workload; the checksum is delivery bandwidth in MB/s.
-func (b *BroadcastBench) Run(sys *nmp.System, placement []int, profile bool) (nmp.KernelResult, uint64, error) {
-	seg := sys.Space.MustAllocOn("bc.buf", uint64(b.TotalBytes), b.SrcDIMM, mem.SharedRW)
-	body := func(tid int, c *cores.Ctx) {
-		if tid == 0 {
-			c.Broadcast(seg.Addr(0), b.TotalBytes)
-		}
-	}
-	placement = placementOn(sys, b.SrcDIMM, len(placement))
-	res, err := runPlaced(sys, placement, profile, body)
-	if err != nil {
-		return nmp.KernelResult{}, 0, err
-	}
-	return res, bandwidthMBps(uint64(b.TotalBytes), res.Makespan), nil
-}
-
 // placementOn pins thread 0 to the given DIMM and parks the rest in order.
 func placementOn(sys *nmp.System, dimm int, count int) []int {
 	if count < 1 {

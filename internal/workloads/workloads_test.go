@@ -279,15 +279,6 @@ func TestAllPairsAggregateScaling(t *testing.T) {
 	}
 }
 
-func TestBroadcastBench(t *testing.T) {
-	s := sys4(nmp.MechDIMMLink)
-	b := &BroadcastBench{SrcDIMM: 0, TotalBytes: 1 << 16}
-	res, mbps, _ := b.Run(s, s.DefaultPlacement(), false)
-	if mbps == 0 || res.Makespan == 0 {
-		t.Fatal("broadcast bench produced nothing")
-	}
-}
-
 func TestGEMVMatchesReference(t *testing.T) {
 	g := NewGEMV(256, 64, 2, 17)
 	ref := ReferenceGEMV(g)
