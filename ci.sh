@@ -85,6 +85,12 @@ if [ "${1:-}" != "quick" ]; then
 	fi
 	grep -q linkbw "$tmp/linkbw.err"
 
+	echo "== dlsim fault plan bound (a link slowed below 1% must exit 1 at once, naming the clause)"
+	status=0
+	timeout 20 "$tmp/dlsim" -workload p2p -fault 'degrade=0-1@0*1e-9' >/dev/null 2>"$tmp/fault_bound.err" || status=$?
+	test "$status" -eq 1
+	grep -q 'degrade=0-1' "$tmp/fault_bound.err"
+
 	echo "== dlsim metrics golden (histograms, per-link utilization, sampled series)"
 	"$tmp/dlsim" -workload bfs -scale 12 -metrics -sample 10000 >"$tmp/golden_metrics.txt"
 	cmp testdata/golden_dlsim_bfs_metrics.txt "$tmp/golden_metrics.txt"

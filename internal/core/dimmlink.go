@@ -99,13 +99,6 @@ type Config struct {
 	// full DLL of dll.go (replay buffer, ACK/NAK, sequence window), whose
 	// cost lands in the timeline even for crossings that never fault.
 	Fault *fault.Plan
-
-	// Metrics optionally attaches the observability layer (latency
-	// histograms, per-link utilization probes, event tracing; see
-	// internal/metrics). Observation is passive — it never schedules
-	// events or reserves simulated resources — so a nil collector (the
-	// default) and an attached one produce timing-identical simulations.
-	Metrics *metrics.Collector
 }
 
 // DefaultConfig returns the paper's evaluated configuration: GRS links at
@@ -170,6 +163,9 @@ type Link struct {
 
 	// bcScratch is the broadcast flood's arrival buffer.
 	bcScratch arrivalScratch
+
+	// Observability, attached via SetMetrics; nil records nothing.
+	coll *metrics.Collector
 }
 
 // group is one DL group: the DIMMs on one side of the CPU (or one memory
@@ -250,7 +246,6 @@ func NewLink(geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config)
 	for g := 0; g < groups; g++ {
 		gr := &group{base: g * per, size: per}
 		gr.net = noc.NewNetwork(buildTopology(cfg.Topology, per), cfg.Link)
-		gr.net.SetMetrics(cfg.Metrics)
 		if l.flt != nil {
 			gids := make([]int, per)
 			for i := range gids {
@@ -274,6 +269,18 @@ func NewLink(geo mem.Geometry, modules []*dram.Module, h *host.Host, cfg Config)
 		l.ctrl[d] = NewController(d)
 	}
 	return l, nil
+}
+
+// SetMetrics attaches an observability collector (latency histograms,
+// per-link utilization probes, event tracing; see internal/metrics) to the
+// link and every DL group's network. Observation is passive — it never
+// schedules events or reserves simulated resources — so a nil collector
+// (the default) and an attached one produce timing-identical simulations.
+func (l *Link) SetMetrics(c *metrics.Collector) {
+	l.coll = c
+	for _, g := range l.groups {
+		g.net.SetMetrics(c)
+	}
 }
 
 // checkFaultLinks rejects a fault event on a DIMM pair that is not a
@@ -385,16 +392,16 @@ func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
 			l.linkBytes.Add(uint64(wireBytes))
 		}
 		if l.cfg.ErrorEvery == 0 || l.pktCount%l.cfg.ErrorEvery != 0 {
-			if l.cfg.Metrics.Active() {
-				l.cfg.Metrics.Observe(metrics.HistPacketLat, arrive-at)
-				l.cfg.Metrics.Packet(at, "pkt", src, dst, wireBytes)
+			if l.coll.Active() {
+				l.coll.Observe(metrics.HistPacketLat, arrive-at)
+				l.coll.Packet(at, "pkt", src, dst, wireBytes)
 			}
 			return arrive
 		}
 		// CRC failure at dst: no ACK returns; the source retransmits after
 		// a fixed retry timeout sized to a few worst-case round trips.
 		l.retries.Inc()
-		l.cfg.Metrics.Observe(metrics.HistDLLRetry, retryTimeout)
+		l.coll.Observe(metrics.HistDLLRetry, retryTimeout)
 		t = arrive + retryTimeout
 	}
 }
@@ -471,7 +478,7 @@ func (l *Link) Access(at sim.Time, srcDIMM int, addr uint64, size uint32, write 
 	} else {
 		done = l.interGroupAccess(at, srcDIMM, dst, addr, size, write)
 	}
-	l.cfg.Metrics.Observe(metrics.HistAccessLat, done-at)
+	l.coll.Observe(metrics.HistAccessLat, done-at)
 	return done
 }
 
@@ -668,11 +675,17 @@ func (l *Link) broadcastWithin(at sim.Time, src int, size uint32) sim.Time {
 }
 
 // Barrier implements idc.Interconnect: hierarchical (default) or
-// centralized synchronization over DIMM-Link.
+// centralized synchronization over DIMM-Link. The centralized scheme is
+// the baselines' idc.CentralizedBarrier with its sync messages carried
+// over DL links (host or CXL between groups) — the DIMM-Link-Central
+// configuration of Figure 14.
 func (l *Link) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 	l.tx.Barriers.Inc()
 	if l.cfg.Sync == SyncCentralized {
-		return l.centralBarrier(arrivals, threadDIMM)
+		syncWire := wireBytesFor(0)
+		return idc.CentralizedBarrier(arrivals, threadDIMM, func(at sim.Time, src, dst int) sim.Time {
+			return l.syncMessage(at, src, dst, syncWire)
+		})
 	}
 	return l.hierBarrier(arrivals, threadDIMM)
 }
@@ -756,38 +769,6 @@ func (l *Link) hierBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 		}
 		fin := l.broadcastWithin(global, l.groups[gi].master, 0)
 		if fin > release {
-			release = fin
-		}
-	}
-	return release + idc.IntraDIMMSyncCost
-}
-
-// centralBarrier: every thread messages a master core on one central DIMM
-// (0) and waits for its individual release — the DIMM-Link-Central baseline
-// of Figure 14 (no hierarchical aggregation).
-func (l *Link) centralBarrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
-	const central = 0
-	syncWire := wireBytesFor(0)
-	var global sim.Time
-	for i, a := range arrivals {
-		d := threadDIMM[i]
-		// Every thread pays the intra-DIMM hand-off to its master core
-		// first; remote masters then launch the sync packet.
-		arrive := a + idc.IntraDIMMSyncCost
-		if d != central {
-			arrive = l.syncMessage(a+idc.IntraDIMMSyncCost, d, central, syncWire)
-		}
-		if arrive > global {
-			global = arrive
-		}
-	}
-	release := global
-	for i := range arrivals {
-		d := threadDIMM[i]
-		if d == central {
-			continue
-		}
-		if fin := l.syncMessage(global, central, d, syncWire); fin > release {
 			release = fin
 		}
 	}

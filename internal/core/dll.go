@@ -128,14 +128,14 @@ func (l *Link) dllHop(g *group, u, v int, at sim.Time, wire int) (sim.Time, bool
 				l.fc.replays.Inc()
 				l.retries.Inc()
 				stall := hopArrive + l.ackDelay() - t
-				l.cfg.Metrics.Observe(metrics.HistDLLRetry, stall)
+				l.coll.Observe(metrics.HistDLLRetry, stall)
 				t = hopArrive + l.ackDelay()
 			case fault.VerdictDrop:
 				// The flits vanished; no NAK ever comes, so the
 				// retransmission timer fires, doubling each attempt.
 				l.fc.timeouts.Inc()
 				l.retries.Inc()
-				l.cfg.Metrics.Observe(metrics.HistDLLRetry, ackTimeout<<uint(attempt))
+				l.coll.Observe(metrics.HistDLLRetry, ackTimeout<<uint(attempt))
 				t += ackTimeout << uint(attempt)
 			}
 			if attempt+1 >= maxRetries {

@@ -41,39 +41,20 @@ type Memory interface {
 	Broadcast(at sim.Time, core int, addr uint64, size uint32) sim.Time
 	// Barrier synchronizes the calling thread group; see idc.Interconnect.
 	Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time
-	// Collective performs a gang-wide collective data exchange (AllReduce,
-	// ReduceScatter, AllGather, AllToAll) of the given per-rank payload and
-	// returns the common release time; like Barrier, every thread of the
-	// group participates.
+	// Collective performs a gang-wide collective data exchange of the
+	// given per-rank payload and returns the common release time; like
+	// Barrier, every thread of the group participates.
 	Collective(op CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time
 }
 
-// CollectiveOp enumerates the gang-wide collective exchanges a workload
-// can issue. The memory system maps them onto the configured IDC
-// mechanism's collective scheduler (internal/idc Collectives).
+// CollectiveOp names a gang-wide collective exchange. AllReduce is the
+// only one a workload issues; the memory system runs it on the configured
+// IDC mechanism's collective scheduler (internal/idc Collectives).
 type CollectiveOp int
 
-const (
-	CollAllReduce CollectiveOp = iota
-	CollReduceScatter
-	CollAllGather
-	CollAllToAll
-)
-
-// String implements fmt.Stringer.
-func (op CollectiveOp) String() string {
-	switch op {
-	case CollAllReduce:
-		return "allreduce"
-	case CollReduceScatter:
-		return "reduce-scatter"
-	case CollAllGather:
-		return "allgather"
-	case CollAllToAll:
-		return "alltoall"
-	}
-	return fmt.Sprintf("collective(%d)", int(op))
-}
+// CollAllReduce sums a payload across all ranks, leaving every rank with
+// the full result.
+const CollAllReduce CollectiveOp = 0
 
 // Config describes the core microarchitecture. Both core models issue one
 // memory operation per cycle (issueCycles); they differ in clock and window.
@@ -113,7 +94,6 @@ type op struct {
 	addr   uint64
 	span   uint64
 	cycles uint64
-	coll   CollectiveOp
 	size   uint32
 	kind   opKind
 	write  bool
@@ -164,18 +144,14 @@ type Group struct {
 	threads []*thread
 	running int
 
-	barrierArr  []sim.Time
-	barrierIn   []bool
-	barrierWait int
-
-	// Collective rendezvous state, mirroring the barrier plumbing: all
-	// unfinished threads must issue the same collective (op, bytes) before
-	// the exchange runs and releases them at a uniform time.
-	collArr   []sim.Time
-	collIn    []bool
-	collWait  int
-	collOp    CollectiveOp
-	collBytes uint32
+	// Rendezvous state: the pending barrier or AllReduce (rvKind, with
+	// rvBytes per rank) that every unfinished thread must join before it
+	// runs and releases them all at one time.
+	rvArr   []sim.Time
+	rvIn    []bool
+	rvWait  int
+	rvKind  opKind
+	rvBytes uint32
 
 	// Profile[i][d] counts thread i's accesses to DIMM d when profiling is
 	// enabled — the M[T][N] table of Algorithm 1.
@@ -234,13 +210,11 @@ func (g *Group) Spawn(homeDIMM, coreID int, body func(*Ctx)) *ThreadStats {
 func (g *Group) Threads() int { return len(g.threads) }
 
 // Run drives the simulation until every thread has finished and returns
-// the makespan (the last thread's finish time). It panics on deadlock
-// (mismatched barriers), which is always a workload bug.
+// the makespan (the last thread's finish time). It panics on a mismatched
+// rendezvous or a deadlock, which are always workload bugs.
 func (g *Group) Run() sim.Time {
-	g.barrierArr = make([]sim.Time, len(g.threads))
-	g.barrierIn = make([]bool, len(g.threads))
-	g.collArr = make([]sim.Time, len(g.threads))
-	g.collIn = make([]bool, len(g.threads))
+	g.rvArr = make([]sim.Time, len(g.threads))
+	g.rvIn = make([]bool, len(g.threads))
 	for _, t := range g.threads {
 		g.eng.At(g.eng.Now(), t.resume)
 	}
@@ -301,29 +275,22 @@ func (g *Group) step(t *thread) {
 		t.stats.Finish = t.time
 		t.buf = nil
 		g.running--
-		g.checkBarrier()
-		g.checkCollective()
+		g.checkRendezvous()
 		return
 	}
 	switch o.kind {
-	case opBarrier:
+	case opBarrier, opCollective:
 		g.retireAll(t)
-		g.barrierArr[t.id] = t.time
-		g.barrierIn[t.id] = true
-		g.barrierWait++
-		g.checkBarrier()
-	case opCollective:
-		g.retireAll(t)
-		if g.collWait == 0 {
-			g.collOp, g.collBytes = o.coll, o.size
-		} else if g.collOp != o.coll || g.collBytes != o.size {
-			panic(fmt.Sprintf("cores: mismatched collectives in one gang: %v/%d vs %v/%d",
-				g.collOp, g.collBytes, o.coll, o.size))
+		if g.rvWait == 0 {
+			g.rvKind, g.rvBytes = o.kind, o.size
+		} else if g.rvKind != o.kind || g.rvBytes != o.size {
+			panic(fmt.Sprintf("cores: mismatched rendezvous in one gang: %s vs %s",
+				rendezvousName(g.rvKind, g.rvBytes), rendezvousName(o.kind, o.size)))
 		}
-		g.collArr[t.id] = t.time
-		g.collIn[t.id] = true
-		g.collWait++
-		g.checkCollective()
+		g.rvArr[t.id] = t.time
+		g.rvIn[t.id] = true
+		g.rvWait++
+		g.checkRendezvous()
 	case opCompute:
 		t.time += sim.Cycles(o.cycles, g.period)
 		g.schedule(t)
@@ -451,72 +418,57 @@ func (g *Group) access(t *thread, o op) (sim.Time, bool) {
 	return done, remote
 }
 
-// checkBarrier releases the barrier once every unfinished thread arrived.
-func (g *Group) checkBarrier() {
-	if g.barrierWait == 0 || g.barrierWait < g.running {
+// checkRendezvous runs the pending barrier or AllReduce once every
+// unfinished thread joined it, then releases them all at one time. Only
+// the AllReduce counts as a memory operation moving its bytes.
+func (g *Group) checkRendezvous() {
+	if g.rvWait == 0 || g.rvWait < g.running {
 		return
 	}
 	var arrivals []sim.Time
 	var dimms []int
 	var ids []int
 	for _, t := range g.threads {
-		if t.finished || !g.barrierIn[t.id] {
+		if t.finished || !g.rvIn[t.id] {
 			continue
 		}
-		arrivals = append(arrivals, g.barrierArr[t.id])
+		arrivals = append(arrivals, g.rvArr[t.id])
 		dimms = append(dimms, t.homeDIMM)
 		ids = append(ids, t.id)
 	}
-	release := g.mem.Barrier(arrivals, dimms)
-	// If the barrier was completed by a thread *finishing* (rather than
+	coll := g.rvKind == opCollective
+	var release sim.Time
+	if coll {
+		release = g.mem.Collective(CollAllReduce, arrivals, dimms, g.rvBytes)
+	} else {
+		release = g.mem.Barrier(arrivals, dimms)
+	}
+	// If the rendezvous was completed by a thread *finishing* (rather than
 	// arriving), the release cannot predate that discovery.
 	if now := g.eng.Now(); release < now {
 		release = now
 	}
 	for i, id := range ids {
 		t := g.threads[id]
-		g.barrierIn[id] = false
+		g.rvIn[id] = false
 		t.stats.IDCStall += release - arrivals[i]
+		if coll {
+			t.stats.Ops++
+			t.stats.RemoteOps++
+			t.stats.BytesTouched += uint64(g.rvBytes)
+		}
 		t.time = release
 		g.schedule(t)
 	}
-	g.barrierWait = 0
+	g.rvWait = 0
 }
 
-// checkCollective runs the collective exchange once every unfinished
-// thread issued it, then releases them all at the uniform time.
-func (g *Group) checkCollective() {
-	if g.collWait == 0 || g.collWait < g.running {
-		return
+// rendezvousName names a pending rendezvous in diagnostics.
+func rendezvousName(kind opKind, bytes uint32) string {
+	if kind == opBarrier {
+		return "barrier"
 	}
-	var arrivals []sim.Time
-	var dimms []int
-	var ids []int
-	for _, t := range g.threads {
-		if t.finished || !g.collIn[t.id] {
-			continue
-		}
-		arrivals = append(arrivals, g.collArr[t.id])
-		dimms = append(dimms, t.homeDIMM)
-		ids = append(ids, t.id)
-	}
-	release := g.mem.Collective(g.collOp, arrivals, dimms, g.collBytes)
-	// As with barriers: when the rendezvous completes because a thread
-	// finished, the release cannot predate that discovery.
-	if now := g.eng.Now(); release < now {
-		release = now
-	}
-	for i, id := range ids {
-		t := g.threads[id]
-		g.collIn[id] = false
-		t.stats.IDCStall += release - arrivals[i]
-		t.stats.Ops++
-		t.stats.RemoteOps++
-		t.stats.BytesTouched += uint64(g.collBytes)
-		t.time = release
-		g.schedule(t)
-	}
-	g.collWait = 0
+	return fmt.Sprintf("allreduce of %d bytes", bytes)
 }
 
 // Ctx is the interface workload code uses to interact with the timing
@@ -565,21 +517,11 @@ func (c *Ctx) Broadcast(addr uint64, size uint32) {
 	c.send(op{kind: opBroadcast, addr: addr, size: size})
 }
 
-// Collective joins a gang-wide collective exchange of bytes per rank; the
-// thread blocks until the exchange completes. Every thread of the group
-// must issue the same (op, bytes) pair, like a barrier.
-func (c *Ctx) Collective(op CollectiveOp, bytes uint32) {
-	c.send(op2coll(op, bytes))
-}
-
-func op2coll(o CollectiveOp, bytes uint32) op {
-	return op{kind: opCollective, coll: o, size: bytes}
-}
-
 // AllReduce sums a bytes-sized payload across all ranks, leaving every
 // rank with the full result (the gradient exchange of data-parallel
-// training).
-func (c *Ctx) AllReduce(bytes uint32) { c.Collective(CollAllReduce, bytes) }
+// training). The thread blocks until the exchange completes; every thread
+// of the group must issue it with the same bytes, like a barrier.
+func (c *Ctx) AllReduce(bytes uint32) { c.send(op{kind: opCollective, size: bytes}) }
 
 // Drain blocks until all of this thread's outstanding accesses complete.
 func (c *Ctx) Drain() { c.send(op{kind: opDrain}) }

@@ -104,9 +104,10 @@ func TestBodiesNeverOverlap(t *testing.T) {
 	}
 }
 
-// TestMismatchedRendezvousDeadlocks pins the deadlock diagnosis: one
-// thread waits at a barrier while the other waits at a collective, so
-// neither rendezvous can complete and the driver runs out of events.
+// TestMismatchedRendezvousDeadlocks pins the diagnosis of a rendezvous
+// that could never complete: one thread waits at a barrier while the
+// other issues an AllReduce. The second arrival panics at once, naming
+// both, instead of the driver running out of events.
 func TestMismatchedRendezvousDeadlocks(t *testing.T) {
 	g := NewGroup(sim.NewEngine(), testConfig, newFake())
 	g.Spawn(0, 0, func(c *Ctx) { c.Barrier() })
@@ -114,8 +115,8 @@ func TestMismatchedRendezvousDeadlocks(t *testing.T) {
 	defer func() {
 		r := recover()
 		msg, _ := r.(string)
-		if !strings.Contains(msg, "deadlock with 2 threads unfinished") {
-			t.Fatalf("panic %v, want the deadlock message", r)
+		if !strings.Contains(msg, "mismatched rendezvous in one gang: barrier vs allreduce of 64 bytes") {
+			t.Fatalf("panic %v, want the mismatched-rendezvous message", r)
 		}
 	}()
 	g.Run()

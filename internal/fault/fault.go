@@ -72,6 +72,16 @@ type Plan struct {
 	Events []Event
 }
 
+// The fault plan's bounds. The host polls every 100 ns of simulated time,
+// so wall time grows with the simulated span a plan forces and with how
+// far it slows a link: a 1000 s stall, or a link slowed a billionfold,
+// holds one run for hours of wall time. Every plan the experiments use
+// fits with room to spare (latest event 1 ms, slowest link at half speed).
+const (
+	maxEventTime   = sim.Second // latest event time and longest stall
+	minDegradeFrac = 0.01       // slowest degraded link, as a fraction of nominal
+)
+
 // Active reports whether the plan injects anything at all. An inactive
 // plan leaves the simulator on the exact pre-fault code path, so its
 // output is byte-identical to a run with no plan.
@@ -99,14 +109,23 @@ func (p *Plan) Validate() error {
 		if e.A == e.B {
 			return fmt.Errorf("fault: event %d: link %d-%d is a self-loop", i, e.A, e.B)
 		}
+		if e.At > maxEventTime {
+			return fmt.Errorf("fault: event %d (%s): time %d ns is past the %d s bound", i, e, e.At/sim.Nanosecond, maxEventTime/sim.Second)
+		}
 		switch e.Kind {
 		case KindStall:
 			if e.Dur == 0 {
 				return fmt.Errorf("fault: event %d: stall with zero duration", i)
 			}
+			if e.Dur > maxEventTime {
+				return fmt.Errorf("fault: event %d (%s): stall of %d ns is past the %d s bound", i, e, e.Dur/sim.Nanosecond, maxEventTime/sim.Second)
+			}
 		case KindDegrade:
 			if !(e.Factor > 0 && e.Factor <= 1) {
 				return fmt.Errorf("fault: event %d: degrade factor %g outside (0,1]", i, e.Factor)
+			}
+			if e.Factor < minDegradeFrac {
+				return fmt.Errorf("fault: event %d (%s): degrade factor %g is below the %g bound", i, e, e.Factor, minDegradeFrac)
 			}
 		case KindDown:
 		default:
@@ -126,17 +145,20 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("ber=%g", p.BER))
 	}
 	for _, e := range p.Events {
-		switch e.Kind {
-		case KindDown:
-			parts = append(parts, fmt.Sprintf("down=%d-%d@%dns", e.A, e.B, e.At/sim.Nanosecond))
-		case KindStall:
-			parts = append(parts, fmt.Sprintf("stall=%d-%d@%dns+%dns",
-				e.A, e.B, e.At/sim.Nanosecond, e.Dur/sim.Nanosecond))
-		case KindDegrade:
-			parts = append(parts, fmt.Sprintf("degrade=%d-%d@%dns*%g", e.A, e.B, e.At/sim.Nanosecond, e.Factor))
-		}
+		parts = append(parts, e.String())
 	}
 	return strings.Join(parts, ",")
+}
+
+// String renders the event as one ParsePlan clause.
+func (e Event) String() string {
+	switch e.Kind {
+	case KindStall:
+		return fmt.Sprintf("stall=%d-%d@%dns+%dns", e.A, e.B, e.At/sim.Nanosecond, e.Dur/sim.Nanosecond)
+	case KindDegrade:
+		return fmt.Sprintf("degrade=%d-%d@%dns*%g", e.A, e.B, e.At/sim.Nanosecond, e.Factor)
+	}
+	return fmt.Sprintf("down=%d-%d@%dns", e.A, e.B, e.At/sim.Nanosecond)
 }
 
 // ParsePlan parses the comma-separated spec syntax used by the CLI

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,11 +57,32 @@ func TestParsePlanErrors(t *testing.T) {
 		"stall=0-1@0+.1",    // sub-ns duration
 		"down=0-1@1.5ns",    // sub-ns time
 		"down=0-1@inf",      // time out of range
+		// Past the plan's bounds: event times and stalls of at most 1 s,
+		// degrade factors of at least 0.01.
+		"stall=0-1@0+1000000000us",   // stall longer than 1 s
+		"stall=0-1@1.000000001s+1ns", // stall later than 1 s
+		"down=0-1@2s",                // event later than 1 s
+		"degrade=0-1@0*1e-9",         // link slowed below 1%
+		"degrade=0-1@0*0.0099",       // link slowed below 1%
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec, 1); err == nil {
 			t.Errorf("ParsePlan(%q) accepted invalid spec", spec)
 		}
+	}
+}
+
+// TestPlanBounds checks that a plan at its bounds parses and that a
+// rejection past them names the offending event.
+func TestPlanBounds(t *testing.T) {
+	for _, spec := range []string{"stall=0-1@1s+1s", "degrade=0-1@1000ms*0.01", "down=0-1@1s"} {
+		if _, err := ParsePlan(spec, 1); err != nil {
+			t.Errorf("ParsePlan(%q) at the bounds: %v", spec, err)
+		}
+	}
+	_, err := ParsePlan("down=0-1@10us,degrade=2-3@0*1e-9", 1)
+	if err == nil || !strings.Contains(err.Error(), "event 1 (degrade=2-3@0ns*1e-09)") {
+		t.Fatalf("err = %v, want one naming event 1, degrade=2-3", err)
 	}
 }
 

@@ -17,6 +17,10 @@ func FuzzParsePlan(f *testing.F) {
 		"down=0-1@1.001us",
 		"down=0-1@250",
 		"stall=0-1@1e30s+1ns",
+		"stall=0-1@0+1000000000us", // past the 1 s bound
+		"degrade=0-1@0*1e-9",       // below the 0.01 bound
+		"stall=0-1@1s+1s",          // at both time bounds
+		"degrade=0-1@1s*0.01",      // at the factor bound
 		"ber=0",
 	} {
 		f.Add(s, int64(1))

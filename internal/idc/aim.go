@@ -100,7 +100,7 @@ func (a *AIM) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.
 // on the dedicated bus (no host involvement).
 func (a *AIM) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 	a.tx.Barriers.Inc()
-	return CentralizedBarrier(arrivals, threadDIMM, IntraDIMMSyncCost, 0,
+	return CentralizedBarrier(arrivals, threadDIMM,
 		func(at sim.Time, src, dst int) sim.Time {
 			a.tx.SyncMsgs.Inc()
 			return a.busTransfer(at, syncMsgBytes)

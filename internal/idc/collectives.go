@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cores"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// This file adds collective communication (AllReduce / ReduceScatter /
-// AllGather / All-to-All) as a first-class IDC layer. The scheduler is a
-// composable wrapper over any Interconnect: every data movement it issues
-// is an ordinary remote Access (and, for tree distribution, a Broadcast),
-// so each mechanism's own contention model applies — MCN serializes on the
-// host forwarding thread, AIM on the dedicated bus, DIMM-Link on its
-// SerDes links with hybrid inter-group routing. Under an active fault
-// plan the DIMM-Link transport transparently retries, reroutes, and
-// host-falls-back per packet (RouteAt / BroadcastPlanAt), so collectives
-// degrade gracefully without any collective-specific fault handling.
+// This file adds collective communication (AllReduce, the gradient
+// exchange of data-parallel training) as a first-class IDC layer. The
+// scheduler is a composable wrapper over any Interconnect: every data
+// movement it issues is an ordinary remote Access (and, for tree
+// distribution, a Broadcast), so each mechanism's own contention model
+// applies — MCN serializes on the host forwarding thread, AIM on the
+// dedicated bus, DIMM-Link on its SerDes links with hybrid inter-group
+// routing. Under an active fault plan the DIMM-Link transport
+// transparently retries, reroutes, and host-falls-back per packet
+// (RouteAt / BroadcastPlanAt), so collectives degrade gracefully without
+// any collective-specific fault handling.
 
 // CollAlgo names a collective schedule.
 type CollAlgo string
@@ -86,10 +86,11 @@ type Collectives struct {
 	episodes, steps, payload *stats.Counter
 }
 
-// NewCollectives builds a scheduler over ic that runs algo.
+// NewCollectives builds a scheduler over ic that runs algo. The caller
+// resolves AlgoAuto first (SelectAlgo), so auto is chosen in one place.
 func NewCollectives(ic Interconnect, geo mem.Geometry, algo CollAlgo) *Collectives {
-	if !ValidAlgo(string(algo)) {
-		panic(fmt.Sprintf("idc: unknown collective algorithm %q", algo))
+	if algo == AlgoAuto || !ValidAlgo(string(algo)) {
+		panic(fmt.Sprintf("idc: collective algorithm %q is not a schedule (resolve auto with SelectAlgo)", algo))
 	}
 	ctrs := ic.Counters()
 	return &Collectives{ic: ic, geo: geo, algo: algo,
@@ -99,19 +100,18 @@ func NewCollectives(ic Interconnect, geo mem.Geometry, algo CollAlgo) *Collectiv
 	}
 }
 
-// Algo returns the configured schedule (AlgoAuto never; callers resolve
-// auto before constructing the scheduler via SelectAlgo).
+// Algo returns the configured schedule (never AlgoAuto).
 func (c *Collectives) Algo() CollAlgo { return c.algo }
 
-// Run executes op over the calling gang: arrivals[i] is when thread i
-// entered the collective and threadDIMM[i] its home DIMM. bytes is the
-// full per-rank payload (the gradient size for AllReduce). All threads are
+// Run executes an AllReduce over the calling gang: arrivals[i] is when
+// thread i entered the collective and threadDIMM[i] its home DIMM. bytes
+// is the full per-rank payload (the gradient size). All threads are
 // released at the returned uniform time.
 //
 // Threads first aggregate per DIMM (the DIMM master owns the rank), the
 // distinct DIMMs run the schedule, and the release pays the intra-DIMM
 // hand-off again — mirroring the barrier cost model.
-func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
+func (c *Collectives) Run(arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
 	c.episodes.Inc()
 	c.payload.Add(uint64(bytes))
 
@@ -119,33 +119,20 @@ func (c *Collectives) Run(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM
 	n := len(ranks)
 	if n > 1 && bytes > 0 {
 		algo := c.algo
-		if algo == AlgoAuto {
-			algo = SelectAlgo(c.ic.Name(), "")
-		}
 		if algo == AlgoHalving && n&(n-1) != 0 {
 			algo = AlgoRing // halving-doubling needs a power-of-two rank count
 		}
-		switch {
-		case op == cores.CollAllToAll:
-			// Pairwise rounds are the schedule for every transport: each
-			// rank holds n distinct chunks and no reduction can shrink them.
-			c.pairwise(t, ranks, bytes)
-		case algo == AlgoRing:
-			if op == cores.CollAllReduce || op == cores.CollReduceScatter {
-				c.ringPass(t, ranks, bytes, true)
-			}
-			if op == cores.CollAllReduce || op == cores.CollAllGather {
-				c.ringPass(t, ranks, bytes, false)
-			}
-		case algo == AlgoHalving:
-			if op == cores.CollAllReduce || op == cores.CollReduceScatter {
-				c.halving(t, ranks, bytes)
-			}
-			if op == cores.CollAllReduce || op == cores.CollAllGather {
-				c.doubling(t, ranks, bytes)
-			}
+		// Ring and halving-doubling each run a reduce-scatter pass, then
+		// an allgather pass.
+		switch algo {
+		case AlgoRing:
+			c.ringPass(t, ranks, bytes, true)
+			c.ringPass(t, ranks, bytes, false)
+		case AlgoHalving:
+			c.halving(t, ranks, bytes)
+			c.doubling(t, ranks, bytes)
 		default: // AlgoTree
-			c.tree(op, t, ranks, bytes)
+			c.tree(t, ranks, bytes)
 		}
 	}
 	global := t[0]
@@ -277,71 +264,27 @@ func (c *Collectives) doubling(t []sim.Time, ranks []int, bytes uint32) {
 	}
 }
 
-// tree gathers every rank's payload at the root and redistributes with the
-// mechanism's native Broadcast (AllReduce / AllGather) or with per-rank
-// scatter writes (ReduceScatter). The root folds incoming payloads in
-// arrival order — the gather serializes on the shared medium anyway, which
-// is exactly the host-forwarding bottleneck this schedule models.
-func (c *Collectives) tree(op cores.CollectiveOp, t []sim.Time, ranks []int, bytes uint32) {
+// tree gathers every rank's payload at the root and redistributes the
+// result with the mechanism's native Broadcast. The root folds incoming
+// payloads in arrival order — the gather serializes on the shared medium
+// anyway, which is exactly the host-forwarding bottleneck this schedule
+// models.
+func (c *Collectives) tree(t []sim.Time, ranks []int, bytes uint32) {
 	n := len(ranks)
 	root := 0
-	gatherSize := bytes
-	if op == cores.CollAllGather {
-		gatherSize = chunkOf(bytes, n) // each rank contributes one chunk
-	}
 	in := make([]sim.Time, 0, n-1)
 	for i := 1; i < n; i++ {
 		c.steps.Inc()
-		in = append(in, c.send(t[i], ranks[i], ranks[root], gatherSize))
+		in = append(in, c.send(t[i], ranks[i], ranks[root], bytes))
 	}
 	sort.Slice(in, func(a, b int) bool { return in[a] < in[b] })
 	cur := t[root]
 	for _, a := range in {
-		if a > cur {
-			cur = a
-		}
-		if op != cores.CollAllGather {
-			cur += c.reduceTime(gatherSize)
-		}
+		cur = max(cur, a) + c.reduceTime(bytes)
 	}
-	switch op {
-	case cores.CollReduceScatter:
-		chunk := chunkOf(bytes, n)
-		c.steps.Inc()
-		t[root] = cur
-		for i := 1; i < n; i++ {
-			t[i] = c.send(cur, ranks[root], ranks[i], chunk)
-		}
-	default: // AllReduce, AllGather: one hardware broadcast of the result
-		c.steps.Inc()
-		fin := c.ic.Broadcast(cur, ranks[root], c.geo.DIMMBase(ranks[root]), bytes)
-		for i := range t {
-			t[i] = fin
-		}
-	}
-}
-
-// pairwise runs the n-1 shifted-exchange rounds of all-to-all: in round r
-// every rank i sends its chunk for rank (i+r) mod n.
-func (c *Collectives) pairwise(t []sim.Time, ranks []int, bytes uint32) {
-	n := len(ranks)
-	chunk := chunkOf(bytes, n)
-	arrive := make([]sim.Time, n)
-	for r := 1; r < n; r++ {
-		c.steps.Inc()
-		for i := range arrive {
-			arrive[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			j := (i + r) % n
-			if done := c.send(t[i], ranks[i], ranks[j], chunk); done > arrive[j] {
-				arrive[j] = done
-			}
-		}
-		for i := 0; i < n; i++ {
-			if arrive[i] > t[i] {
-				t[i] = arrive[i]
-			}
-		}
+	c.steps.Inc()
+	fin := c.ic.Broadcast(cur, ranks[root], c.geo.DIMMBase(ranks[root]), bytes)
+	for i := range t {
+		t[i] = fin
 	}
 }

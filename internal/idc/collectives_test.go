@@ -3,7 +3,6 @@ package idc
 import (
 	"testing"
 
-	"repro/internal/cores"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -63,7 +62,7 @@ func TestRingAllReduceStepCount(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8} {
 		c, ic := newMockColl(AlgoRing, n)
 		arr, dimms := uniform(n, 0)
-		c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
+		c.Run(arr, dimms, 1<<16)
 		if got, want := ic.ctrs.Get(CtrCollSteps), uint64(2*(n-1)); got != want {
 			t.Fatalf("n=%d: ring allreduce steps = %d, want %d", n, got, want)
 		}
@@ -78,35 +77,16 @@ func TestHalvingDoublingFallsBackToRing(t *testing.T) {
 	// (2(N-1) rounds) instead of producing a wrong pairing.
 	c, ic := newMockColl(AlgoHalving, 6)
 	arr, dimms := uniform(6, 0)
-	c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
+	c.Run(arr, dimms, 1<<16)
 	if got := ic.ctrs.Get(CtrCollSteps); got != 10 {
 		t.Fatalf("hd on 6 ranks: steps = %d, want ring's 10", got)
 	}
 	// 8 ranks runs the real halving-doubling: 2*log2(8) = 6 rounds.
 	c8, ic8 := newMockColl(AlgoHalving, 8)
 	arr8, dimms8 := uniform(8, 0)
-	c8.Run(cores.CollAllReduce, arr8, dimms8, 1<<16)
+	c8.Run(arr8, dimms8, 1<<16)
 	if got := ic8.ctrs.Get(CtrCollSteps); got != 6 {
 		t.Fatalf("hd on 8 ranks: steps = %d, want 6", got)
-	}
-}
-
-func TestAllReduceAtLeastComponents(t *testing.T) {
-	// AllReduce composes a reduce-scatter phase and an allgather phase, so
-	// on a stateless transport it can never beat either component alone.
-	const n, bytes = 8, 1 << 18
-	for _, algo := range []CollAlgo{AlgoRing, AlgoHalving, AlgoTree} {
-		run := func(op cores.CollectiveOp) sim.Time {
-			c, _ := newMockColl(algo, n)
-			arr, dimms := uniform(n, 1000)
-			return c.Run(op, arr, dimms, bytes)
-		}
-		ar := run(cores.CollAllReduce)
-		rs := run(cores.CollReduceScatter)
-		ag := run(cores.CollAllGather)
-		if ar < rs || ar < ag {
-			t.Fatalf("%s: allreduce %d beat a component (rs %d, ag %d)", algo, ar, rs, ag)
-		}
 	}
 }
 
@@ -118,7 +98,7 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 	c, ic := newMockColl(AlgoRing, n)
 	arrIn := []sim.Time{100, 700, 300, 500}
 	dimmsIn := []int{0, 1, 2, 3}
-	got := c.Run(cores.CollAllReduce, arrIn, dimmsIn, bytes)
+	got := c.Run(arrIn, dimmsIn, bytes)
 
 	chunk := (bytes + n - 1) / n
 	xfer := ic.lat + sim.Time(uint64(chunk)*ic.psPerByte)
@@ -153,41 +133,28 @@ func TestRingAllReduceBruteForceReference(t *testing.T) {
 func TestTreeAllReduceUsesNativeBroadcast(t *testing.T) {
 	c, ic := newMockColl(AlgoTree, 8)
 	arr, dimms := uniform(8, 0)
-	c.Run(cores.CollAllReduce, arr, dimms, 1<<16)
+	c.Run(arr, dimms, 1<<16)
 	if ic.bcasts != 1 {
 		t.Fatalf("tree allreduce broadcasts = %d, want 1", ic.bcasts)
 	}
 }
 
-func TestAllToAllStepCount(t *testing.T) {
-	for _, algo := range []CollAlgo{AlgoRing, AlgoTree} {
-		c, ic := newMockColl(algo, 5)
-		arr, dimms := uniform(5, 0)
-		c.Run(cores.CollAllToAll, arr, dimms, 1<<14)
-		if got := ic.ctrs.Get(CtrCollSteps); got != 4 {
-			t.Fatalf("%s alltoall steps = %d, want n-1 = 4", algo, got)
-		}
-	}
-}
-
 func TestCollectivesOnRealMechanisms(t *testing.T) {
-	// Smoke: every op completes on every baseline transport, releases after
-	// the latest arrival, and records the episode counters.
+	// Smoke: repeated AllReduces complete on every baseline transport,
+	// release after the latest arrival, and record the episode counters.
 	mcn, _ := newMCN(8, 4)
 	aim := newAIM(8, 4)
 	abc, _ := newABC(8, 4)
 	for _, ic := range []Interconnect{mcn, aim, abc} {
 		algo := SelectAlgo(ic.Name(), "")
 		c := NewCollectives(ic, geoN(8, 4), algo)
-		episodes := uint64(0)
-		for _, op := range []cores.CollectiveOp{cores.CollAllReduce, cores.CollReduceScatter, cores.CollAllGather, cores.CollAllToAll} {
+		for episodes := uint64(1); episodes <= 4; episodes++ {
 			arr, dimms := uniform(8, 0)
-			if rel := c.Run(op, arr, dimms, 4096); rel <= 0 {
-				t.Fatalf("%s %v released at %d", ic.Name(), op, rel)
+			if rel := c.Run(arr, dimms, 4096); rel <= 0 {
+				t.Fatalf("%s allreduce %d released at %d", ic.Name(), episodes, rel)
 			}
-			episodes++
 			if got := ic.Counters().Get(CtrCollectives); got != episodes {
-				t.Fatalf("%s %v: episodes = %d, want %d", ic.Name(), op, got, episodes)
+				t.Fatalf("%s allreduce %d: episodes = %d", ic.Name(), episodes, got)
 			}
 		}
 		if ic.Counters().Get(CtrCollSteps) == 0 {
@@ -202,8 +169,18 @@ func TestCollectiveAggregatesThreadsPerDIMM(t *testing.T) {
 	c, ic := newMockColl(AlgoRing, 4)
 	arr := []sim.Time{0, 50, 100, 150}
 	dimms := []int{0, 0, 1, 1}
-	c.Run(cores.CollAllReduce, arr, dimms, 1<<12)
+	c.Run(arr, dimms, 1<<12)
 	if got := ic.ctrs.Get(CtrCollSteps); got != 2 {
 		t.Fatalf("2-rank allreduce steps = %d, want 2", got)
 	}
+}
+
+func TestNewCollectivesRejectsAuto(t *testing.T) {
+	// Auto is resolved once, by the caller (nmp.NewSystem via SelectAlgo).
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCollectives accepted AlgoAuto")
+		}
+	}()
+	newMockColl(AlgoAuto, 4)
 }

@@ -181,7 +181,7 @@ func TestAIMBroadcastFastestMechanism(t *testing.T) {
 func TestCentralizedBarrier(t *testing.T) {
 	var msgs int
 	release := CentralizedBarrier(
-		[]sim.Time{100, 900, 500}, []int{0, 1, 2}, 10, 0,
+		[]sim.Time{100, 900, 500}, []int{0, 1, 2},
 		func(at sim.Time, src, dst int) sim.Time {
 			msgs++
 			return at + 50
@@ -191,11 +191,11 @@ func TestCentralizedBarrier(t *testing.T) {
 	if msgs != 4 {
 		t.Fatalf("messages = %d, want 4", msgs)
 	}
-	// Last arrival 900 pays the intra-DIMM hand-off (10) before its gather
-	// message launches -> lands at 960 (global); individual release
-	// 960+50 = 1010; + intra 10 = 1020.
-	if release != 1020 {
-		t.Fatalf("release = %d, want 1020", release)
+	// Last arrival 900 pays the intra-DIMM hand-off before its gather
+	// message launches -> lands at 900+intra+50 (global); the individual
+	// release adds 50 and the final hand-off intra again.
+	if want := 900 + 2*IntraDIMMSyncCost + 100; release != want {
+		t.Fatalf("release = %d, want %d", release, want)
 	}
 }
 
@@ -203,10 +203,10 @@ func TestCentralizedBarrierRemoteThreadsPayIntraCost(t *testing.T) {
 	// Regression: remote threads' sync messages used to launch at the raw
 	// arrival time, skipping the intra-DIMM hand-off that central-DIMM
 	// threads were charged.
-	const intra = 10
+	const intra = IntraDIMMSyncCost
 	arrivals := []sim.Time{100, 900, 500}
 	var launches []sim.Time
-	CentralizedBarrier(arrivals, []int{0, 1, 2}, intra, 0,
+	CentralizedBarrier(arrivals, []int{0, 1, 2},
 		func(at sim.Time, src, dst int) sim.Time {
 			if src != 0 { // gather direction only
 				launches = append(launches, at)

@@ -101,7 +101,7 @@ func (m *MCN) Broadcast(at sim.Time, srcDIMM int, addr uint64, size uint32) sim.
 // DIMM master's message must be polled and copied by the host.
 func (m *MCN) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 	m.tx.Barriers.Inc()
-	return CentralizedBarrier(arrivals, threadDIMM, IntraDIMMSyncCost, 0,
+	return CentralizedBarrier(arrivals, threadDIMM,
 		func(at sim.Time, src, dst int) sim.Time {
 			m.tx.SyncMsgs.Inc()
 			noticed := m.notice(at, src)

@@ -134,7 +134,7 @@ func (m *nmpMemory) Barrier(arrivals []sim.Time, threadDIMM []int) sim.Time {
 // Collective implements cores.Memory: the exchange runs on the IDC
 // mechanism's collective scheduler.
 func (m *nmpMemory) Collective(op cores.CollectiveOp, arrivals []sim.Time, threadDIMM []int, bytes uint32) sim.Time {
-	return m.sys.Coll.Run(op, arrivals, threadDIMM, bytes)
+	return m.sys.Coll.Run(arrivals, threadDIMM, bytes)
 }
 
 // FlushCaches models the kernel-completion cache flush (Section III-E):

@@ -197,12 +197,11 @@ func NewSystem(cfg Config) (*System, error) {
 
 	switch cfg.Mech {
 	case MechDIMMLink:
-		dl := cfg.DL
-		dl.Metrics = cfg.Metrics
-		l, err := core.NewLink(cfg.Geo, modules, s.hostModel, dl)
+		l, err := core.NewLink(cfg.Geo, modules, s.hostModel, cfg.DL)
 		if err != nil {
 			return nil, err
 		}
+		l.SetMetrics(cfg.Metrics)
 		s.IC, s.Link = l, l
 	case MechMCN:
 		s.IC = idc.NewMCN(cfg.Geo, modules, s.hostModel)

@@ -37,6 +37,12 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":-1e9}`,
 		`{"kind":"sim","workload":"p2p","scale":8,"linkbw":1e300}`,
 		`{"kind":"sim","workload":"p2p","scale":8,"dimms":4,"channels":2,"linkbw":1e12}`,
+		// Fault plans past their bounds; before they were bounded, a far
+		// stall or a near-dead link held a worker for days of wall time.
+		`{"kind":"sim","workload":"p2p","scale":8,"fault":"stall=0-1@0+1000000000us"}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"fault":"degrade=0-1@0*1e-9"}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"fault":"down=0-1@1.5s"}`,
+		`{"kind":"sim","workload":"p2p","scale":8,"fault":"stall=0-1@1s+1ms,degrade=1-2@0*0.01"}`,
 		// One valid spec per workload.
 		`{"kind":"sim","workload":"bfs","scale":8}`,
 		`{"kind":"sim","workload":"hotspot","scale":8,"iters":2}`,
