@@ -126,6 +126,9 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== histogram benchmark smoke"
 	go test -bench BenchmarkHistogram -benchtime 100x -run '^$' ./internal/metrics/ >/dev/null
 
+	echo "== event kernel benchmark smoke (host polling ticks and short-hop actors)"
+	go test -bench BenchmarkEngineTickerAndActors -benchtime 100x -run '^$' ./internal/sim/ >/dev/null
+
 	echo "== go test -race ./internal/serve/... (server, store, client and cluster dispatcher under the race detector)"
 	go test -race ./internal/serve/...
 

@@ -41,7 +41,8 @@ func TestBasePollingBusOccupation(t *testing.T) {
 	// Figure 15(b) Base bar.
 	eng := sim.NewEngine()
 	h := New(eng, geo16(), BasePolling, allDIMMs(16))
-	eng.RunUntil(1 * sim.Millisecond)
+	eng.At(1*sim.Millisecond, h.Stop)
+	eng.Run()
 	occ := h.BusOccupation(eng.Now())
 	if occ < 0.31 || occ > 0.33 {
 		t.Fatalf("base polling occupation = %.3f, want ~0.32", occ)
@@ -53,7 +54,8 @@ func TestProxyPollingBusOccupation(t *testing.T) {
 	// 100 ns each: mean occupation = 2/8 * 0.16 = 4%.
 	eng := sim.NewEngine()
 	h := New(eng, geo16(), ProxyPolling, []int{3, 11})
-	eng.RunUntil(1 * sim.Millisecond)
+	eng.At(1*sim.Millisecond, h.Stop)
+	eng.Run()
 	occ := h.BusOccupation(eng.Now())
 	if occ < 0.035 || occ > 0.045 {
 		t.Fatalf("proxy polling occupation = %.3f, want ~0.04", occ)
@@ -63,7 +65,8 @@ func TestProxyPollingBusOccupation(t *testing.T) {
 func TestInterruptModeIdleBusIsFree(t *testing.T) {
 	eng := sim.NewEngine()
 	h := New(eng, geo16(), ProxyInterrupt, nil)
-	eng.RunUntil(1 * sim.Millisecond)
+	eng.At(1*sim.Millisecond, h.Stop)
+	eng.Run()
 	if occ := h.BusOccupation(eng.Now()); occ != 0 {
 		t.Fatalf("interrupt-mode idle occupation = %v, want 0", occ)
 	}
@@ -155,11 +158,17 @@ func TestChannelSharingBetweenDIMMs(t *testing.T) {
 func TestStopHaltsPolling(t *testing.T) {
 	eng := sim.NewEngine()
 	h := New(eng, geo16(), BasePolling, allDIMMs(16))
-	eng.RunUntil(1 * sim.Microsecond)
-	polls := h.Counters.Get("host.polls")
-	h.Stop()
-	eng.RunUntil(1 * sim.Millisecond)
-	if h.Counters.Get("host.polls") != polls {
+	var polls, later uint64
+	eng.At(1*sim.Microsecond, func() {
+		polls = h.Counters.Get("host.polls")
+		h.Stop()
+	})
+	eng.At(1*sim.Millisecond, func() {
+		later = h.Counters.Get("host.polls")
+		h.Stop() // ends the run even if the first Stop did not hold
+	})
+	eng.Run()
+	if later != polls {
 		t.Fatal("polling continued after Stop")
 	}
 }

@@ -82,9 +82,9 @@ func TestSamplerSeries(t *testing.T) {
 	s.AddProbe("ramp", func(now sim.Time) float64 { return float64(now) })
 	s.AddProbe("flat", func(now sim.Time) float64 { return 2 })
 	s.Start(eng)
-	eng.RunUntil(350)
-	s.Stop()
-	eng.RunUntil(1000) // no samples after Stop
+	eng.At(350, s.Stop)
+	eng.At(1000, s.Stop) // ends the run even if the first Stop did not hold
+	eng.Run()
 
 	series := s.Series()
 	if len(series) != 2 {

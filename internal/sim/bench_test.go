@@ -125,3 +125,44 @@ func TestEngineAllocBudget(t *testing.T) {
 		t.Errorf("%.4f allocs/event exceeds the budget %.2f", got, budget)
 	}
 }
+
+// BenchmarkEngineTickerAndActors measures the event mix of a replayed
+// trace with host polling (trace-idc): a 100 ns ticker that books 16 ns
+// on a channel every tick, and 32 actors that each resume a few ns ahead
+// and then wait several µs for a remote access. About half the events
+// are ticks. ns/op is per event, ticks included.
+func BenchmarkEngineTickerAndActors(b *testing.B) {
+	const actors = 32
+	eng := NewEngine()
+	remaining := b.N
+	var channel BusyLine
+	var tk *Ticker
+	tk = NewTicker(eng, 100*Nanosecond, func(now Time) {
+		channel.Reserve(now, 16*Nanosecond)
+		if remaining--; remaining <= 0 {
+			tk.Stop()
+		}
+	})
+	rng := lcg(3)
+	fns := make([]func(), actors)
+	for i := range fns {
+		waiting := false
+		fns[i] = func() {
+			if remaining <= 0 {
+				return
+			}
+			remaining--
+			if waiting = !waiting; waiting {
+				eng.After(Time(rng.next()%(8*Microsecond))+4*Microsecond, fns[i])
+			} else {
+				eng.After(Time(rng.next()%(4*Nanosecond))+Nanosecond, fns[i])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range fns {
+		eng.After(Time(i)+1, fns[i])
+	}
+	eng.Run()
+}

@@ -108,48 +108,6 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 	}
 }
 
-// TestRunUntilBoundaries pins the RunUntil edge cases: an event
-// exactly at the boundary executes, events beyond it stay pending, the
-// clock lands exactly on the boundary, and draining an empty heap still
-// advances the clock.
-func TestRunUntilBoundaries(t *testing.T) {
-	eng := NewEngine()
-	var ran []Time
-	eng.At(50, func() { ran = append(ran, 50) })
-	eng.At(100, func() { ran = append(ran, 100) }) // exactly at the boundary
-	eng.At(101, func() { ran = append(ran, 101) }) // just beyond
-
-	eng.RunUntil(100)
-	if len(ran) != 2 || ran[0] != 50 || ran[1] != 100 {
-		t.Fatalf("RunUntil(100) ran %v, want [50 100]", ran)
-	}
-	if eng.Now() != 100 {
-		t.Fatalf("clock at %d after RunUntil(100)", eng.Now())
-	}
-	if len(eng.events) != 1 {
-		t.Fatalf("%d events pending, want 1", len(eng.events))
-	}
-
-	// A step of one past the boundary executes the straggler.
-	eng.RunUntil(eng.Now() + 1)
-	if len(ran) != 3 || ran[2] != 101 {
-		t.Fatalf("RunUntil(101) ran %v, want [50 100 101]", ran)
-	}
-
-	// Empty heap: RunUntil is pure clock advance, past times are a no-op.
-	eng.RunUntil(500)
-	if eng.Now() != 500 || len(eng.events) != 0 {
-		t.Fatalf("empty RunUntil: now=%d pending=%d", eng.Now(), len(eng.events))
-	}
-	eng.RunUntil(400)
-	if eng.Now() != 500 {
-		t.Fatalf("RunUntil(past) moved the clock to %d", eng.Now())
-	}
-	if eng.Processed() != 3 {
-		t.Fatalf("processed %d events, want 3", eng.Processed())
-	}
-}
-
 // TestTickerReusesEvent checks ticker behavior across many ticks with the
 // reused fire closure: ticks land on exact period multiples, Stop from
 // inside the callback halts future ticks, and a stopped ticker scheduled

@@ -4,7 +4,7 @@
 // The kernel is deliberately small: a clock, an event heap with
 // deterministic FIFO tie-breaking, and a couple of helper abstractions
 // (BusyLine for serialized resources such as data buses and serial links,
-// Ticker for periodic activities such as host polling and DRAM refresh).
+// Ticker for periodic activities such as host polling and metric sampling).
 //
 // Simulated time is measured in integer picoseconds so that components in
 // different clock domains (2.5 GHz cores, DDR4-3200 DRAM, 25 GB/s SerDes
@@ -139,9 +139,16 @@ func (h *eventHeap) pop() event {
 // Engine is a deterministic single-threaded discrete-event simulator.
 // Events scheduled for the same instant run in the order they were
 // scheduled. The zero value is not usable; call NewEngine.
+//
+// front holds the one pending event that is strictly earlier in (at, seq)
+// than every event in the heap, when there is such an event: a thread
+// resuming a few cycles later usually is, and then it never touches the
+// heap. Step pops front first, so the pop order is the heap's own.
 type Engine struct {
 	now       Time
 	seq       uint64
+	front     event
+	hasFront  bool
 	events    eventHeap
 	processed uint64
 }
@@ -161,25 +168,55 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.schedule(t, fn)
 }
 
 // After schedules fn to run d picoseconds from now. now+d can never be in
 // the past (the uint64 clock does not wrap within any experiment), so the
 // past-check of At is skipped.
-func (e *Engine) After(d Time, fn func()) {
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
+
+// schedule queues fn at t. A new event carries the largest seq so far, so
+// it is strictly earlier than every pending event exactly when its time is
+// earlier than the earliest pending time; then it takes front, and a
+// displaced front goes into the heap.
+func (e *Engine) schedule(t Time, fn func()) {
 	e.seq++
-	e.events.push(event{at: e.now + d, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	if next, ok := e.nextAt(); ok && t >= next {
+		e.events.push(ev)
+		return
+	}
+	if e.hasFront {
+		e.events.push(e.front)
+	}
+	e.front, e.hasFront = ev, true
+}
+
+// nextAt returns the time of the earliest pending event, if any.
+func (e *Engine) nextAt() (Time, bool) {
+	if e.hasFront {
+		return e.front.at, true
+	}
+	if len(e.events) > 0 {
+		return e.events[0].at, true
+	}
+	return 0, false
 }
 
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	var ev event
+	switch {
+	case e.hasFront:
+		ev = e.front
+		e.front, e.hasFront = event{}, false
+	case len(e.events) > 0:
+		ev = e.events.pop()
+	default:
 		return false
 	}
-	ev := e.events.pop()
 	e.now = ev.at
 	e.processed++
 	ev.fn()
@@ -189,17 +226,6 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t. Events scheduled beyond t remain pending.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
 	}
 }
 
@@ -402,7 +428,7 @@ func (p *Pool) down(i int) {
 }
 
 // Ticker invokes a callback periodically. It is used for host polling loops
-// and DRAM refresh. The callback may stop the ticker by calling Stop.
+// and the metrics sampler. The callback may stop the ticker by calling Stop.
 type Ticker struct {
 	eng     *Engine
 	period  Time
@@ -415,6 +441,12 @@ type Ticker struct {
 // with the first call one period from now. The tick closure is allocated
 // once here and re-scheduled by value, so a running ticker costs zero
 // allocations per tick.
+//
+// A tick that would be strictly earlier than every pending event is the
+// very next event Step would pop, so the ticker runs it in place instead:
+// it sets the clock, counts the event in Processed and calls fn. With
+// nothing else pending it reschedules through the engine, so a lone
+// ticker still advances one Step per tick.
 func NewTicker(eng *Engine, period Time, fn func(Time)) *Ticker {
 	if period == 0 {
 		panic("sim: zero ticker period")
@@ -424,9 +456,17 @@ func NewTicker(eng *Engine, period Time, fn func(Time)) *Ticker {
 		if t.stopped {
 			return
 		}
-		t.fn(t.eng.Now())
-		if !t.stopped {
-			t.eng.After(t.period, t.fire)
+		e := t.eng
+		t.fn(e.now)
+		for !t.stopped {
+			tick := e.now + t.period
+			if next, ok := e.nextAt(); !ok || tick >= next {
+				e.After(t.period, t.fire)
+				return
+			}
+			e.now = tick
+			e.processed++
+			t.fn(tick)
 		}
 	}
 	t.eng.After(t.period, t.fire)

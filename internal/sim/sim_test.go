@@ -112,29 +112,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.At(50, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := map[Time]bool{}
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { ran[at] = true })
-	}
-	e.RunUntil(25)
-	if !ran[10] || !ran[20] || ran[30] {
-		t.Fatalf("RunUntil(25) ran wrong events: %v", ran)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("Now() = %d after RunUntil(25)", e.Now())
-	}
-	e.RunUntil(e.Now() + 10)
-	if !ran[30] || ran[40] {
-		t.Fatalf("RunUntil(35) ran wrong events: %v", ran)
-	}
-	if e.Now() != 35 {
-		t.Fatalf("Now() = %d after RunUntil(35)", e.Now())
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	// The same randomized schedule must replay identically.
 	run := func(seed int64) []int {
@@ -202,8 +179,9 @@ func TestBusyLineProperties(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	NewTicker(e, 100, func(now Time) { ticks = append(ticks, now) })
-	e.RunUntil(350)
+	tk := NewTicker(e, 100, func(now Time) { ticks = append(ticks, now) })
+	e.At(350, tk.Stop)
+	e.Run()
 	if len(ticks) != 3 || ticks[0] != 100 || ticks[1] != 200 || ticks[2] != 300 {
 		t.Fatalf("ticks = %v, want [100 200 300]", ticks)
 	}
