@@ -40,7 +40,7 @@ func runFig01(o Options) []*stats.Table {
 		if gbps[i] > peak {
 			peak = gbps[i]
 		}
-		curve.AddRow(fmtBytes(sz), stats.FormatFloat(gbps[i]))
+		curve.AddRow(fmtBytes(uint64(sz)), stats.FormatFloat(gbps[i]))
 	}
 
 	agg := stats.NewTable("Figure 1(b) — aggregate bandwidth on the 16-DIMM system (paper: 1.28 TB/s NMP vs ~25 GB/s IDC, 51x)",
@@ -57,7 +57,7 @@ func runFig01(o Options) []*stats.Table {
 	return []*stats.Table{curve, agg}
 }
 
-func fmtBytes(b uint32) string {
+func fmtBytes(b uint64) string {
 	switch {
 	case b >= 1<<20:
 		return fmt.Sprintf("%dMiB", b>>20)

@@ -87,9 +87,12 @@ func runTable4(o Options) []*stats.Table {
 
 func runTable5(o Options) []*stats.Table {
 	c := nmp.DefaultConfig(16, 8, nmp.MechDIMMLink)
+	paperLLC := c.HostLLCBytes
+	o.tune(&c)
 	tb := stats.NewTable("Table V — system configuration (16D-8C)", "component", "setting")
 	tb.AddRow("host CPU", fmt.Sprintf("%d cores @ %.1f GHz, %d-entry window", nmp.HostCores, nmp.HostClockHz/1e9, nmp.HostWindow))
-	tb.AddRow("host LLC", fmt.Sprintf("%d MiB shared", c.HostLLCBytes>>20))
+	tb.AddRow("host LLC", fmt.Sprintf("%s shared (Table V: %s, scaled with the inputs)",
+		fmtBytes(c.HostLLCBytes), fmtBytes(paperLLC)))
 	tb.AddRow("NMP cores", fmt.Sprintf("%d per DIMM @ %.1f GHz", c.CoresPerDIMM, nmp.NMPClockHz/1e9))
 	tb.AddRow("NMP L1 / L2", fmt.Sprintf("%d KiB / %d KiB shared", nmp.L1Bytes>>10, nmp.L2Bytes>>10))
 	tb.AddRow("DRAM", "DDR4-3200 LR-DIMM, 2 ranks, 16 banks/rank, 8 KiB rows")
