@@ -83,7 +83,6 @@ func BenchmarkTable05_Config(b *testing.B)       { runExperiment(b, "table5") }
 // Ablations beyond the paper.
 
 func BenchmarkAblMapping(b *testing.B) { runExperiment(b, "abl-mapping") }
-func BenchmarkAblDLL(b *testing.B)     { runExperiment(b, "abl-dll") }
 func BenchmarkAblCredits(b *testing.B) { runExperiment(b, "abl-credits") }
 func BenchmarkAblPayload(b *testing.B) { runExperiment(b, "abl-payload") }
 func BenchmarkAblGreedy(b *testing.B)  { runExperiment(b, "abl-greedy") }

@@ -17,6 +17,9 @@ cd "$(dirname "$0")"
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go vet -C bench ./... (the benchmark module compiles against the APIs it imports)"
+go vet -C bench ./...
+
 echo "== gofmt -l . (the tree must be gofmt-clean)"
 test -z "$(gofmt -l .)"
 

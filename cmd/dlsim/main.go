@@ -52,7 +52,6 @@ func main() {
 		cxl       = flag.Bool("cxl", false, "disaggregated mode: inter-group traffic over CXL instead of host forwarding")
 		bcast     = flag.Bool("broadcast", false, "use the broadcast formulation (pr, sssp, spmv)")
 		coll      = flag.String("coll", "", "collective algorithm override: ring | hd | tree (default: auto per mechanism/topology)")
-		profile   = flag.Bool("profile", false, "record the per-thread traffic matrix")
 		faultSpec = flag.String("fault", "", "link-fault plan, e.g. 'ber=1e-7,down=0-1@10us,stall=2-3@5us+20us,degrade=1-2@0*0.5' (dimm-link only)")
 		faultSeed = flag.Int64("faultseed", spec.DefaultFaultSeed, "seed for the fault plan's error draws")
 
@@ -121,7 +120,6 @@ func main() {
 	// the printed report is opted into with -metrics or -sample and is
 	// itself byte-identical with and without -trace.
 	var hooks spec.SimHooks
-	hooks.Profile = *profile
 	var traceFile *os.File
 	report := *withMetrics || *samplePd > 0
 	if report || *tracePath != "" {

@@ -13,28 +13,26 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// Config describes one cache level.
+// Config describes one cache level. Every level uses the system's line,
+// mem.LineBytes.
 type Config struct {
 	SizeBytes  uint64
-	LineBytes  uint64
 	Ways       int
 	HitLatency sim.Time
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
-	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways %d <= 0", c.Ways)
 	}
-	lines := c.SizeBytes / c.LineBytes
+	lines := c.SizeBytes / mem.LineBytes
 	if lines == 0 || lines%uint64(c.Ways) != 0 {
-		return fmt.Errorf("cache: size %d / line %d not divisible by %d ways", c.SizeBytes, c.LineBytes, c.Ways)
+		return fmt.Errorf("cache: size %d / line %d not divisible by %d ways", c.SizeBytes, mem.LineBytes, c.Ways)
 	}
 	sets := lines / uint64(c.Ways)
 	if sets&(sets-1) != 0 {
@@ -65,12 +63,11 @@ type Cache struct {
 	// is allocated by the first Access: many caches of a system are never
 	// touched (a workload with no cacheable data), and until then they
 	// hold nothing.
-	ways      []way
-	nsets     uint64
-	lineShift uint // log2(LineBytes)
-	setShift  uint // log2(nsets): the tag is the line number above it
-	tick      uint64
-	Stats     Stats
+	ways     []way
+	nsets    uint64
+	setShift uint // log2(nsets): the tag is the line number above it
+	tick     uint64
+	Stats    Stats
 }
 
 // New builds a cache from cfg; invalid configurations panic (they are
@@ -79,17 +76,15 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
-	return &Cache{cfg: cfg, nsets: nsets,
-		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
-		setShift:  uint(bits.TrailingZeros64(nsets))}
+	nsets := cfg.SizeBytes / mem.LineBytes / uint64(cfg.Ways)
+	return &Cache{cfg: cfg, nsets: nsets, setShift: uint(bits.TrailingZeros64(nsets))}
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	line := addr >> c.lineShift
+	line := addr / mem.LineBytes
 	return line & (c.nsets - 1), line >> c.setShift
 }
 
@@ -166,7 +161,7 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 func (c *Cache) lineAddr(set, tag uint64) uint64 {
-	return (tag<<c.setShift | set) << c.lineShift
+	return (tag<<c.setShift | set) * mem.LineBytes
 }
 
 // Flush invalidates the entire cache and returns the line addresses of all

@@ -7,7 +7,7 @@ import (
 )
 
 func cfg() Config {
-	return Config{SizeBytes: 4096, LineBytes: 64, Ways: 4, HitLatency: 1000}
+	return Config{SizeBytes: 4096, Ways: 4, HitLatency: 1000}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -15,11 +15,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cfg()
-	bad.LineBytes = 48
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two line accepted")
-	}
-	bad = cfg()
 	bad.Ways = 3
 	if bad.Validate() == nil {
 		t.Error("sets not power of two accepted")

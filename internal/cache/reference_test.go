@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 // refCache is the reference for Cache: the original implementation, with
@@ -18,7 +20,7 @@ type refCache struct {
 }
 
 func newRef(cfg Config) *refCache {
-	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
+	nsets := cfg.SizeBytes / mem.LineBytes / uint64(cfg.Ways)
 	sets := make([][]way, nsets)
 	backing := make([]way, nsets*uint64(cfg.Ways))
 	for i := range sets {
@@ -37,7 +39,7 @@ func popShift(mask uint64) int {
 }
 
 func (c *refCache) index(addr uint64) (set uint64, tag uint64) {
-	line := addr / c.cfg.LineBytes
+	line := addr / mem.LineBytes
 	return line & c.setMx, line >> uint(popShift(c.setMx))
 }
 
@@ -90,7 +92,7 @@ func (c *refCache) Contains(addr uint64) bool {
 }
 
 func (c *refCache) lineAddr(set, tag uint64) uint64 {
-	return (tag<<uint(popShift(c.setMx)) | set) * c.cfg.LineBytes
+	return (tag<<uint(popShift(c.setMx)) | set) * mem.LineBytes
 }
 
 func (c *refCache) Flush() []uint64 {
@@ -109,16 +111,16 @@ func (c *refCache) Flush() []uint64 {
 
 // TestCacheMatchesReference drives Cache and the reference through the
 // same seeded access/write sequences on several shapes (one set, many
-// sets, 1 to 16 ways, 32 to 128-byte lines) and requires the same
+// sets, 1 to 16 ways) and requires the same
 // Result, Stats, Contains and Flush at every step, including on a cache
 // that was never accessed.
 func TestCacheMatchesReference(t *testing.T) {
 	shapes := []Config{
-		{SizeBytes: 256, LineBytes: 64, Ways: 4},     // one set
-		{SizeBytes: 4096, LineBytes: 64, Ways: 4},    // 16 sets
-		{SizeBytes: 2048, LineBytes: 32, Ways: 1},    // direct-mapped
-		{SizeBytes: 32768, LineBytes: 128, Ways: 16}, // 16 sets, 16 ways
-		{SizeBytes: 32 << 10, LineBytes: 64, Ways: 4},
+		{SizeBytes: 256, Ways: 4},    // one set
+		{SizeBytes: 4096, Ways: 4},   // 16 sets
+		{SizeBytes: 4096, Ways: 1},   // direct-mapped
+		{SizeBytes: 16384, Ways: 16}, // 16 sets, 16 ways
+		{SizeBytes: 32 << 10, Ways: 4},
 	}
 	for _, cfg := range shapes {
 		for seed := int64(1); seed <= 10; seed++ {

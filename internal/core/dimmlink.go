@@ -86,11 +86,6 @@ type Config struct {
 	// Sync selects hierarchical or centralized synchronization.
 	Sync SyncMode
 
-	// ErrorEvery injects a CRC error (and thus a DLL retry) on every Nth
-	// packet, with or without a fault plan; zero disables injection. Used
-	// by the DLL-layer ablation.
-	ErrorEvery uint64
-
 	// Fault optionally injects link faults (bit errors, stalls, permanent
 	// link-down, degraded lanes; see internal/fault). Packets take the
 	// same hop-by-hop path with or without a plan. Under a nil or
@@ -145,12 +140,11 @@ type Link struct {
 	dram []*dram.Module
 	host *host.Host
 
-	groups   []*group
-	groupOf  []int // DIMM -> group index
-	nodeOf   []int // DIMM -> node index within its group
-	ctrl     []*Controller
-	ctrs     stats.Counters
-	pktCount uint64 // for deterministic error injection
+	groups  []*group
+	groupOf []int // DIMM -> group index
+	nodeOf  []int // DIMM -> node index within its group
+	ctrl    []*Controller
+	ctrs    stats.Counters
 
 	// Handles into ctrs, registered once in NewLink.
 	tx                                                  idc.TxCounters
@@ -371,39 +365,21 @@ func (l *Link) packetize(at sim.Time) sim.Time { return at + packetizeCycles*ctr
 
 func (l *Link) decode(at sim.Time) sim.Time { return at + decodeCycles*ctrlCycle }
 
-// retryTimeout is the DLL retransmission timer: the source re-sends a
-// packet whose ACK has not returned within this window (a few worst-case
-// group round trips).
-const retryTimeout = 200 * sim.Nanosecond
-
 // sendPacket moves one packet of wire size bytes between two DIMMs of the
-// same group and returns the arrival time of the (good) packet at dst.
-// Each attempt walks the packet's route; with ErrorEvery set, every Nth
-// attempt fails its CRC check at dst and is sent again after a retry
-// timeout. link.bytes counts an attempt only when the DL links carried it
-// all the way; the host fallback counts its own bytes.
+// same group and returns its arrival time at dst. link.bytes counts the
+// packet only when the DL links carried it all the way; the host fallback
+// counts its own bytes.
 func (l *Link) sendPacket(at sim.Time, src, dst int, wireBytes int) sim.Time {
-	t := at
-	for {
-		l.tx.Packets.Inc()
-		l.pktCount++
-		arrive, onLink := l.walk(t, src, dst, wireBytes)
-		if onLink {
-			l.linkBytes.Add(uint64(wireBytes))
-		}
-		if l.cfg.ErrorEvery == 0 || l.pktCount%l.cfg.ErrorEvery != 0 {
-			if l.coll.Active() {
-				l.coll.Observe(metrics.HistPacketLat, arrive-at)
-				l.coll.Packet(at, "pkt", src, dst, wireBytes)
-			}
-			return arrive
-		}
-		// CRC failure at dst: no ACK returns; the source retransmits after
-		// a fixed retry timeout sized to a few worst-case round trips.
-		l.retries.Inc()
-		l.coll.Observe(metrics.HistDLLRetry, retryTimeout)
-		t = arrive + retryTimeout
+	l.tx.Packets.Inc()
+	arrive, onLink := l.walk(at, src, dst, wireBytes)
+	if onLink {
+		l.linkBytes.Add(uint64(wireBytes))
 	}
+	if l.coll.Active() {
+		l.coll.Observe(metrics.HistPacketLat, arrive-at)
+		l.coll.Packet(at, "pkt", src, dst, wireBytes)
+	}
+	return arrive
 }
 
 // walk carries one packet from src to dst hop by hop along the group

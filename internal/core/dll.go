@@ -53,9 +53,11 @@ const (
 	// dllWindow bounds unacknowledged packets in flight per link (the
 	// retired-sequence window the DLL word's 16-bit SEQ field tracks).
 	dllWindow = 16
-	// ackTimeout is the base retransmission timer, the same retry timeout
-	// as ErrorEvery's; it doubles on every retry (exponential backoff).
-	ackTimeout = retryTimeout
+	// ackTimeout is the base retransmission timer: the sender re-sends a
+	// packet whose ACK has not returned within this window (a few
+	// worst-case group round trips). It doubles on every retry
+	// (exponential backoff).
+	ackTimeout = 200 * sim.Nanosecond
 	// maxRetries is the attempt budget before the link is declared
 	// permanently dead and handed to the router to route around.
 	maxRetries = 6

@@ -3,6 +3,7 @@ package dram
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func BenchmarkDRAMRowRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				addr := uint64(i) * 4096 % g.DIMMCapBytes
+				addr := uint64(i) * 4096 % mem.DIMMCapBytes
 				if done := m.Access(t, addr, 4096, bc.write); done > t {
 					t = done
 				}

@@ -93,9 +93,9 @@ type Module struct {
 // New builds the DRAM module of the given DIMM under the open-page row
 // policy, or the closed-page one if closedPage is set.
 func New(geo mem.Geometry, closedPage bool, dimm int) *Module {
-	m := &Module{DIMM: dimm, geo: geo, closedPage: closedPage, ranks: make([]*rank, geo.RanksPerDIMM)}
+	m := &Module{DIMM: dimm, geo: geo, closedPage: closedPage, ranks: make([]*rank, mem.RanksPerDIMM)}
 	for r := range m.ranks {
-		rk := &rank{banks: make([]bank, geo.BanksPerRank)}
+		rk := &rank{banks: make([]bank, mem.BanksPerRank)}
 		for b := range rk.banks {
 			rk.banks[b].openRow = -1
 		}
@@ -177,13 +177,12 @@ func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.T
 // accessLines times the lines first..last of one request, one row run at a
 // time under the open-page policy, and returns when the last burst ends.
 func (m *Module) accessLines(at sim.Time, first, last uint64, write bool) sim.Time {
-	line := m.geo.LineBytes
 	done := at
-	for a := first; ; a += line {
+	for a := first; ; a += mem.LineBytes {
 		end, rk, bk := m.accessLine(at, a, write)
 		if !m.closedPage {
-			if runLast := min(last, (a|(m.geo.RowBytes-1))&^(line-1)); runLast > a {
-				end = m.rowRun(rk, bk, (runLast-a)/line, write)
+			if runLast := min(last, (a|(mem.RowBytes-1))&^(mem.LineBytes-1)); runLast > a {
+				end = m.rowRun(rk, bk, (runLast-a)/mem.LineBytes, write)
 				a = runLast
 			}
 		}

@@ -9,15 +9,7 @@ import (
 )
 
 func testGeo() mem.Geometry {
-	return mem.Geometry{
-		NumDIMMs:     2,
-		NumChannels:  1,
-		DIMMCapBytes: 1 << 26,
-		RanksPerDIMM: 2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		LineBytes:    64,
-	}
+	return mem.Geometry{NumDIMMs: 2, NumChannels: 1}
 }
 
 func TestFirstAccessLatency(t *testing.T) {
@@ -50,7 +42,7 @@ func TestRowConflictPays(t *testing.T) {
 	m := New(g, false, 0)
 	// Two rows that map to the same bank: rows are bank-interleaved, so the
 	// same bank repeats every BanksPerRank * RanksPerDIMM rows.
-	stride := g.RowBytes * uint64(g.BanksPerRank) * uint64(g.RanksPerDIMM)
+	stride := mem.RowBytes * mem.BanksPerRank * mem.RanksPerDIMM
 	first := m.Access(0, 0, 64, false)
 	conflictStart := first + 1000000 // long after tRAS
 	second := m.Access(conflictStart, stride, 64, false)
@@ -68,7 +60,7 @@ func TestBankParallelism(t *testing.T) {
 	// two conflicts in the same bank serialize. Warm rows first, then issue
 	// conflicting rows late (past tRAS) and compare completion.
 	g := testGeo()
-	bankStride := g.RowBytes * uint64(g.BanksPerRank) * uint64(g.RanksPerDIMM)
+	bankStride := mem.RowBytes * mem.BanksPerRank * mem.RanksPerDIMM
 
 	sameBank := New(g, false, 0)
 	sameBank.Access(0, 0, 64, false)
@@ -78,9 +70,9 @@ func TestBankParallelism(t *testing.T) {
 
 	diffBank := New(g, false, 0)
 	diffBank.Access(0, 0, 64, false)
-	diffBank.Access(0, g.RowBytes, 64, false) // warm bank 1
+	diffBank.Access(0, mem.RowBytes, 64, false) // warm bank 1
 	diffBank.Access(late, bankStride, 64, false)
-	diffDone := diffBank.Access(late, bankStride+g.RowBytes, 64, false)
+	diffDone := diffBank.Access(late, bankStride+mem.RowBytes, 64, false)
 
 	if diffDone >= sameDone {
 		t.Fatalf("bank parallelism missing: same-bank done %d, diff-bank done %d", sameDone, diffDone)
@@ -91,7 +83,7 @@ func TestRankParallelism(t *testing.T) {
 	g := testGeo()
 	m := New(g, false, 0)
 	// Addresses on different ranks: rank index changes every BanksPerRank rows.
-	rankStride := g.RowBytes * uint64(g.BanksPerRank)
+	rankStride := mem.RowBytes * mem.BanksPerRank
 	a := m.Access(0, 0, 64, false)
 	b := m.Access(0, rankStride, 64, false)
 	if a != b {
@@ -167,7 +159,7 @@ func TestTFAWLimitsActivateBursts(t *testing.T) {
 	// Simpler: rows r=0..4 map to bank r%16, rank (r/16)%2 -> all rank 0.
 	var last sim.Time
 	for i := 0; i < 5; i++ {
-		done := m.Access(0, uint64(i)*g.RowBytes, 64, false)
+		done := m.Access(0, uint64(i)*mem.RowBytes, 64, false)
 		if done > last {
 			last = done
 		}
@@ -186,7 +178,7 @@ func TestAccessWrongDIMMPanics(t *testing.T) {
 			t.Fatal("access to wrong DIMM did not panic")
 		}
 	}()
-	m.Access(0, g.DIMMCapBytes+64, 64, false)
+	m.Access(0, mem.DIMMCapBytes+64, 64, false)
 }
 
 func TestMonotoneCompletionProperty(t *testing.T) {
@@ -199,7 +191,7 @@ func TestMonotoneCompletionProperty(t *testing.T) {
 			if i < len(gaps) {
 				at += sim.Time(gaps[i])
 			}
-			addr := uint64(a) % g.DIMMCapBytes
+			addr := uint64(a) % mem.DIMMCapBytes
 			done := m.Access(at, addr, 64, a%2 == 0)
 			if done < at+tCL+tBL {
 				return false
@@ -247,7 +239,7 @@ func BenchmarkAccessStream(b *testing.B) {
 	m := New(g, false, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Access(0, uint64(i*64)%g.DIMMCapBytes, 64, false)
+		m.Access(0, uint64(i*64)%mem.DIMMCapBytes, 64, false)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func (m *Module) refAccess(at sim.Time, addr uint64, size uint32, write bool) si
 	if size == 0 {
 		size = 1
 	}
-	line := m.geo.LineBytes
+	line := mem.LineBytes
 	first := m.geo.LineAddr(addr)
 	last := m.geo.LineAddr(addr + uint64(size) - 1)
 	done := at
@@ -114,10 +115,9 @@ const diffRows = 64
 // clock but often lands just before, inside or just after the next refresh
 // window, or steps back a little.
 func drawOp(clock *sim.Time, sizeRaw, offRaw, atRaw uint32, mode uint8, write bool) diffOp {
-	g := testGeo()
 	op := diffOp{
 		size:  1 + sizeRaw%16384,
-		addr:  uint64(offRaw) % (diffRows * g.RowBytes),
+		addr:  uint64(offRaw) % (diffRows * mem.RowBytes),
 		write: write,
 	}
 	switch mode % 4 {

@@ -15,11 +15,6 @@ func init() {
 		Run:   runAblMapping,
 	})
 	register(Experiment{
-		ID:    "abl-dll",
-		Title: "Ablation: DLL-layer CRC error/retry cost",
-		Run:   runAblDLL,
-	})
-	register(Experiment{
 		ID:    "abl-credits",
 		Title: "Ablation: link flow-control credit depth",
 		Run:   runAblCredits,
@@ -101,37 +96,6 @@ func runAblMapping(o Options) []*stats.Table {
 		base := outs[cell].aligned
 		grp, shf := outs[cell+1], outs[cell+2]
 		tb.Addf(outs[cell].name, 1.0, base/grp.raw, base/shf.raw, base/grp.mapped, base/shf.mapped)
-	}
-	return []*stats.Table{tb}
-}
-
-// runAblDLL sweeps injected CRC error rates to price the DLL retry path.
-// One job per error rate.
-func runAblDLL(o Options) []*stats.Table {
-	cfg := sysConfig{"8D-4C", 8, 4}
-	s := o.sizes()
-	rates := []uint64{0, 1000, 100, 10}
-	type dllOut struct {
-		makespan sim.Time
-		retries  uint64
-	}
-	outs := runJobs(o, len(rates), func(i int) dllOut {
-		every := rates[i]
-		w := workloads.NewBFSFromGraph(workloads.Community(s.graphScale, s.edgeFactor, o.Seed))
-		out := execute(o, w, nmp.MechDIMMLink, cfg,
-			func(c *nmp.Config) { c.DL.ErrorEvery = every }, nil, false)
-		return dllOut{makespan: out.res.Makespan, retries: out.sys.IC.Counters().Get("link.retries")}
-	})
-
-	tb := stats.NewTable("Ablation — DLL retries: slowdown vs error-free links",
-		"error-every-N-packets", "slowdown", "retries")
-	base := float64(outs[0].makespan)
-	for i, every := range rates {
-		if every == 0 {
-			tb.Addf("none", 1.0, 0)
-			continue
-		}
-		tb.Addf(every, float64(outs[i].makespan)/base, outs[i].retries)
 	}
 	return []*stats.Table{tb}
 }

@@ -122,7 +122,7 @@ func TestDeterministicAggregation(t *testing.T) {
 	t.Run("Registry", func(t *testing.T) {
 		ids := []string{"table1", "abl-payload"}
 		if !testing.Short() {
-			ids = append(ids, "abl-dll", "abl-credits")
+			ids = append(ids, "abl-credits")
 		}
 		for _, id := range ids {
 			serial := renderRegistry(t, id, 1)

@@ -73,18 +73,4 @@ func TestDiagnostics(t *testing.T) {
 				abs[r.workload]["host-cpu"], abs[r.workload]["mcn"], abs[r.workload]["aim"], abs[r.workload]["dl-base"])
 		}
 	})
-
-	// DLLRetries prints the makespan/retry curve of the CRC error-injection
-	// sweep (the abl-dll ablation's raw numbers).
-	t.Run("DLLRetries", func(t *testing.T) {
-		cfg := sysConfig{"8D-4C", 8, 4}
-		w := workloads.NewBFSFromGraph(workloads.Community(13, 8, o.Seed))
-		for _, every := range []uint64{0, 1000, 100, 10} {
-			every := every
-			out := execute(o, w, nmp.MechDIMMLink, cfg,
-				func(c *nmp.Config) { c.DL.ErrorEvery = every }, nil, false)
-			fmt.Printf("every=%d makespan=%v retries=%d\n", every,
-				out.res.Makespan, out.sys.IC.Counters().Get("link.retries"))
-		}
-	})
 }

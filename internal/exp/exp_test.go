@@ -7,7 +7,7 @@ import (
 func TestRegistryHasEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig01", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "table1", "table2", "table4", "table5",
-		"abl-mapping", "abl-dll", "abl-credits", "abl-payload", "abl-greedy", "abl-page",
+		"abl-mapping", "abl-credits", "abl-payload", "abl-greedy", "abl-page",
 		"ext-disagg", "ext-nearbank", "ext-prim"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

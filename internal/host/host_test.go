@@ -8,15 +8,7 @@ import (
 )
 
 func geo16() mem.Geometry {
-	return mem.Geometry{
-		NumDIMMs:     16,
-		NumChannels:  8,
-		DIMMCapBytes: 1 << 26,
-		RanksPerDIMM: 2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		LineBytes:    64,
-	}
+	return mem.Geometry{NumDIMMs: 16, NumChannels: 8}
 }
 
 func allDIMMs(n int) []int {

@@ -10,15 +10,7 @@ import (
 )
 
 func geoN(dimms, channels int) mem.Geometry {
-	return mem.Geometry{
-		NumDIMMs:     dimms,
-		NumChannels:  channels,
-		DIMMCapBytes: 1 << 26,
-		RanksPerDIMM: 2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		LineBytes:    64,
-	}
+	return mem.Geometry{NumDIMMs: dimms, NumChannels: channels}
 }
 
 func modules(geo mem.Geometry) []*dram.Module {

@@ -225,12 +225,7 @@ func TestReaderStreams(t *testing.T) {
 	}
 }
 
-func testGeo() mem.Geometry {
-	return mem.Geometry{
-		NumDIMMs: 4, NumChannels: 2, DIMMCapBytes: 1 << 20,
-		RanksPerDIMM: 1, BanksPerRank: 4, RowBytes: 1 << 10, LineBytes: 64,
-	}
-}
+func testGeo() mem.Geometry { return mem.Geometry{NumDIMMs: 4, NumChannels: 2} }
 
 func TestDirectMapper(t *testing.T) {
 	m, err := NewMapper(MapDirect, 0, testGeo())
@@ -284,8 +279,23 @@ func TestPageMapper(t *testing.T) {
 	if geo.DIMMOf(big) != geo.DIMMOf(big+4*page-1) {
 		t.Fatalf("large access crosses DIMMs")
 	}
+	// The last frame of DIMM 0 slides an access that would spill past the
+	// DIMM's end back so it ends on the DIMM's last byte.
+	frames := mem.DIMMCapBytes / page
+	last := (frames - 1) * uint64(geo.NumDIMMs) * page
+	clamped, err := m.Map(0, last+page/2, 2*page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := geo.DIMMBase(0) + mem.DIMMCapBytes - 2*page; clamped != want {
+		t.Fatalf("spilling access mapped to %#x, want the clamp to %#x", clamped, want)
+	}
+	// Traces larger than the simulated capacity wrap onto frame 0.
+	if wrapped, err := m.Map(0, frames*uint64(geo.NumDIMMs)*page+17, 64); err != nil || wrapped != geo.DIMMBase(0)+17 {
+		t.Fatalf("page past the capacity mapped to %#x, %v; want frame 0 of DIMM 0", wrapped, err)
+	}
 	// Larger than a DIMM is an error, not a wrap.
-	if _, err := m.Map(0, 0, uint32(geo.DIMMCapBytes)+64); err == nil {
+	if _, err := m.Map(0, 0, uint32(mem.DIMMCapBytes)+64); err == nil {
 		t.Fatal("over-capacity access not rejected")
 	}
 }
@@ -332,7 +342,7 @@ func TestNewMapperValidation(t *testing.T) {
 	if _, err := NewMapper(MapPage, 1000, testGeo()); err == nil {
 		t.Fatal("non-power-of-two page accepted")
 	}
-	if _, err := NewMapper(MapPage, 1<<21, testGeo()); err == nil {
+	if _, err := NewMapper(MapPage, 2*mem.DIMMCapBytes, testGeo()); err == nil {
 		t.Fatal("page larger than DIMM accepted")
 	}
 }

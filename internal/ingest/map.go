@@ -45,10 +45,10 @@ func NewMapper(policy string, pageBytes uint64, geo mem.Geometry) (Mapper, error
 		if pageBytes == 0 || pageBytes&(pageBytes-1) != 0 {
 			return nil, fmt.Errorf("ingest: page size %d not a power of two", pageBytes)
 		}
-		if pageBytes > geo.DIMMCapBytes {
-			return nil, fmt.Errorf("ingest: page size %d exceeds DIMM capacity %d", pageBytes, geo.DIMMCapBytes)
+		if pageBytes > mem.DIMMCapBytes {
+			return nil, fmt.Errorf("ingest: page size %d exceeds DIMM capacity %d", pageBytes, mem.DIMMCapBytes)
 		}
-		p := &pageMapper{geo: geo, pageBytes: pageBytes, frames: geo.DIMMCapBytes / pageBytes}
+		p := &pageMapper{geo: geo, pageBytes: pageBytes, frames: mem.DIMMCapBytes / pageBytes}
 		if policy == MapPage {
 			return p, nil
 		}
@@ -81,12 +81,12 @@ func (m *directMapper) Map(_ int, addr uint64, size uint32) (uint64, error) {
 // within one DIMM (the segmented address space has no cross-DIMM
 // ranges; mem.Geometry.DIMMOf(addr) must equal DIMMOf(addr+size-1)).
 func (p *pageMapper) placePage(dimm int, frame, intra uint64, size uint32) (uint64, error) {
-	if uint64(size) > p.geo.DIMMCapBytes {
-		return 0, fmt.Errorf("size %d exceeds DIMM capacity %d", size, p.geo.DIMMCapBytes)
+	if uint64(size) > mem.DIMMCapBytes {
+		return 0, fmt.Errorf("size %d exceeds DIMM capacity %d", size, mem.DIMMCapBytes)
 	}
 	off := frame*p.pageBytes + intra
-	if off+uint64(size) > p.geo.DIMMCapBytes {
-		off = p.geo.DIMMCapBytes - uint64(size)
+	if off+uint64(size) > mem.DIMMCapBytes {
+		off = mem.DIMMCapBytes - uint64(size)
 	}
 	return p.geo.DIMMBase(dimm) + off, nil
 }

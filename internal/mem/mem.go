@@ -8,11 +8,11 @@
 // format exploits when it stores only the 37 intra-DIMM address bits in the
 // ADDR field.
 //
-// Every field of the DRAM coordinate is a power of two — DIMM capacity,
-// ranks per DIMM, banks per rank, row size and line size — so Decode is
-// shifts and masks only, with no divide on the per-access path. DDR4's 16
-// banks in 4 bank groups and 1-, 2- or 4-rank DIMMs all fit the rule;
-// Validate rejects any other shape.
+// The DIMM shape is Table V's DDR4-3200 LR-DIMM and is fixed: 2 ranks of
+// 16 banks, 8 KiB rows and 64 B lines, over a 256 MiB simulated footprint
+// per DIMM. Every factor is a power of two, so Decode is shifts and masks
+// only, with no divide on the per-access path. Only the DIMM and channel
+// counts vary between systems (Geometry).
 //
 // The package is purely about addresses and attributes; actual data values
 // live in the workloads' own Go data structures (functional-first
@@ -21,7 +21,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -56,54 +55,50 @@ func (a Attr) String() string {
 // Cacheable reports whether data with this attribute may live in NMP caches.
 func (a Attr) Cacheable() bool { return a != SharedRW }
 
-// Geometry describes the fixed shape of the memory system.
+// The Table V DIMM shape. Each value is a power of two; the shift counts
+// are their base-2 logarithms.
+const (
+	// DIMMCapBytes is the simulated footprint per DIMM: a model choice
+	// that bounds the workloads' address space, not the LR-DIMM's full
+	// capacity.
+	DIMMCapBytes uint64 = 1 << dimmCapShift
+	RanksPerDIMM        = 1 << rankShift
+	BanksPerRank        = 1 << bankShift
+	RowBytes     uint64 = 1 << rowShift  // DRAM row (page) size
+	LineBytes    uint64 = 1 << lineShift // transaction granularity (cache line)
+
+	dimmCapShift = 28
+	rankShift    = 1
+	bankShift    = 4
+	rowShift     = 13
+	lineShift    = 6
+)
+
+// Geometry describes the system's DIMM population; every DIMM has the
+// constant shape above.
 type Geometry struct {
-	NumDIMMs     int    // total DIMMs in the system
-	NumChannels  int    // host memory channels
-	DIMMCapBytes uint64 // capacity per DIMM; must be a power of two
-	RanksPerDIMM int    // must be a power of two
-	BanksPerRank int    // must be a power of two
-	RowBytes     uint64 // DRAM row (page) size in bytes; power of two
-	LineBytes    uint64 // transaction granularity (cache line); power of two
+	NumDIMMs    int // total DIMMs in the system
+	NumChannels int // host memory channels
 }
 
-// Validate checks internal consistency.
+// Validate checks the DIMM and channel counts.
 func (g Geometry) Validate() error {
 	switch {
 	case g.NumDIMMs <= 0:
 		return fmt.Errorf("mem: NumDIMMs %d <= 0", g.NumDIMMs)
 	case g.NumChannels <= 0 || g.NumDIMMs%g.NumChannels != 0:
 		return fmt.Errorf("mem: NumChannels %d must divide NumDIMMs %d", g.NumChannels, g.NumDIMMs)
-	case g.DIMMCapBytes == 0 || g.DIMMCapBytes&(g.DIMMCapBytes-1) != 0:
-		return fmt.Errorf("mem: DIMMCapBytes %d not a power of two", g.DIMMCapBytes)
-	case g.RanksPerDIMM <= 0 || g.RanksPerDIMM&(g.RanksPerDIMM-1) != 0:
-		return fmt.Errorf("mem: RanksPerDIMM %d not a power of two", g.RanksPerDIMM)
-	case g.BanksPerRank <= 0 || g.BanksPerRank&(g.BanksPerRank-1) != 0:
-		return fmt.Errorf("mem: BanksPerRank %d not a power of two", g.BanksPerRank)
-	case g.RowBytes == 0 || g.RowBytes&(g.RowBytes-1) != 0:
-		return fmt.Errorf("mem: RowBytes %d not a power of two", g.RowBytes)
-	case g.LineBytes == 0 || g.LineBytes&(g.LineBytes-1) != 0:
-		return fmt.Errorf("mem: LineBytes %d not a power of two", g.LineBytes)
-	case g.LineBytes > g.RowBytes:
-		return fmt.Errorf("mem: line %d larger than row %d", g.LineBytes, g.RowBytes)
 	}
 	return nil
 }
 
 // DIMMsPerChannel returns the DPC count: how many DIMM slots the
-// channel-major layout assigns per channel. Ceiling division keeps every
-// DIMM inside a valid channel when NumDIMMs is not a multiple of
-// NumChannels (floor division mapped trailing DIMMs to out-of-range
-// channels); Validate still rejects such geometries for built systems,
-// but derived code paths (broadcast channel layout, tooling) must not
-// misattribute DIMMs on the lenient ones.
-func (g Geometry) DIMMsPerChannel() int {
-	return (g.NumDIMMs + g.NumChannels - 1) / g.NumChannels
-}
+// channel-major layout assigns per channel.
+func (g Geometry) DIMMsPerChannel() int { return g.NumDIMMs / g.NumChannels }
 
 // DIMMOf returns the DIMM owning addr.
 func (g Geometry) DIMMOf(addr uint64) int {
-	d := int(addr >> uint(bits.TrailingZeros64(g.DIMMCapBytes)))
+	d := int(addr >> dimmCapShift)
 	if d >= g.NumDIMMs {
 		panic(fmt.Sprintf("mem: address %#x beyond DIMM %d capacity", addr, g.NumDIMMs))
 	}
@@ -111,18 +106,14 @@ func (g Geometry) DIMMOf(addr uint64) int {
 }
 
 // ChannelOfDIMM returns the host memory channel the DIMM sits on. DIMMs are
-// laid out channel-major: channel c holds DIMMs [c*DPC, (c+1)*DPC). With a
-// non-multiple DIMM count trailing channels may be short or empty, but the
-// result is always in [0, NumChannels).
+// laid out channel-major: channel c holds DIMMs [c*DPC, (c+1)*DPC).
 func (g Geometry) ChannelOfDIMM(dimm int) int { return dimm / g.DIMMsPerChannel() }
 
 // DIMMBase returns the first physical address of the given DIMM.
-func (g Geometry) DIMMBase(dimm int) uint64 {
-	return uint64(dimm) * g.DIMMCapBytes
-}
+func (g Geometry) DIMMBase(dimm int) uint64 { return uint64(dimm) << dimmCapShift }
 
 // TotalBytes returns total system capacity.
-func (g Geometry) TotalBytes() uint64 { return uint64(g.NumDIMMs) * g.DIMMCapBytes }
+func (g Geometry) TotalBytes() uint64 { return uint64(g.NumDIMMs) << dimmCapShift }
 
 // Location is a fully decoded DRAM coordinate.
 type Location struct {
@@ -140,25 +131,23 @@ type Location struct {
 //
 // so that a sequential stream sweeps a full row before switching banks
 // (maximizing row-buffer hits), and adjacent rows land in different banks.
-// Validate guarantees every factor is a power of two, so each field is a
-// shift and a mask of the address.
+// Every factor is a power of two, so each field is a shift and a mask of
+// the address.
 func (g Geometry) Decode(addr uint64) Location {
 	dimm := g.DIMMOf(addr)
-	off := addr & (g.DIMMCapBytes - 1)
-	rowIdx := off >> uint(bits.TrailingZeros64(g.RowBytes))
-	bankBits := uint(bits.TrailingZeros(uint(g.BanksPerRank)))
-	rankBits := uint(bits.TrailingZeros(uint(g.RanksPerDIMM)))
+	off := addr & (DIMMCapBytes - 1)
+	rowIdx := off >> rowShift
 	return Location{
 		DIMM: dimm,
-		Rank: int(rowIdx>>bankBits) & (g.RanksPerDIMM - 1),
-		Bank: int(rowIdx) & (g.BanksPerRank - 1),
-		Row:  rowIdx >> (bankBits + rankBits),
-		Col:  off & (g.RowBytes - 1) &^ (g.LineBytes - 1),
+		Rank: int(rowIdx>>bankShift) & (RanksPerDIMM - 1),
+		Bank: int(rowIdx) & (BanksPerRank - 1),
+		Row:  rowIdx >> (bankShift + rankShift),
+		Col:  off & (RowBytes - 1) &^ (LineBytes - 1),
 	}
 }
 
 // LineAddr returns addr rounded down to its cache line.
-func (g Geometry) LineAddr(addr uint64) uint64 { return addr &^ (g.LineBytes - 1) }
+func (g Geometry) LineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
 
 // rangeAttr is one allocated address range, used for attribute lookup.
 type rangeAttr struct {
@@ -207,8 +196,8 @@ func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
 func (s *Space) allocRaw(dimm int, size uint64) (uint64, error) {
 	size = alignUp(size, allocAlign)
 	off := s.next[dimm]
-	if off+size > s.Geo.DIMMCapBytes {
-		return 0, fmt.Errorf("mem: DIMM %d out of capacity (%d + %d > %d)", dimm, off, size, s.Geo.DIMMCapBytes)
+	if off+size > DIMMCapBytes {
+		return 0, fmt.Errorf("mem: DIMM %d out of capacity (%d + %d > %d)", dimm, off, size, DIMMCapBytes)
 	}
 	s.next[dimm] = off + size
 	return s.Geo.DIMMBase(dimm) + off, nil

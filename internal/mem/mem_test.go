@@ -6,53 +6,25 @@ import (
 	"testing/quick"
 )
 
-func testGeo() Geometry {
-	return Geometry{
-		NumDIMMs:     4,
-		NumChannels:  2,
-		DIMMCapBytes: 1 << 26, // 64 MiB per DIMM keeps tests small
-		RanksPerDIMM: 2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		LineBytes:    64,
-	}
-}
+func testGeo() Geometry { return Geometry{NumDIMMs: 4, NumChannels: 2} }
 
 func TestGeometryValidate(t *testing.T) {
 	g := testGeo()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
-	bad := g
-	bad.DIMMCapBytes = 3 << 20
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two capacity accepted")
-	}
-	bad = g
-	bad.NumChannels = 3
-	if bad.Validate() == nil {
-		t.Error("channels not dividing DIMMs accepted")
-	}
-	bad = g
-	bad.LineBytes = 16384
-	if bad.Validate() == nil {
-		t.Error("line > row accepted")
-	}
-	// Decode is shifts and masks, so ranks and banks must be powers of
-	// two; the error names the offending field.
 	for _, tc := range []struct {
 		field string
-		set   func(*Geometry)
+		bad   Geometry
 	}{
-		{"RanksPerDIMM", func(g *Geometry) { g.RanksPerDIMM = 3 }},
-		{"RanksPerDIMM", func(g *Geometry) { g.RanksPerDIMM = 0 }},
-		{"BanksPerRank", func(g *Geometry) { g.BanksPerRank = 12 }},
-		{"BanksPerRank", func(g *Geometry) { g.BanksPerRank = -16 }},
+		{"NumDIMMs", Geometry{NumDIMMs: 0, NumChannels: 1}},
+		{"NumDIMMs", Geometry{NumDIMMs: -4, NumChannels: 2}},
+		{"NumChannels", Geometry{NumDIMMs: 4, NumChannels: 3}},
+		{"NumChannels", Geometry{NumDIMMs: 4, NumChannels: 0}},
+		{"NumChannels", Geometry{NumDIMMs: 2, NumChannels: 4}},
 	} {
-		bad := g
-		tc.set(&bad)
-		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%+v: Validate = %v, want an error naming %s", bad, err, tc.field)
+		if err := tc.bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", tc.bad, err, tc.field)
 		}
 	}
 }
@@ -64,7 +36,7 @@ func TestDIMMAndChannelMapping(t *testing.T) {
 		if got := g.DIMMOf(base); got != d {
 			t.Errorf("DIMMOf(base of %d) = %d", d, got)
 		}
-		if got := g.DIMMOf(base + g.DIMMCapBytes - 1); got != d {
+		if got := g.DIMMOf(base + DIMMCapBytes - 1); got != d {
 			t.Errorf("DIMMOf(last byte of %d) = %d", d, got)
 		}
 	}
@@ -85,18 +57,18 @@ func TestDecodeRoundTripProperties(t *testing.T) {
 		if loc.DIMM != g.DIMMOf(addr) {
 			return false
 		}
-		if loc.Rank < 0 || loc.Rank >= g.RanksPerDIMM {
+		if loc.Rank < 0 || loc.Rank >= RanksPerDIMM {
 			return false
 		}
-		if loc.Bank < 0 || loc.Bank >= g.BanksPerRank {
+		if loc.Bank < 0 || loc.Bank >= BanksPerRank {
 			return false
 		}
-		if loc.Col >= g.RowBytes || loc.Col%g.LineBytes != 0 {
+		if loc.Col >= RowBytes || loc.Col%LineBytes != 0 {
 			return false
 		}
 		// Reconstruct the address from the coordinate.
-		rowIdx := (loc.Row*uint64(g.RanksPerDIMM)+uint64(loc.Rank))*uint64(g.BanksPerRank) + uint64(loc.Bank)
-		rebuilt := g.DIMMBase(loc.DIMM) + rowIdx*g.RowBytes + loc.Col
+		rowIdx := (loc.Row*RanksPerDIMM+uint64(loc.Rank))*BanksPerRank + uint64(loc.Bank)
+		rebuilt := g.DIMMBase(loc.DIMM) + rowIdx*RowBytes + loc.Col
 		return rebuilt == g.LineAddr(addr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -105,54 +77,40 @@ func TestDecodeRoundTripProperties(t *testing.T) {
 }
 
 // decodeByDivision is the reference decoder: the divide-and-modulo form
-// of the layout formula documented on Decode, valid for any geometry.
-func decodeByDivision(g Geometry, addr uint64) Location {
-	dimm := int(addr / g.DIMMCapBytes)
-	off := addr % g.DIMMCapBytes
-	rowIdx := off / g.RowBytes
-	bank := int(rowIdx % uint64(g.BanksPerRank))
-	rowIdx /= uint64(g.BanksPerRank)
-	rank := int(rowIdx % uint64(g.RanksPerDIMM))
+// of the layout formula documented on Decode.
+func decodeByDivision(addr uint64) Location {
+	dimm := int(addr / DIMMCapBytes)
+	off := addr % DIMMCapBytes
+	rowIdx := off / RowBytes
+	bank := int(rowIdx % BanksPerRank)
+	rowIdx /= BanksPerRank
+	rank := int(rowIdx % RanksPerDIMM)
 	return Location{
 		DIMM: dimm,
 		Rank: rank,
 		Bank: bank,
-		Row:  rowIdx / uint64(g.RanksPerDIMM),
-		Col:  off % g.RowBytes / g.LineBytes * g.LineBytes,
+		Row:  rowIdx / RanksPerDIMM,
+		Col:  off % RowBytes / LineBytes * LineBytes,
 	}
 }
 
-// FuzzGeometryDecode draws a power-of-two geometry and an address inside
-// it, and checks Decode against the division reference and that the
+// FuzzGeometryDecode draws a DIMM count and an address inside the system,
+// and checks Decode against the division reference and that the
 // coordinate rebuilds the line address.
 func FuzzGeometryDecode(f *testing.F) {
-	f.Add(uint8(2), uint8(1), uint8(4), uint8(13), uint8(6), uint8(26), uint64(0))
-	f.Add(uint8(4), uint8(0), uint8(0), uint8(6), uint8(6), uint8(20), uint64(1<<20+12345))
-	f.Add(uint8(16), uint8(2), uint8(5), uint8(11), uint8(3), uint8(34), ^uint64(0))
-	f.Add(uint8(3), uint8(1), uint8(4), uint8(13), uint8(6), uint8(30), uint64(0xdeadbeefcafe))
-	f.Fuzz(func(t *testing.T, dimms, rankBits, bankBits, rowBits, lineBits, capBits uint8, raw uint64) {
-		rowBits = 6 + rowBits%11            // 64 B .. 64 KiB rows
-		lineBits = 3 + lineBits%(rowBits-2) // 8 B .. row-size lines
-		capBits = rowBits + capBits%(40-rowBits)
-		g := Geometry{
-			NumDIMMs:     1 + int(dimms%32),
-			NumChannels:  1,
-			DIMMCapBytes: 1 << capBits,
-			RanksPerDIMM: 1 << (rankBits % 4),
-			BanksPerRank: 1 << (bankBits % 6),
-			RowBytes:     1 << rowBits,
-			LineBytes:    1 << lineBits,
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("drawn geometry %+v invalid: %v", g, err)
-		}
+	f.Add(uint8(2), uint64(0))
+	f.Add(uint8(4), uint64(1<<20+12345))
+	f.Add(uint8(16), ^uint64(0))
+	f.Add(uint8(3), uint64(0xdeadbeefcafe))
+	f.Fuzz(func(t *testing.T, dimms uint8, raw uint64) {
+		g := Geometry{NumDIMMs: 1 + int(dimms%64), NumChannels: 1}
 		addr := raw % g.TotalBytes()
-		got, want := g.Decode(addr), decodeByDivision(g, addr)
+		got, want := g.Decode(addr), decodeByDivision(addr)
 		if got != want {
 			t.Fatalf("%+v: Decode(%#x) = %+v, reference %+v", g, addr, got, want)
 		}
-		rowIdx := (got.Row*uint64(g.RanksPerDIMM)+uint64(got.Rank))*uint64(g.BanksPerRank) + uint64(got.Bank)
-		if rebuilt := g.DIMMBase(got.DIMM) + rowIdx*g.RowBytes + got.Col; rebuilt != g.LineAddr(addr) {
+		rowIdx := (got.Row*RanksPerDIMM+uint64(got.Rank))*BanksPerRank + uint64(got.Bank)
+		if rebuilt := g.DIMMBase(got.DIMM) + rowIdx*RowBytes + got.Col; rebuilt != g.LineAddr(addr) {
 			t.Fatalf("%+v: %+v rebuilds %#x, want line %#x", g, got, rebuilt, g.LineAddr(addr))
 		}
 	})
@@ -162,14 +120,14 @@ func TestDecodeSequentialIsRowFriendly(t *testing.T) {
 	g := testGeo()
 	// A sequential sweep within one row must keep the same (rank,bank,row).
 	first := g.Decode(0)
-	for off := uint64(0); off < g.RowBytes; off += g.LineBytes {
+	for off := uint64(0); off < RowBytes; off += LineBytes {
 		loc := g.Decode(off)
 		if loc.Rank != first.Rank || loc.Bank != first.Bank || loc.Row != first.Row {
 			t.Fatalf("offset %d left the row: %+v vs %+v", off, loc, first)
 		}
 	}
 	// The next row must land in a different bank (bank interleaving).
-	next := g.Decode(g.RowBytes)
+	next := g.Decode(RowBytes)
 	if next.Bank == first.Bank && next.Rank == first.Rank {
 		t.Fatalf("adjacent rows share a bank: %+v", next)
 	}
@@ -216,12 +174,17 @@ func TestSegmentOf(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	g := testGeo()
-	g.DIMMCapBytes = 1 << 12 // 4 KiB
-	s := MustNewSpace(g)
-	if _, err := s.AllocOn("big", 1<<13, 0, Private); err == nil {
+	s := MustNewSpace(testGeo())
+	if _, err := s.AllocOn("big", DIMMCapBytes+1, 0, Private); err == nil {
 		t.Fatal("over-capacity allocation accepted")
 	}
+	// A DIMM filled to the last byte accepts nothing more, and its
+	// neighbour is unaffected.
+	s.MustAllocOn("fill", DIMMCapBytes, 1, Private)
+	if _, err := s.AllocOn("spill", 64, 1, Private); err == nil {
+		t.Fatal("allocation past a full DIMM accepted")
+	}
+	s.MustAllocOn("next", 64, 2, Private)
 }
 
 func TestAddrOutOfRangePanics(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cores"
 	"repro/internal/host"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -56,7 +57,7 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	}
 	m.bytesLocal.Add(uint64(size))
 	cfg := &m.sys.Cfg
-	cacheable := m.sys.Space.AttrOf(addr).Cacheable() && uint64(size) <= cfg.Geo.LineBytes
+	cacheable := m.sys.Space.AttrOf(addr).Cacheable() && uint64(size) <= mem.LineBytes
 
 	if !cacheable {
 		// Streaming or shared read-write data: straight through the local MC.
@@ -66,24 +67,24 @@ func (m *nmpMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, wr
 	if r := l1.Access(addr, write); r.Hit {
 		return at + l1.HitLatency(), false
 	} else if r.WriteBack {
-		m.sys.Modules[home].Access(at, r.WriteBackAddr, uint32(cfg.Geo.LineBytes), true)
+		m.sys.Modules[home].Access(at, r.WriteBackAddr, uint32(mem.LineBytes), true)
 	}
 	t := at + l1.HitLatency()
 	l2 := m.l2[home]
 	if r := l2.Access(addr, write); r.Hit {
 		return t + l2.HitLatency(), false
 	} else if r.WriteBack {
-		m.sys.Modules[home].Access(t, r.WriteBackAddr, uint32(cfg.Geo.LineBytes), true)
+		m.sys.Modules[home].Access(t, r.WriteBackAddr, uint32(mem.LineBytes), true)
 	}
 	t += l2.HitLatency() + mcLatency
 	// Fill the line from local DRAM (the whole line, not just size bytes).
-	return m.sys.Modules[home].Access(t, cfg.Geo.LineAddr(addr), uint32(cfg.Geo.LineBytes), write), false
+	return m.sys.Modules[home].Access(t, cfg.Geo.LineAddr(addr), uint32(mem.LineBytes), write), false
 }
 
 // scatterStride spaces scattered lines one DRAM row plus one line apart,
 // forcing the row-conflict behaviour of genuinely random single-element
 // updates while staying deterministic.
-func scatterStride(rowBytes, lineBytes uint64) uint64 { return rowBytes + lineBytes }
+const scatterStride = mem.RowBytes + mem.LineBytes
 
 // Scatter implements cores.Memory: count line transactions at
 // row-conflicting offsets. Local scatters hit the DIMM's banks in parallel
@@ -94,21 +95,20 @@ func (m *nmpMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, c
 	home := m.sys.coreDIMM(coreID)
 	geo := m.sys.Cfg.Geo
 	if target := geo.DIMMOf(addr); target != home {
-		m.bytesRemote.Add(uint64(count) * geo.LineBytes)
-		m.sys.Traffic.Add(home, target, uint64(count)*geo.LineBytes)
-		return m.sys.IC.Access(at, home, addr, count*uint32(geo.LineBytes), write), true
+		m.bytesRemote.Add(uint64(count) * mem.LineBytes)
+		m.sys.Traffic.Add(home, target, uint64(count)*mem.LineBytes)
+		return m.sys.IC.Access(at, home, addr, count*uint32(mem.LineBytes), write), true
 	}
-	if span < geo.LineBytes {
-		span = geo.LineBytes
+	if span < mem.LineBytes {
+		span = mem.LineBytes
 	}
-	stride := scatterStride(geo.RowBytes, geo.LineBytes)
 	done := at
 	for i := uint64(0); i < uint64(count); i++ {
-		off := (i * stride) % span
+		off := (i * scatterStride) % span
 		// Each line takes the normal local path: cacheable data (e.g. a
 		// thread-private bin array) hits the L1 just as it would on the
 		// host; uncacheable shared state pays the DRAM row conflicts.
-		if fin, _ := m.Access(at, coreID, geo.LineAddr(addr+off), uint32(geo.LineBytes), write); fin > done {
+		if fin, _ := m.Access(at, coreID, geo.LineAddr(addr+off), uint32(mem.LineBytes), write); fin > done {
 			done = fin
 		}
 	}
@@ -145,7 +145,7 @@ func (m *nmpMemory) FlushCaches(at sim.Time) sim.Time {
 	flush := func(c *cache.Cache) {
 		for _, line := range c.Flush() {
 			d := m.sys.Cfg.Geo.DIMMOf(line)
-			if fin := m.sys.Modules[d].Access(at, line, uint32(m.sys.Cfg.Geo.LineBytes), true); fin > done {
+			if fin := m.sys.Modules[d].Access(at, line, uint32(mem.LineBytes), true); fin > done {
 				done = fin
 			}
 		}
@@ -202,7 +202,7 @@ func (m *hostMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, w
 	cfg := &m.sys.Cfg
 	// The host is hardware-coherent, so everything is cacheable; only
 	// streaming (multi-line) accesses bypass the caches.
-	cacheable := uint64(size) <= cfg.Geo.LineBytes
+	cacheable := uint64(size) <= mem.LineBytes
 	if cacheable {
 		l1 := m.l1[coreID]
 		if r := l1.Access(addr, write); r.Hit {
@@ -217,7 +217,7 @@ func (m *hostMemory) Access(at sim.Time, coreID int, addr uint64, size uint32, w
 			m.dramWrite(t, r.WriteBackAddr)
 		}
 		t += m.llc.HitLatency()
-		return m.dramAccess(t, cfg.Geo.LineAddr(addr), uint32(cfg.Geo.LineBytes), write), false
+		return m.dramAccess(t, cfg.Geo.LineAddr(addr), uint32(mem.LineBytes), write), false
 	}
 	return m.dramAccess(at, addr, size, write), false
 }
@@ -235,7 +235,7 @@ func (m *hostMemory) dramAccess(at sim.Time, addr uint64, size uint32, write boo
 }
 
 func (m *hostMemory) dramWrite(at sim.Time, line uint64) {
-	m.dramAccess(at, line, uint32(m.sys.Cfg.Geo.LineBytes), true)
+	m.dramAccess(at, line, uint32(mem.LineBytes), true)
 }
 
 // Scatter implements cores.Memory for the host: each scattered element is
@@ -244,14 +244,13 @@ func (m *hostMemory) dramWrite(at sim.Time, line uint64) {
 // processing eliminates.
 func (m *hostMemory) Scatter(at sim.Time, coreID int, addr uint64, span uint64, count uint32, write bool) (sim.Time, bool) {
 	geo := m.sys.Cfg.Geo
-	if span < geo.LineBytes {
-		span = geo.LineBytes
+	if span < mem.LineBytes {
+		span = mem.LineBytes
 	}
-	stride := scatterStride(geo.RowBytes, geo.LineBytes)
 	done := at
 	for i := uint64(0); i < uint64(count); i++ {
-		off := (i * stride) % span
-		if fin, _ := m.Access(at, coreID, geo.LineAddr(addr+off), uint32(geo.LineBytes), write); fin > done {
+		off := (i * scatterStride) % span
+		if fin, _ := m.Access(at, coreID, geo.LineAddr(addr+off), uint32(mem.LineBytes), write); fin > done {
 			done = fin
 		}
 	}

@@ -56,14 +56,14 @@ const (
 var (
 	nmpCore  = cores.Config{ClockHz: NMPClockHz, Window: nmpWindow}
 	hostCore = cores.Config{ClockHz: HostClockHz, Window: HostWindow}
-	nmpL1    = cache.Config{SizeBytes: L1Bytes, LineBytes: 64, Ways: 4, HitLatency: 1200}
-	nmpL2    = cache.Config{SizeBytes: L2Bytes, LineBytes: 64, Ways: 8, HitLatency: 4 * sim.Nanosecond}
-	hostL1   = cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1200}
+	nmpL1    = cache.Config{SizeBytes: L1Bytes, Ways: 4, HitLatency: 1200}
+	nmpL2    = cache.Config{SizeBytes: L2Bytes, Ways: 8, HitLatency: 4 * sim.Nanosecond}
+	hostL1   = cache.Config{SizeBytes: 32 << 10, Ways: 8, HitLatency: 1200}
 )
 
 // hostLLC is the host's shared LLC at the given size.
 func hostLLC(sizeBytes uint64) cache.Config {
-	return cache.Config{SizeBytes: sizeBytes, LineBytes: 64, Ways: 16, HitLatency: 12 * sim.Nanosecond}
+	return cache.Config{SizeBytes: sizeBytes, Ways: 16, HitLatency: 12 * sim.Nanosecond}
 }
 
 // Config describes a full system: what the experiments vary about it. The
@@ -105,21 +105,12 @@ type Config struct {
 // paper's testbed CPUs are Xeon 4210R @ 2.4 GHz) with 8 MB LLC, GRS
 // DIMM-Link, and the polling-proxy strategy.
 func DefaultConfig(dimms, channels int, mech Mechanism) Config {
-	geo := mem.Geometry{
-		NumDIMMs:     dimms,
-		NumChannels:  channels,
-		DIMMCapBytes: 1 << 28, // 256 MiB simulated footprint per DIMM
-		RanksPerDIMM: 2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		LineBytes:    64,
-	}
 	mode := host.BasePolling
 	if mech == MechDIMMLink {
 		mode = host.ProxyPolling
 	}
 	return Config{
-		Geo:          geo,
+		Geo:          mem.Geometry{NumDIMMs: dimms, NumChannels: channels},
 		Mech:         mech,
 		CoresPerDIMM: 4,
 		Host:         mode,

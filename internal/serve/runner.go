@@ -62,9 +62,6 @@ type Server struct {
 	reg  *metrics.Registry
 
 	start time.Time
-
-	// runSpec executes one spec; tests stub it to control timing.
-	runSpec func(ctx context.Context, sp spec.Spec, progress func(done, total int), coll *metrics.Collector) (*Result, error)
 }
 
 func newServerCore(cfg Config) *Server {
@@ -80,12 +77,6 @@ func newServerCore(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		reg:        metrics.NewRegistry(),
 		start:      time.Now(),
-	}
-	s.runSpec = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
-		return executeSpec(ctx, sp, s.cfg.ExpJobs, s.cfg.Traces, progress, coll)
-	}
-	if cfg.Runner != nil {
-		s.runSpec = cfg.Runner
 	}
 	// Pre-register the service counters at zero so every scrape exposes
 	// the full set — a dashboard watching cache_evictions_total must not
@@ -191,7 +182,7 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Unlock()
 	}
 
-	res, err := s.runSpec(ctx, j.Spec, progress, coll)
+	res, err := s.cfg.Runner(ctx, j.Spec, progress, coll)
 
 	wait := j.started.Sub(j.submitted)
 	run := time.Since(j.started)

@@ -74,7 +74,8 @@ type Config struct {
 	// JobTimeout, when non-zero, bounds each job's wall-clock run time;
 	// an expired job is reported as canceled.
 	JobTimeout time.Duration
-	// Runner, when non-nil, replaces the built-in spec runner. It must
+	// Runner, when non-nil, replaces the built-in spec runner (see
+	// executeSpec). It must
 	// honor the determinism contract (identical bytes for identical
 	// normalized specs) — the cache, the disk store and the cluster
 	// layer all assume it. Test seam and extension point.
@@ -100,6 +101,11 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 64
+	}
+	if cfg.Runner == nil {
+		cfg.Runner = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
+			return executeSpec(ctx, sp, cfg.ExpJobs, cfg.Traces, progress, coll)
+		}
 	}
 	s := newServerCore(cfg)
 	for i := 0; i < cfg.Workers; i++ {

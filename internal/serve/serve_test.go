@@ -394,8 +394,7 @@ func TestTerminalJobReleasesContext(t *testing.T) {
 // for deterministic queue/cancel/drain tests.
 func blockingServer(cfg Config) (*Server, chan struct{}) {
 	release := make(chan struct{})
-	srv := NewServer(cfg)
-	srv.runSpec = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
+	cfg.Runner = func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
 		select {
 		case <-release:
 			return &Result{Text: []byte("stub\n"), JSON: []byte(`{"stub":true}`)}, nil
@@ -403,7 +402,7 @@ func blockingServer(cfg Config) (*Server, chan struct{}) {
 			return nil, ctx.Err()
 		}
 	}
-	return srv, release
+	return NewServer(cfg), release
 }
 
 // uniqueSpec returns specs with distinct hashes (different seeds).
@@ -818,10 +817,9 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServer(Config{Workers: 1, Store: st2})
-	srv2.runSpec = func(context.Context, spec.Spec, func(int, int), *metrics.Collector) (*Result, error) {
+	srv2 := NewServer(Config{Workers: 1, Store: st2, Runner: func(context.Context, spec.Spec, func(int, int), *metrics.Collector) (*Result, error) {
 		return nil, fmt.Errorf("recompute attempted: disk store was bypassed")
-	}
+	}})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()

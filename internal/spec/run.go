@@ -22,13 +22,11 @@ import (
 )
 
 // SimHooks carries the observation extras a caller may layer onto a
-// simulation run. None of them changes the rendered report: the
-// collector is passive, sampling is passive, and profiling only fills
-// KernelResult.Profile.
+// simulation run. Neither changes the rendered report: the collector and
+// its sampling are passive.
 type SimHooks struct {
 	Metrics      *metrics.Collector
 	SamplePeriod sim.Time
-	Profile      bool
 }
 
 // SimRun bundles one completed simulation.
@@ -66,7 +64,7 @@ func (s Spec) RunSim(h SimHooks) (*SimRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, checksum, err := w.Run(sys, sys.DefaultPlacement(), h.Profile)
+	res, checksum, err := w.Run(sys, sys.DefaultPlacement(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func (s Spec) ReplayTrace(td *ingest.Data, h SimHooks) (*SimRun, error) {
 		rec.Addr = addr
 	}
 	rp := &trace.Replay{T: &trace.Trace{Threads: td.Threads, Records: td.Records}}
-	res, _, err := rp.Run(sys, placement, h.Profile)
+	res, _, err := rp.Run(sys, placement, false)
 	if err != nil {
 		return nil, err
 	}
